@@ -21,7 +21,6 @@ from .samplers import (
     Provenance,
     build_weight_table,
     draw_balanced,
-    draw_dual,
     draw_random,
     draw_weighted,
 )

@@ -8,7 +8,6 @@ import os
 import sys
 
 from . import config as cfgmod
-from .buffer import MemoryBuffer
 from .data import generate_task, save_dataset
 from .errors import LlttsError
 from .metrics import LearningCurve, McdReport, render_curves, render_table
@@ -99,7 +98,6 @@ def cmd_train(args) -> int:
         cp = cfgmod.Checkpoint(
             stage=stage,
             params=state["params"],
-            adam=None,
             buffer_snapshot=state["buffer"].snapshot(),
             fisher=state["fstate"],
             reports=state["reports"],
@@ -116,17 +114,17 @@ def cmd_train(args) -> int:
         os.path.join(config.output_dir, "result.json"),
         json.dumps(record, sort_keys=True, indent=2) + "\n",
     )
-    # learning curves concatenated over stages, one file per run
+    # learning curves concatenated over stages, one file per run; a language
+    # first evaluated in stage k starts at global epoch k * epochs_per_stage
     merged: dict[int, list] = {}
-    for curves in result.stage_curves:
+    first_epoch: dict[int, int] = {}
+    for stage, curves in enumerate(result.stage_curves):
         for lang, vals in curves.items():
-            merged.setdefault(lang, [])
-        max_len = max(len(v) for v in curves.values())
-        for lang in merged:
-            merged[lang].extend(curves.get(lang, [float("nan")] * max_len))
+            first_epoch.setdefault(lang, stage * config.epochs_per_stage)
+            merged.setdefault(lang, []).extend(vals)
     _write_text(
         os.path.join(config.output_dir, "curves.csv"),
-        render_curves(LearningCurve(merged)),
+        render_curves(LearningCurve(merged), first_epoch),
     )
     _write_text(os.path.join(config.output_dir, "report.csv"), render_table([result]))
     return 0

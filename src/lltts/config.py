@@ -7,7 +7,7 @@ import io
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .buffer import MemoryBuffer
 from .data import TaskSpec
@@ -217,7 +217,6 @@ def config_hash(config: ExperimentConfig) -> str:
 class Checkpoint:
     stage: int
     params: ParameterSet
-    adam: dict | None
     buffer_snapshot: dict
     fisher: FisherState | None
     reports: list
@@ -242,7 +241,6 @@ def save_checkpoint(cp: Checkpoint, path) -> None:
         "stage": cp.stage,
         "param_values": cp.params.values,
         "topology": cp.params.topology,
-        "adam": cp.adam,
         "buffer": cp.buffer_snapshot,
         "fisher": None
         if cp.fisher is None
@@ -272,7 +270,6 @@ def load_checkpoint(path, expected_hash: str | None = None, force: bool = False)
         cp = Checkpoint(
             stage=record["stage"],
             params=params,
-            adam=record["adam"],
             buffer_snapshot=record["buffer"],
             fisher=fisher,
             reports=record["reports"],

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .model import infer
+from .model import Head, forward
+from .samplers import Batch, Provenance
 
 MCD_CONST = 10.0 / math.log(10.0)
 
@@ -29,11 +30,17 @@ class McdReport:
     stage_language: int
     per_language: dict
     average: float = field(default=None)
-    mcdr_vs_finetune: float | None = None
 
     def __post_init__(self):
         if self.average is None:
             self.average = float(np.mean(list(self.per_language.values())))
+
+
+def mean_mcd(params, samples) -> float:
+    """Mean MCD of the LBS branch's post-net output over one split, from a
+    single batched forward pass."""
+    _, post = forward(params, Batch(samples, Provenance.LBS), Head.LBS)
+    return float(np.mean([mcd(s.target_frames, out) for s, out in zip(samples, post)]))
 
 
 def stage_eval(params, test_sets) -> McdReport:
@@ -44,8 +51,7 @@ def stage_eval(params, test_sets) -> McdReport:
     for ds in test_sets:
         if not ds.test:
             raise UsageError(f"language {ds.language_id} has an empty test split")
-        vals = [mcd(s.target_frames, infer(params, s)) for s in ds.test]
-        per_language[ds.language_id] = float(np.mean(vals))
+        per_language[ds.language_id] = mean_mcd(params, ds.test)
     return McdReport(test_sets[-1].language_id, per_language)
 
 
@@ -116,13 +122,16 @@ def render_table(results) -> str:
     return buf.getvalue()
 
 
-def render_curves(curve: LearningCurve) -> str:
-    """CSV with columns epoch, language, raw, smoothed."""
+def render_curves(curve: LearningCurve, first_epoch: dict) -> str:
+    """CSV with columns epoch, language, raw, smoothed.
+
+    `first_epoch` maps each language to the global epoch of its first value.
+    """
     buf = io.StringIO()
     buf.write("epoch,language,raw,smoothed\n")
     smoothed = curve.smoothed()
     for lang in sorted(curve.per_language):
         raw = curve.per_language[lang]
-        for epoch, (x, s) in enumerate(zip(raw, smoothed[lang])):
+        for epoch, (x, s) in enumerate(zip(raw, smoothed[lang]), start=first_epoch[lang]):
             buf.write(f"{epoch},{lang},{x!r},{s!r}\n")
     return buf.getvalue()

@@ -82,10 +82,6 @@ class ParameterSet:
     def copy(self) -> "ParameterSet":
         return ParameterSet(self.values.copy(), dict(self.segments), self.topology)
 
-    def segment(self, name: str) -> np.ndarray:
-        lo, hi = self.segments[name]
-        return self.values[lo:hi]
-
 
 class _Weights:
     """Named matrix views over one flat parameter (or gradient) vector."""

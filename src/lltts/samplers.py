@@ -1,9 +1,9 @@
-"""Batch construction: random, weighted, language-balanced, and dual."""
+"""Batch construction: random, weighted, and language-balanced."""
 from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,22 +21,22 @@ class Provenance(enum.Enum):
 class Batch:
     samples: list
     provenance: Provenance
-    language_histogram: dict = field(default=None)
 
     def __post_init__(self):
         if not self.samples:
             raise UsageError("batch must be non-empty")
-        if self.language_histogram is None:
-            self.language_histogram = dict(Counter(s.language_id for s in self.samples))
 
     def __len__(self):
         return len(self.samples)
+
+    @property
+    def language_histogram(self) -> dict:
+        return dict(Counter(s.language_id for s in self.samples))
 
 
 @dataclass
 class SampleWeightTable:
     weights: np.ndarray
-    language_counts: dict
 
 
 def build_weight_table(ds) -> SampleWeightTable:
@@ -48,7 +48,7 @@ def build_weight_table(ds) -> SampleWeightTable:
     if any(c <= 0 for c in counts.values()):
         raise ConsistencyError("zero language count in replay dataset")
     weights = np.array([total / counts[s.language_id] for s in ds.samples])
-    return SampleWeightTable(weights, dict(counts))
+    return SampleWeightTable(weights)
 
 
 def draw_random(ds, batch_size: int, rng, provenance: Provenance = Provenance.RANDOM) -> Batch:
@@ -89,10 +89,3 @@ def draw_balanced(ds, batch_size: int, rng) -> Batch:
         idx = rng.integers(0, len(pool), size=quota[lang])
         samples.extend(ds.samples[pool[i]] for i in idx)
     return Batch(samples, Provenance.LBS)
-
-
-def draw_dual(ds, batch_size: int, rng) -> tuple[Batch, Batch]:
-    """(balanced, random) pair drawn from one rng stream in fixed order."""
-    lbs = draw_balanced(ds, batch_size, rng)
-    rrs = draw_random(ds, batch_size, rng, provenance=Provenance.RRS)
-    return lbs, rrs

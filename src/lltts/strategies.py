@@ -7,30 +7,20 @@ from __future__ import annotations
 
 import enum
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .buffer import MemoryBuffer
-from .data import ReplayDataset, TaskDataset, merge_replay
+from .data import ReplayDataset, TaskDataset, generate_task, merge_replay
 from .errors import NumericError, UsageError
-from .metrics import McdReport, mcd, stage_eval
-from .model import (
-    AdamState,
-    Head,
-    ParameterSet,
-    adam_step,
-    forward,
-    init_params,
-    loss_and_grad,
-)
+from .metrics import mean_mcd, stage_eval
+from .model import AdamState, Head, ParameterSet, adam_step, init_params, loss_and_grad
 from .samplers import (
     Batch,
     Provenance,
     build_weight_table,
     draw_balanced,
-    draw_dual,
     draw_random,
     draw_weighted,
 )
@@ -93,7 +83,6 @@ class GemState:
 class StageResult:
     final_params: ParameterSet
     dev_curves: dict  # language_id -> per-epoch dev MCD
-    wall_seconds: float
 
 
 @dataclass
@@ -207,10 +196,32 @@ def lr_for_epoch(base_lr: float, epoch: int, epochs: int, decay_fraction: float)
 
 
 def _dev_mcd(params: ParameterSet, ds: TaskDataset) -> float:
-    batch = Batch(ds.dev, Provenance.LBS)
-    _, post = forward(params, batch, Head.LBS)
-    vals = [mcd(s.target_frames, out) for s, out in zip(ds.dev, post)]
-    return float(np.mean(vals))
+    return mean_mcd(params, ds.dev)
+
+
+def _loss_terms(strategy: StrategyConfig, pool: ReplayDataset, batch_size: int, rng) -> list:
+    """The (weight, draw, head) terms whose weighted loss sum is one step's loss.
+
+    REPLAY_DUAL sums gamma * L_lbs + beta * L_rrs; every other strategy has
+    a single unit-weight term on the LBS head.
+    """
+    kind = strategy.kind
+    if kind is StrategyKind.REPLAY_DUAL:
+        if strategy.force_lbs_random:
+            draw_lbs = lambda: draw_random(pool, batch_size, rng, Provenance.LBS)
+        else:
+            draw_lbs = lambda: draw_balanced(pool, batch_size, rng)
+        terms = [
+            (strategy.gamma, draw_lbs, Head.LBS),
+            (strategy.beta, lambda: draw_random(pool, batch_size, rng, Provenance.RRS), Head.RRS),
+        ]
+        # a zero-weight term draws nothing, keeping the rng stream identical
+        # to the single-sampler strategies
+        return [term for term in terms if term[0] > 0]
+    if kind is StrategyKind.REPLAY_WEIGHTED:
+        table = build_weight_table(pool)
+        return [(1.0, lambda: draw_weighted(table, pool, batch_size, rng), Head.LBS)]
+    return [(1.0, lambda: draw_random(pool, batch_size, rng), Head.LBS)]
 
 
 def train_stage(
@@ -225,9 +236,10 @@ def train_stage(
 ) -> StageResult:
     """One task's training phase; returns final parameters and dev curves.
 
-    `seen_tasks` lists every task seen so far (current included); their
-    dev splits feed the per-epoch MCD curves. For JOINT it also defines
-    the training pool.
+    Each step sums the strategy's weighted loss terms (`_loss_terms`), then
+    adds the EWC penalty or applies the GEM projection. `seen_tasks` lists
+    every task seen so far (current included); their dev splits feed the
+    per-epoch MCD curves. For JOINT it also defines the training pool.
     """
     kind = strategy.kind
     seen_tasks = seen_tasks if seen_tasks is not None else [ds_k]
@@ -239,55 +251,32 @@ def train_stage(
     else:
         pool = merge_replay(ds_k, buffer if buffer and buffer.total() else None)
 
-    weight_table = None
-    if kind is StrategyKind.REPLAY_WEIGHTED:
-        weight_table = build_weight_table(pool)
-
+    terms = _loss_terms(strategy, pool, cfg.batch_size, rng)
+    use_ewc = kind is StrategyKind.EWC and fstate is not None
     use_gem = kind is StrategyKind.GEM and buffer is not None and buffer.total() > 0
 
     opt = AdamState.fresh(len(params.values), lr=cfg.lr)
     params = params.copy()
     steps_per_epoch = max(1, len(pool) // cfg.batch_size)
     curves: dict[int, list] = {t.language_id: [] for t in seen_tasks}
-    started = time.perf_counter()
 
     for epoch in range(cfg.epochs):
         opt.lr = lr_for_epoch(cfg.lr, epoch, cfg.epochs, cfg.lr_decay_epoch_fraction)
         for step in range(steps_per_epoch):
-            if kind is StrategyKind.REPLAY_DUAL:
-                grad = np.zeros_like(params.values)
-                loss_total = 0.0
-                # a zero-weight branch is skipped entirely, keeping the rng
-                # stream identical to the single-sampler strategies
-                if strategy.gamma > 0:
-                    if strategy.force_lbs_random:
-                        b_lbs = draw_random(pool, cfg.batch_size, rng, Provenance.LBS)
-                    else:
-                        b_lbs = draw_balanced(pool, cfg.batch_size, rng)
-                    l_lbs, g_lbs = loss_and_grad(params, b_lbs, Head.LBS)
-                    grad += strategy.gamma * g_lbs
-                    loss_total += strategy.gamma * l_lbs.total
-                if strategy.beta > 0:
-                    b_rrs = draw_random(pool, cfg.batch_size, rng, Provenance.RRS)
-                    l_rrs, g_rrs = loss_and_grad(params, b_rrs, Head.RRS)
-                    grad += strategy.beta * g_rrs
-                    loss_total += strategy.beta * l_rrs.total
-            else:
-                if kind is StrategyKind.REPLAY_WEIGHTED:
-                    batch = draw_weighted(weight_table, pool, cfg.batch_size, rng)
-                else:
-                    batch = draw_random(pool, cfg.batch_size, rng)
-                loss, grad = loss_and_grad(params, batch, Head.LBS)
-                loss_total = loss.total
-                if kind is StrategyKind.EWC and fstate is not None:
-                    penalty, pgrad = ewc_penalty(params, fstate, strategy.ewc_lambda)
-                    loss_total += penalty
-                    grad = grad + pgrad
-                if use_gem:
-                    gstate = gem_reference_grads(
-                        params, buffer, strategy.gem_memory_batch, rng
-                    )
-                    grad = gem_project(grad, gstate)
+            # accumulating into zeros keeps gamma = beta = 0 a valid no-op step
+            grad = np.zeros_like(params.values)
+            loss_total = 0.0
+            for weight, draw, head in terms:
+                loss, term_grad = loss_and_grad(params, draw(), head)
+                grad += weight * term_grad
+                loss_total += weight * loss.total
+            if use_ewc:
+                penalty, pgrad = ewc_penalty(params, fstate, strategy.ewc_lambda)
+                loss_total += penalty
+                grad += pgrad
+            if use_gem:
+                gstate = gem_reference_grads(params, buffer, strategy.gem_memory_batch, rng)
+                grad = gem_project(grad, gstate)
             if not np.isfinite(loss_total):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch} step {step}: {loss_total}"
@@ -295,7 +284,7 @@ def train_stage(
             opt, params = adam_step(opt, params, grad)
         for task in seen_tasks:
             curves[task.language_id].append(_dev_mcd(params, task))
-    return StageResult(params, curves, time.perf_counter() - started)
+    return StageResult(params, curves)
 
 
 def run_sequence(config, checkpoint_hook=None, start_state=None) -> ExperimentResult:
@@ -305,11 +294,7 @@ def run_sequence(config, checkpoint_hook=None, start_state=None) -> ExperimentRe
     is called after each stage with a resumable state dict;
     `start_state` resumes from such a dict at a stage boundary.
     """
-    tasks = [None] * len(config.task_specs)
-    from .data import generate_task
-
-    for i, spec in enumerate(config.task_specs):
-        tasks[i] = generate_task(spec)
+    tasks = [generate_task(spec) for spec in config.task_specs]
 
     strategy = config.strategy
     stage_cfg = StageConfig(

@@ -78,6 +78,18 @@ class TestTrain:
         assert len(record["reports"]) == 2
         assert (out / "report.csv").exists()
 
+    def test_curves_numbered_by_global_epoch(self, tmp_path):
+        cfg, out = write_config(tmp_path)
+        text = cfg.read_text().replace("epochs_per_stage = 2", "epochs_per_stage = 4")
+        text += "\n[task 2]\nseed = 3\nn_train = 30\nn_dev = 4\nn_test = 3\n"
+        cfg.write_text(text + "seq_len_min = 2\nseq_len_max = 4\n")
+        assert cli(["train", "--config", str(cfg)]) == 0
+        epochs = {}
+        for line in (out / "curves.csv").read_text().strip().split("\n")[1:]:
+            epoch, lang, _, _ = line.split(",")
+            epochs.setdefault(int(lang), []).append(int(epoch))
+        assert epochs == {0: list(range(12)), 1: list(range(4, 12)), 2: list(range(8, 12))}
+
     def test_missing_config_fails(self, tmp_path):
         assert cli(["train", "--config", str(tmp_path / "nope.ini")]) == 1
 

@@ -91,7 +91,6 @@ def _tiny_checkpoint():
     return Checkpoint(
         stage=0,
         params=params,
-        adam=None,
         buffer_snapshot=buf.snapshot(),
         fisher=None,
         reports=[],

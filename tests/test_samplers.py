@@ -8,7 +8,6 @@ from lltts.samplers import (
     Provenance,
     build_weight_table,
     draw_balanced,
-    draw_dual,
     draw_random,
     draw_weighted,
 )
@@ -130,34 +129,6 @@ class TestDrawBalanced:
             batch = draw_balanced(ds, int(rng.integers(3, 30)), rng)
             counts = list(batch.language_histogram.values())
             assert max(counts) - min(counts) <= 1
-
-
-class TestDrawDual:
-    def test_provenance_tags(self):
-        ds = make_dataset({0: 20, 1: 10})
-        lbs, rrs = draw_dual(ds, 8, np.random.default_rng(0))
-        assert lbs.provenance is Provenance.LBS
-        assert rrs.provenance is Provenance.RRS
-
-    def test_deterministic(self):
-        ds = make_dataset({0: 20, 1: 10})
-        a = draw_dual(ds, 8, np.random.default_rng(9))
-        b = draw_dual(ds, 8, np.random.default_rng(9))
-        for x, y in zip(a, b):
-            assert [id(s) for s in x.samples] == [id(s) for s in y.samples]
-
-    def test_marginals(self):
-        ds = make_dataset({0: 300, 1: 30})
-        rng = np.random.default_rng(4)
-        lbs_counts = np.zeros(2)
-        rrs_counts = np.zeros(2)
-        for _ in range(200):
-            lbs, rrs = draw_dual(ds, 20, rng)
-            for lang in (0, 1):
-                lbs_counts[lang] += lbs.language_histogram.get(lang, 0)
-                rrs_counts[lang] += rrs.language_histogram.get(lang, 0)
-        assert lbs_counts[1] / lbs_counts.sum() == pytest.approx(0.5, abs=0.02)
-        assert rrs_counts[1] / rrs_counts.sum() == pytest.approx(30 / 330, abs=0.02)
 
 
 class TestBatch:
