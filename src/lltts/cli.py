@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import logging
 import os
@@ -14,6 +15,33 @@ from .metrics import LearningCurve, McdReport, render_curves, render_table
 from .strategies import ExperimentResult, run_sequence
 
 log = logging.getLogger("lltts")
+
+
+# glibc mallopt parameters and the values `cli` sets before any command. A
+# training step frees activation buffers of a few hundred KB that the next
+# step allocates again; under glibc's default, adaptive thresholds they go
+# back to the OS and are faulted in again on every step. These fixed
+# thresholds keep them in the heap.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 * 2**20
+_TRIM_THRESHOLD_BYTES = 64 * 2**20
+
+
+def _keep_freed_buffers() -> bool:
+    """Set the process's malloc thresholds; a no-op without glibc's mallopt.
+
+    Returns whether mallopt was called.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    return True
 
 
 def _setup_logging():
@@ -167,6 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli(argv=None) -> int:
+    _keep_freed_buffers()
     _setup_logging()
     parser = build_parser()
     try:

@@ -7,7 +7,7 @@ import io
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .buffer import MemoryBuffer
 from .data import TaskSpec
@@ -210,7 +210,9 @@ def emit_config(config: ExperimentConfig) -> str:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    return hashlib.sha256(emit_config(config).encode()).hexdigest()
+    """Digest of every setting that can change a result; the output directory
+    is left out, so a moved or copied run directory still resumes."""
+    return hashlib.sha256(emit_config(replace(config, output_dir="")).encode()).hexdigest()
 
 
 @dataclass

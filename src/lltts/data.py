@@ -10,7 +10,6 @@ import io
 import os
 import struct
 import tempfile
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +17,8 @@ import numpy as np
 from .errors import ConsistencyError, FormatError, UsageError, VersionError
 
 MAGIC = b"LLTTS1"
+# the header's language-id field follows the magic, vocab_size and frame_dim
+_LANGUAGE_ID_OFFSET = len(MAGIC) + 8
 
 # generator-side constants, independent of the model topology
 _GEN_EMBED_DIM = 6
@@ -92,19 +93,25 @@ class ReplayDataset:
 
     samples: list
     language_counts: dict = field(default=None)
+    _groups: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        groups: dict[int, list[int]] = {}
+        for i, s in enumerate(self.samples):
+            groups.setdefault(s.language_id, []).append(i)
+        self._groups = {lang: np.array(idx, dtype=np.int64) for lang, idx in groups.items()}
         if self.language_counts is None:
-            self.language_counts = dict(Counter(s.language_id for s in self.samples))
+            self.language_counts = {lang: len(idx) for lang, idx in self._groups.items()}
 
     def __len__(self):
         return len(self.samples)
 
     def by_language(self) -> dict:
-        groups: dict[int, list[int]] = {}
-        for i, s in enumerate(self.samples):
-            groups.setdefault(s.language_id, []).append(i)
-        return groups
+        """Language id -> ascending sample indices, in order of first appearance.
+
+        Built once with the dataset; callers must not modify the arrays.
+        """
+        return self._groups
 
 
 def _gen_embedding(vocab_size: int) -> np.ndarray:
@@ -206,7 +213,8 @@ def load_dataset(path, num_languages: int | None = None) -> TaskDataset:
     pos += 24
     if num_languages is not None and language_id >= num_languages:
         raise FormatError(
-            f"language id {language_id} >= declared num_languages {num_languages}"
+            f"language id {language_id} >= declared num_languages {num_languages}",
+            offset=_LANGUAGE_ID_OFFSET,
         )
     splits = []
     for count in (n_train, n_dev, n_test):
@@ -221,11 +229,14 @@ def load_dataset(path, num_languages: int | None = None) -> TaskDataset:
             if pos + tok_bytes + frame_bytes > len(data):
                 raise FormatError("truncated sample body", offset=pos)
             tokens = np.frombuffer(data, dtype="<u4", count=t, offset=pos).astype(np.int64)
+            bad = np.flatnonzero(tokens >= vocab_size)
+            if len(bad):
+                raise FormatError(
+                    "token id exceeds declared vocab_size", offset=pos + 4 * int(bad[0])
+                )
             pos += tok_bytes
             frames = np.frombuffer(data, dtype="<f8", count=t * frame_dim, offset=pos)
             pos += frame_bytes
-            if np.any(tokens >= vocab_size):
-                raise FormatError("token id exceeds declared vocab_size", offset=pos)
             split.append(Sample(language_id, tokens, frames.reshape(t, frame_dim).copy()))
         splits.append(split)
     if pos != len(data):

@@ -64,12 +64,12 @@ class ModelTopology:
 
 
 def segment_ranges(topology: ModelTopology) -> dict[str, tuple[int, int]]:
+    lengths = topology.segment_lengths()
     ranges = {}
     start = 0
     for name in SEGMENT_ORDER:
-        length = topology.segment_lengths()[name]
-        ranges[name] = (start, start + length)
-        start += length
+        ranges[name] = (start, start + lengths[name])
+        start += lengths[name]
     return ranges
 
 
@@ -141,26 +141,26 @@ def _pad_batch(topology: ModelTopology, samples):
     n = len(samples)
     if n == 0:
         raise UsageError("empty batch")
-    t_max = max(len(s.tokens) for s in samples)
-    tokens = np.zeros((n, t_max), dtype=np.int64)
-    targets = np.zeros((n, t_max, topology.frame_dim))
-    mask = np.zeros((n, t_max))
-    langs = np.zeros(n, dtype=np.int64)
-    for i, s in enumerate(samples):
-        tok = np.asarray(s.tokens)
-        if tok.min(initial=0) < 0 or (len(tok) and tok.max() >= topology.vocab_size):
+    lengths = np.fromiter((len(s.tokens) for s in samples), dtype=np.int64, count=n)
+    langs = np.fromiter((s.language_id for s in samples), dtype=np.int64, count=n)
+    # row-major boolean indexing visits the valid positions sample by sample,
+    # in the order of the concatenated per-sample arrays
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    tokens = np.zeros(valid.shape, dtype=np.int64)
+    tokens[valid] = np.concatenate([s.tokens for s in samples])
+    targets = np.zeros(valid.shape + (topology.frame_dim,))
+    targets[valid] = np.concatenate([s.target_frames for s in samples])
+    bad_token = ((tokens < 0) | (tokens >= topology.vocab_size)).any(axis=1)
+    bad_lang = (langs < 0) | (langs >= topology.num_languages)
+    bad = np.flatnonzero(bad_token | bad_lang)
+    if len(bad):
+        i = int(bad[0])
+        if bad_token[i]:
             raise InputDomainError(f"sample {i}: token id out of range [0, {topology.vocab_size})")
-        if not 0 <= s.language_id < topology.num_languages:
-            raise InputDomainError(
-                f"sample {i}: language id {s.language_id} out of range "
-                f"[0, {topology.num_languages})"
-            )
-        ti = len(tok)
-        tokens[i, :ti] = tok
-        targets[i, :ti] = s.target_frames
-        mask[i, :ti] = 1.0
-        langs[i] = s.language_id
-    return tokens, targets, mask, langs
+        raise InputDomainError(
+            f"sample {i}: language id {langs[i]} out of range [0, {topology.num_languages})"
+        )
+    return tokens, targets, valid.astype(np.float64), langs
 
 
 def _forward_padded(w: _Weights, topology: ModelTopology, tokens, langs, head: Head):
@@ -250,9 +250,14 @@ def loss_and_grad(params: ParameterSet, batch, head: Head):
     g.b_enc[...] = da_enc.sum(axis=(0, 1))
     g.w_enc[...] = np.einsum("bth,bte->he", da_enc, e)
     de = da_enc @ w.w_enc
-    np.add.at(g.emb, tokens.reshape(-1), de.reshape(-1, topology.embed_dim))
-    # padded positions carry zero upstream gradient, so the scatter above
-    # adds exact zeros for them; no masking needed
+    # bincount adds the rows in input order onto 0.0, as np.add.at would, so
+    # the sums are bitwise the same; padded positions carry zero upstream
+    # gradient and add exact zeros, so no masking is needed
+    d_emb = topology.embed_dim
+    slots = (tokens.reshape(-1, 1) * d_emb + np.arange(d_emb)).reshape(-1)
+    g.emb[...] = np.bincount(
+        slots, weights=de.reshape(-1), minlength=topology.vocab_size * d_emb
+    ).reshape(topology.vocab_size, d_emb)
     return loss, grad
 
 

@@ -57,7 +57,7 @@ def draw_random(ds, batch_size: int, rng, provenance: Provenance = Provenance.RA
     if len(ds) == 0:
         raise UsageError("cannot sample from an empty dataset")
     idx = rng.integers(0, len(ds), size=batch_size)
-    return Batch([ds.samples[i] for i in idx], provenance)
+    return Batch([ds.samples[i] for i in idx.tolist()], provenance)
 
 
 def draw_weighted(table: SampleWeightTable, ds, batch_size: int, rng) -> Batch:
@@ -67,7 +67,7 @@ def draw_weighted(table: SampleWeightTable, ds, batch_size: int, rng) -> Batch:
         raise UsageError("weight table does not match dataset")
     p = table.weights / table.weights.sum()
     idx = rng.choice(len(ds), size=batch_size, replace=True, p=p)
-    return Batch([ds.samples[i] for i in idx], Provenance.WEIGHTED)
+    return Batch([ds.samples[i] for i in idx.tolist()], Provenance.WEIGHTED)
 
 
 def draw_balanced(ds, batch_size: int, rng) -> Batch:
@@ -85,7 +85,7 @@ def draw_balanced(ds, batch_size: int, rng) -> Batch:
             quota[langs[j]] += 1
     samples = []
     for lang in langs:
-        pool = groups[lang]
-        idx = rng.integers(0, len(pool), size=quota[lang])
-        samples.extend(ds.samples[pool[i]] for i in idx)
+        group = groups[lang]
+        idx = rng.integers(0, len(group), size=quota[lang])
+        samples.extend(ds.samples[i] for i in group[idx].tolist())
     return Batch(samples, Provenance.LBS)

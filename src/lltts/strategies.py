@@ -279,9 +279,16 @@ def train_stage(
                 grad = gem_project(grad, gstate)
             if not np.isfinite(loss_total):
                 raise NumericError(
-                    f"non-finite loss at epoch {epoch} step {step}: {loss_total}"
+                    f"non-finite loss in the stage of language {ds_k.language_id} "
+                    f"at epoch {epoch} step {step}: {loss_total}"
                 )
-            opt, params = adam_step(opt, params, grad)
+            try:
+                opt, params = adam_step(opt, params, grad)
+            except NumericError as exc:
+                raise NumericError(
+                    f"{exc} in the stage of language {ds_k.language_id} "
+                    f"at epoch {epoch} step {step}"
+                ) from exc
         for task in seen_tasks:
             curves[task.language_id].append(_dev_mcd(params, task))
     return StageResult(params, curves)

@@ -1,8 +1,11 @@
 import json
 import os
+import shutil
+import types
 
 import pytest
 
+import lltts.cli
 from lltts.cli import cli
 from lltts.data import load_dataset
 
@@ -139,6 +142,21 @@ class TestDeterminismAndResume:
         assert cli(["train", "--config", str(cfg), "--resume"]) == 0
         assert (out / "report.csv").read_bytes() == uninterrupted
 
+    def test_moved_run_directory_resumes(self, tmp_path):
+        cfg, out = write_config(tmp_path, kind="ewc")
+        cli(["train", "--config", str(cfg)])
+        uninterrupted = {f: (out / f).read_bytes() for f in ("report.csv", "result.json")}
+
+        moved = tmp_path / "moved"
+        shutil.copytree(out, moved)
+        os.unlink(moved / "checkpoints" / "stage1.ckpt")
+        os.unlink(moved / "report.csv")
+        os.unlink(moved / "result.json")
+        cfg.write_text(cfg.read_text().replace(f"output_dir = {out}", f"output_dir = {moved}"))
+        assert cli(["train", "--config", str(cfg), "--resume"]) == 0
+        for name, blob in uninterrupted.items():
+            assert (moved / name).read_bytes() == blob
+
     def test_resume_with_changed_config_refused(self, tmp_path):
         cfg, out = write_config(tmp_path)
         cli(["train", "--config", str(cfg)])
@@ -146,3 +164,28 @@ class TestDeterminismAndResume:
         cfg.write_text(text)
         assert cli(["train", "--config", str(cfg), "--resume"]) == 1
         assert cli(["train", "--config", str(cfg), "--resume", "--force"]) == 0
+
+
+class TestMallocThresholds:
+    def test_sets_both_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        libc = types.SimpleNamespace(mallopt=mallopt)
+        monkeypatch.setattr(lltts.cli.ctypes, "CDLL", lambda name: libc)
+        assert lltts.cli._keep_freed_buffers()
+        assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+
+    def test_noop_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(lltts.cli.ctypes, "CDLL", lambda name: object())
+        assert not lltts.cli._keep_freed_buffers()
+
+    def test_noop_without_c_library(self, monkeypatch):
+        def no_library(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(lltts.cli.ctypes, "CDLL", no_library)
+        assert not lltts.cli._keep_freed_buffers()

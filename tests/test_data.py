@@ -111,9 +111,27 @@ class TestDatasetFile:
         ds = generate_task(small_spec(language_id=5))
         path = tmp_path / "lang5.lltts"
         save_dataset(ds, path, vocab_size=12)
-        with pytest.raises(FormatError, match="num_languages"):
+        with pytest.raises(FormatError, match="num_languages") as exc:
             load_dataset(path, num_languages=3)
+        # the header's language-id field: magic, vocab_size, frame_dim
+        assert exc.value.offset == 14
         assert load_dataset(path, num_languages=6).language_id == 5
+
+    def test_token_range_check_names_first_bad_token(self, tmp_path):
+        ds = generate_task(small_spec())
+        ds.train[1].tokens[2] = 12
+        ds.train[1].tokens[4] = 13
+        path = tmp_path / "lang0.lltts"
+        save_dataset(ds, path, vocab_size=12)
+        with pytest.raises(FormatError, match="vocab_size") as exc:
+            load_dataset(path)
+        # 30-byte header, sample 0 (length, tokens, frames), sample 1's
+        # length field, then its first two tokens
+        t0 = len(ds.train[0].tokens)
+        expected = 30 + (4 + t0 * (4 + 8 * ds.frame_dim)) + 4 + 4 * 2
+        assert exc.value.offset == expected
+        blob = path.read_bytes()
+        assert int.from_bytes(blob[expected : expected + 4], "little") == 12
 
 
 class TestMergeReplay:

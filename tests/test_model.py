@@ -7,6 +7,7 @@ from lltts.model import (
     Head,
     ModelTopology,
     _Weights,
+    _pad_batch,
     adam_step,
     finite_diff_check,
     forward,
@@ -101,10 +102,17 @@ class TestForward:
             np.testing.assert_allclose(post[i], ref_post, atol=1e-12)
 
     def test_out_of_range_token(self, tiny_params, rng):
-        s = random_sample(rng)
-        s.tokens[0] = TINY.vocab_size
-        with pytest.raises(InputDomainError, match="token"):
-            forward(tiny_params, Batch([s], Provenance.LBS), Head.LBS)
+        for bad_token in (TINY.vocab_size, -1):
+            s = random_sample(rng)
+            s.tokens[0] = bad_token
+            with pytest.raises(InputDomainError, match="sample 0: token"):
+                forward(tiny_params, Batch([s], Provenance.LBS), Head.LBS)
+            # the first bad sample is named, also when it is not first in the batch
+            samples = [random_sample(rng, t=5), random_sample(rng, t=2), random_sample(rng, t=4)]
+            samples[1].tokens[-1] = bad_token
+            samples[2].language_id = TINY.num_languages
+            with pytest.raises(InputDomainError, match="sample 1: token"):
+                forward(tiny_params, Batch(samples, Provenance.LBS), Head.LBS)
 
     def test_out_of_range_language(self, tiny_params, rng):
         s = random_sample(rng)
@@ -167,6 +175,29 @@ class TestLossAndGrad:
         l2, g2 = loss_and_grad(tiny_params, batch, Head.LBS)
         assert l1.total == l2.total
         assert np.array_equal(g1, g2)
+
+
+def test_embedding_gradient_matches_add_at_scatter(tiny_params, monkeypatch):
+    # the bincount scatter must add in np.add.at's order: compare the bits on
+    # a batch with repeated tokens and unequal lengths
+    rng = np.random.default_rng(5)
+    samples = [random_sample(rng, t=t) for t in (7, 2, 5, 7, 1)]
+    samples[1].tokens[:] = samples[0].tokens[0]
+    upstream = []
+    bincount = np.bincount
+
+    def spy(x, weights=None, minlength=0):
+        upstream.append(weights)
+        return bincount(x, weights=weights, minlength=minlength)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    _, grad = loss_and_grad(tiny_params, Batch(samples, Provenance.LBS), Head.LBS)
+    (de,) = upstream
+    tokens, *_ = _pad_batch(TINY, samples)
+    expected = np.zeros((TINY.vocab_size, TINY.embed_dim))
+    np.add.at(expected, tokens.reshape(-1), de.reshape(-1, TINY.embed_dim))
+    lo, hi = segment_ranges(TINY)["embedding"]
+    assert np.array_equal(grad[lo:hi].view(np.uint64), expected.reshape(-1).view(np.uint64))
 
 
 class TestFiniteDiffCheck:

@@ -131,6 +131,50 @@ class TestDrawBalanced:
             assert max(counts) - min(counts) <= 1
 
 
+def list_draw_balanced(ds, batch_size, rng):
+    """List-based reference draw: groups rebuilt per draw, one index at a time."""
+    groups = {}
+    for i, s in enumerate(ds.samples):
+        groups.setdefault(s.language_id, []).append(i)
+    langs = sorted(groups)
+    base, rem = divmod(batch_size, len(langs))
+    quota = {lang: base for lang in langs}
+    if rem:
+        for j in rng.choice(len(langs), size=rem, replace=False):
+            quota[langs[j]] += 1
+    samples = []
+    for lang in langs:
+        pool = groups[lang]
+        idx = rng.integers(0, len(pool), size=quota[lang])
+        samples.extend(ds.samples[pool[i]] for i in idx)
+    return samples
+
+
+class TestByLanguage:
+    def test_draw_balanced_matches_list_reference(self):
+        ds = ReplayDataset(make_dataset({2: 13, 0: 40, 1: 7}).samples[::-1])
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        for batch_size in (3, 10, 32, 7, 84):
+            got = draw_balanced(ds, batch_size, rng).samples
+            want = list_draw_balanced(ds, batch_size, ref_rng)
+            assert [id(s) for s in got] == [id(s) for s in want]
+
+    def test_groups_match_brute_force(self):
+        ds = make_dataset({1: 5, 0: 3, 4: 1})
+        ds = ReplayDataset([ds.samples[i] for i in (8, 0, 5, 1, 6, 2, 7, 3, 4)])
+        brute = {}
+        for i, s in enumerate(ds.samples):
+            brute.setdefault(s.language_id, []).append(i)
+        groups = ds.by_language()
+        assert list(groups) == list(brute)
+        assert {lang: idx.tolist() for lang, idx in groups.items()} == brute
+        assert ds.language_counts == {lang: len(idx) for lang, idx in brute.items()}
+
+    def test_empty_dataset(self):
+        ds = ReplayDataset([])
+        assert ds.by_language() == {} and ds.language_counts == {}
+
+
 class TestBatch:
     def test_histogram_consistent(self):
         ds = make_dataset({0: 3, 1: 2})

@@ -5,7 +5,7 @@ import pytest
 
 from lltts.buffer import MemoryBuffer
 from lltts.data import TaskSpec, generate_task
-from lltts.errors import UsageError
+from lltts.errors import NumericError, UsageError
 from lltts.model import Head, LossBreakdown, init_params, loss_and_grad
 from lltts.samplers import Batch, Provenance
 from lltts.strategies import (
@@ -348,6 +348,50 @@ class TestTrainStage:
         )
         assert set(res.dev_curves) == {0, 1}
         assert all(len(v) == 3 for v in res.dev_curves.values())
+
+    def test_nan_gradient_names_stage_epoch_and_step(self, monkeypatch):
+        import lltts.strategies as strategies
+
+        calls = []
+
+        def nan_at_step_3(params, batch, head):
+            calls.append(None)
+            loss, grad = loss_and_grad(params, batch, head)
+            if len(calls) == 4:
+                grad[0] = np.nan
+            return loss, grad
+
+        monkeypatch.setattr(strategies, "loss_and_grad", nan_at_step_3)
+        ds = small_task(language_id=1)
+        # 60 samples at batch 8: 7 steps an epoch, so step 3 is in epoch 0
+        with pytest.raises(NumericError, match="non-finite gradient") as exc:
+            train_stage(
+                StrategyConfig(StrategyKind.FINE_TUNE), init_params(TINY, 0), ds, None,
+                None, tiny_stage_cfg(), np.random.default_rng(0),
+            )
+        assert "language 1 at epoch 0 step 3" in str(exc.value)
+        assert isinstance(exc.value.__cause__, NumericError)
+
+    def test_nan_loss_names_stage_epoch_and_step(self, monkeypatch):
+        import lltts.strategies as strategies
+
+        calls = []
+
+        def nan_loss_in_epoch_1(params, batch, head):
+            calls.append(None)
+            loss, grad = loss_and_grad(params, batch, head)
+            if len(calls) == 9:
+                loss = LossBreakdown(np.nan, 0.0)
+            return loss, grad
+
+        monkeypatch.setattr(strategies, "loss_and_grad", nan_loss_in_epoch_1)
+        message = "non-finite loss in the stage of language 1 at epoch 1 step 1"
+        with pytest.raises(NumericError, match=message):
+            train_stage(
+                StrategyConfig(StrategyKind.FINE_TUNE), init_params(TINY, 0),
+                small_task(language_id=1), None, None, tiny_stage_cfg(),
+                np.random.default_rng(0),
+            )
 
 
 class TestRunSequence:
