@@ -10,7 +10,8 @@ class UsageError(LlttsError):
 
 
 class InputDomainError(LlttsError):
-    """A sample carries out-of-range token or language ids."""
+    """A sample carries out-of-range token or language ids, or target frames
+    whose dimension does not match the model."""
 
 
 class NumericError(LlttsError):

@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .model import Head, forward
-from .samplers import Batch, Provenance
+from .model import Head, _forward_padded, _pad_batch, _Weights
 
 MCD_CONST = 10.0 / math.log(10.0)
 
@@ -36,11 +35,23 @@ class McdReport:
             self.average = float(np.mean(list(self.per_language.values())))
 
 
+def sample_mcds(params, samples) -> np.ndarray:
+    """MCD of the LBS branch's post-net output for each sample of a split,
+    from one batched forward pass; each value equals `mcd` on that sample."""
+    topology = params.topology
+    tokens, targets, _, langs = _pad_batch(topology, samples)
+    w = _Weights(topology, params.values)
+    *_, y_post = _forward_padded(w, topology, tokens, langs, Head.LBS)
+    per_frame = np.sqrt(2.0 * np.sum((targets - y_post) ** 2, axis=-1))
+    # a mean over each sample's own frames sums them as `mcd` does; a masked
+    # sum over the padded row, or np.add.reduceat, groups them differently
+    means = np.array([row[: len(s.tokens)].mean() for row, s in zip(per_frame, samples)])
+    return MCD_CONST * means
+
+
 def mean_mcd(params, samples) -> float:
-    """Mean MCD of the LBS branch's post-net output over one split, from a
-    single batched forward pass."""
-    _, post = forward(params, Batch(samples, Provenance.LBS), Head.LBS)
-    return float(np.mean([mcd(s.target_frames, out) for s, out in zip(samples, post)]))
+    """Mean MCD of the LBS branch's post-net output over one split."""
+    return float(np.mean(sample_mcds(params, samples)))
 
 
 def stage_eval(params, test_sets) -> McdReport:

@@ -148,8 +148,19 @@ def _pad_batch(topology: ModelTopology, samples):
     valid = np.arange(lengths.max()) < lengths[:, None]
     tokens = np.zeros(valid.shape, dtype=np.int64)
     tokens[valid] = np.concatenate([s.tokens for s in samples])
+    frames = [s.target_frames for s in samples]
+    try:
+        flat = np.concatenate(frames)
+    except ValueError:  # samples disagree in their frame shapes
+        flat = None
+    if flat is None or flat.shape[1:] != (topology.frame_dim,):
+        i = next(i for i, f in enumerate(frames) if f.shape[1:] != (topology.frame_dim,))
+        raise InputDomainError(
+            f"sample {i}: target frames of shape {frames[i].shape}, "
+            f"expected ({len(samples[i].tokens)}, {topology.frame_dim})"
+        )
     targets = np.zeros(valid.shape + (topology.frame_dim,))
-    targets[valid] = np.concatenate([s.target_frames for s in samples])
+    targets[valid] = flat
     bad_token = ((tokens < 0) | (tokens >= topology.vocab_size)).any(axis=1)
     bad_lang = (langs < 0) | (langs >= topology.num_languages)
     bad = np.flatnonzero(bad_token | bad_lang)
@@ -201,6 +212,18 @@ class LossBreakdown:
             self.total = self.pre_postnet_mse + self.post_postnet_mse
 
 
+def _weight_grad(upstream, inputs):
+    """Gradient of a per-position linear map, sum_{b,t} upstream[b,t] x inputs[b,t].
+
+    One small GEMM per sample, summed over the batch axis. Each product is far
+    below the size at which OpenBLAS starts worker threads, so the rounding,
+    and hence every result, is the same for any BLAS thread count; a single
+    GEMM over the flattened batch is threaded at the larger topologies and
+    rounds differently with the thread count.
+    """
+    return np.matmul(upstream.transpose(0, 2, 1), inputs).sum(axis=0)
+
+
 def loss_and_grad(params: ParameterSet, batch, head: Head):
     """MSE(pre) + MSE(post) vs targets, with the exact analytic gradient.
 
@@ -229,26 +252,26 @@ def loss_and_grad(params: ParameterSet, batch, head: Head):
 
     g_post = 2.0 * weight * d_post
     g.b_p2[...] = g_post.sum(axis=(0, 1))
-    g.w_p2[...] = np.einsum("btf,btp->fp", g_post, q)
+    g.w_p2[...] = _weight_grad(g_post, q)
     dq = g_post @ w.w_p2
     ds1 = dq * (1.0 - q**2)
     g.b_p1[...] = ds1.sum(axis=(0, 1))
-    g.w_p1[...] = np.einsum("btp,btf->pf", ds1, y_pre)
+    g.w_p1[...] = _weight_grad(ds1, y_pre)
 
     dy_pre = 2.0 * weight * d_pre + g_post + ds1 @ w.w_p1
     w_h, _ = w.heads[head]
     gw_h, gb_h = g.heads[head]
     gb_h[...] = dy_pre.sum(axis=(0, 1))
-    gw_h[...] = np.einsum("btf,btd->fd", dy_pre, u)
+    gw_h[...] = _weight_grad(dy_pre, u)
 
     du = dy_pre @ w_h
     da_tr = du * (1.0 - u**2)
     g.b_trunk[...] = da_tr.sum(axis=(0, 1))
-    g.w_trunk[...] = np.einsum("btd,btz->dz", da_tr, z)
+    g.w_trunk[...] = _weight_grad(da_tr, z)
     dh = (da_tr @ w.w_trunk)[:, :, : topology.encoder_hidden]
     da_enc = dh * (1.0 - h**2)
     g.b_enc[...] = da_enc.sum(axis=(0, 1))
-    g.w_enc[...] = np.einsum("bth,bte->he", da_enc, e)
+    g.w_enc[...] = _weight_grad(da_enc, e)
     de = da_enc @ w.w_enc
     # bincount adds the rows in input order onto 0.0, as np.add.at would, so
     # the sums are bitwise the same; padded positions carry zero upstream

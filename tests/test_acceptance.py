@@ -41,6 +41,7 @@ DESK_STRATEGIES = (
     StrategyKind.REPLAY_WEIGHTED,
     StrategyKind.REPLAY_DUAL,
     StrategyKind.EWC,
+    StrategyKind.GEM,
 )
 
 
@@ -259,6 +260,15 @@ class TestCriterion6ForgettingDirections:
             ]
             ok = ok and all(joint <= o for o in others)
         _report("criterion 6e: joint minimum in all seeds", ok)
+
+    def test_gem_at_most_finetune(self, desk_runs):
+        wins = sum(
+            desk_runs[(StrategyKind.GEM, s)].average
+            <= desk_runs[(StrategyKind.FINE_TUNE, s)].average
+            for s in DESK_SEEDS
+        )
+        _report("criterion 6f: GEM <= fine-tune in >= 2/3 seeds", wins >= 2,
+                f"{wins}/3 seeds")
 
 
 class TestCriterion7DualLossEquivalences:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,11 +14,14 @@ from lltts.metrics import (
     McdReport,
     mcd,
     mcdr,
+    mean_mcd,
     render_table,
+    sample_mcds,
     smooth_curve,
     stage_eval,
 )
-from lltts.model import init_params
+from lltts.model import Head, forward, init_params
+from lltts.samplers import Batch, Provenance
 from lltts.strategies import ExperimentResult
 
 from conftest import TINY
@@ -91,6 +95,21 @@ class TestStageEval:
             expected = np.mean([mcd(s.target_frames, infer(params, s)) for s in split])
             assert report.per_language[0] == pytest.approx(expected, rel=1e-12)
             assert report.average == report.per_language[0]
+
+    def test_sample_mcds_equal_mcd_bitwise(self, rng):
+        # lengths past numpy's 8-way unrolled and 128-element blocked sums,
+        # so the per-frame and per-sample sums are grouped as in `mcd`
+        topo = dataclasses.replace(TINY, frame_dim=10)
+        params = init_params(topo, 0)
+        split = []
+        for t in (150, 1, 3, 8, *range(9, 60, 5)):
+            tokens = rng.integers(0, topo.vocab_size, size=t)
+            split.append(Sample(t % 2, tokens, rng.standard_normal((t, topo.frame_dim))))
+        _, post = forward(params, Batch(split, Provenance.LBS), Head.LBS)
+        expected = np.array([mcd(s.target_frames, out) for s, out in zip(split, post)])
+        got = sample_mcds(params, split)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert mean_mcd(params, split) == float(np.mean(expected))
 
     def test_perfect_model_zero(self, rng):
         params = init_params(TINY, 0)

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from lltts import model
 from lltts.errors import InputDomainError, NumericError, UsageError
 from lltts.model import (
     AdamState,
@@ -114,6 +119,17 @@ class TestForward:
             with pytest.raises(InputDomainError, match="sample 1: token"):
                 forward(tiny_params, Batch(samples, Provenance.LBS), Head.LBS)
 
+    def test_wrong_frame_dim(self, tiny_params, rng):
+        samples = [random_sample(rng, t=4), random_sample(rng, t=3), random_sample(rng, t=2)]
+        samples[1].target_frames = rng.standard_normal((3, TINY.frame_dim + 1))
+        with pytest.raises(InputDomainError, match=r"sample 1: target frames of shape \(3, 4\)"):
+            loss_and_grad(tiny_params, Batch(samples, Provenance.LBS), Head.LBS)
+        # every sample wrong: the frames concatenate, their width is wrong
+        for s in samples:
+            s.target_frames = rng.standard_normal((len(s.tokens), TINY.frame_dim - 1))
+        with pytest.raises(InputDomainError, match="sample 0: target frames"):
+            forward(tiny_params, Batch(samples, Provenance.LBS), Head.LBS)
+
     def test_out_of_range_language(self, tiny_params, rng):
         s = random_sample(rng)
         s.language_id = TINY.num_languages
@@ -137,7 +153,21 @@ class TestLossAndGrad:
 
     def test_finite_difference(self, tiny_params, rng):
         batch = random_batch(rng, n=3)
-        assert finite_diff_check(tiny_params, batch, Head.LBS, 1e-5) < 1e-4
+        for head in (Head.LBS, Head.RRS):
+            assert finite_diff_check(tiny_params, batch, head, 1e-5) < 1e-4, head
+
+    @pytest.mark.parametrize("head", [Head.LBS, Head.RRS])
+    def test_weight_gradients_match_einsum(self, tiny_params, rng, monkeypatch, head):
+        samples = [random_sample(rng, t=t) for t in (7, 2, 5, 1, 4)]
+        for i, s in enumerate(samples):
+            s.language_id = i % TINY.num_languages
+        batch = Batch(samples, Provenance.LBS)
+        tiny_params.values[:] += 0.1 * rng.standard_normal(len(tiny_params.values))
+        loss, grad = loss_and_grad(tiny_params, batch, head)
+        monkeypatch.setattr(model, "_weight_grad", lambda a, b: np.einsum("bti,btj->ij", a, b))
+        ref_loss, ref_grad = loss_and_grad(tiny_params, batch, head)
+        assert loss.total == ref_loss.total
+        assert grad == pytest.approx(ref_grad, rel=1e-12, abs=0)
 
     def test_unselected_head_grad_zero(self, tiny_params, rng):
         batch = random_batch(rng)
@@ -198,6 +228,44 @@ def test_embedding_gradient_matches_add_at_scatter(tiny_params, monkeypatch):
     np.add.at(expected, tokens.reshape(-1), de.reshape(-1, TINY.embed_dim))
     lo, hi = segment_ranges(TINY)["embedding"]
     assert np.array_equal(grad[lo:hi].view(np.uint64), expected.reshape(-1).view(np.uint64))
+
+
+_THREADS_CHILD = """
+import hashlib
+import numpy as np
+from lltts.data import Sample
+from lltts.model import Head, ModelTopology, init_params, loss_and_grad
+from lltts.samplers import Batch, Provenance
+
+# the topology and batch size of configs/paper_scale.ini
+topo = ModelTopology(vocab_size=40, embed_dim=16, encoder_hidden=32, trunk_dim=32,
+                     frame_dim=8, postnet_hidden=16, num_languages=4)
+rng = np.random.default_rng(3)
+samples = []
+for i in range(84):
+    t = int(rng.integers(6, 13))
+    samples.append(Sample(i % 4, rng.integers(0, 40, size=t), rng.standard_normal((t, 8))))
+batch = Batch(samples, Provenance.LBS)
+digest = hashlib.sha256()
+for head in (Head.LBS, Head.RRS):
+    loss, grad = loss_and_grad(init_params(topo, 1), batch, head)
+    digest.update(np.float64(loss.total).tobytes() + grad.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_gradient_independent_of_blas_threads():
+    # a single GEMM over the flattened batch is large enough at this shape
+    # for OpenBLAS to split it across threads, which changes its rounding
+    src = os.path.dirname(os.path.dirname(model.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        out = subprocess.run([sys.executable, "-c", _THREADS_CHILD], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 class TestFiniteDiffCheck:
