@@ -6,11 +6,12 @@ import ctypes
 import json
 import logging
 import os
+import re
 import sys
 
 from . import config as cfgmod
 from .data import generate_task, save_dataset
-from .errors import LlttsError
+from .errors import FormatError, LlttsError
 from .metrics import LearningCurve, McdReport, render_curves, render_table
 from .strategies import ExperimentResult, run_sequence
 
@@ -104,36 +105,16 @@ def cmd_train(args) -> int:
 
     start_state = None
     if args.resume:
-        stages = sorted(
-            int(name[5:-5])
-            for name in os.listdir(ckpt_dir)
-            if name.startswith("stage") and name.endswith(".ckpt")
-        )
+        names = map(re.compile(r"stage([0-9]+)\.ckpt").fullmatch, os.listdir(ckpt_dir))
+        stages = [int(m[1]) for m in names if m]
         if stages:
-            path = os.path.join(ckpt_dir, f"stage{stages[-1]}.ckpt")
-            cp = cfgmod.load_checkpoint(path, expected_hash=chash, force=args.force)
-            start_state = {
-                "stage": cp.stage,
-                "params": cp.params,
-                "buffer": cfgmod.restore_buffer(cp),
-                "fstate": cp.fisher,
-                "reports": cp.reports,
-                "stage_curves": cp.stage_curves,
-            }
-            log.info("resuming after stage %d from %s", cp.stage, path)
+            path = os.path.join(ckpt_dir, f"stage{max(stages)}.ckpt")
+            start_state = cfgmod.load_checkpoint(path, expected_hash=chash, force=args.force)
+            log.info("resuming after stage %d from %s", start_state.stage, path)
 
-    def hook(stage, state):
-        cp = cfgmod.Checkpoint(
-            stage=stage,
-            params=state["params"],
-            buffer_snapshot=state["buffer"].snapshot(),
-            fisher=state["fstate"],
-            reports=state["reports"],
-            stage_curves=state["stage_curves"],
-            config_hash=chash,
-        )
-        cfgmod.save_checkpoint(cp, os.path.join(ckpt_dir, f"stage{stage}.ckpt"))
-        log.info("stage %d done; avg test MCD %.3f", stage, state["reports"][-1].average)
+    def hook(state):
+        cfgmod.save_checkpoint(state, os.path.join(ckpt_dir, f"stage{state.stage}.ckpt"), chash)
+        log.info("stage %d done; avg test MCD %.3f", state.stage, state.reports[-1].average)
 
     result = run_sequence(config, checkpoint_hook=hook, start_state=start_state)
 
@@ -158,12 +139,22 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_result(path) -> ExperimentResult:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return _result_from_record(json.load(f))
+    except json.JSONDecodeError as exc:
+        offset = len(exc.doc[: exc.pos].encode("utf-8"))
+        raise FormatError(f"{path}: malformed JSON: {exc.msg}", offset=offset) from exc
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise FormatError(f"{path}: malformed result file: {exc!r}") from exc
+
+
 def cmd_report(args) -> int:
     results = []
     for root, _, files in sorted(os.walk(args.in_dir)):
         if "result.json" in files:
-            with open(os.path.join(root, "result.json"), "r", encoding="utf-8") as f:
-                results.append(_result_from_record(json.load(f)))
+            results.append(_load_result(os.path.join(root, "result.json")))
     if not results:
         print("no result.json files found", file=sys.stderr)
         return 1

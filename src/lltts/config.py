@@ -7,13 +7,13 @@ import io
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .buffer import MemoryBuffer
 from .data import TaskSpec
 from .errors import ConfigError, FormatError, UsageError, VersionError
-from .model import ModelTopology, ParameterSet, segment_ranges
-from .strategies import FisherState, StrategyConfig, StrategyKind
+from .model import ModelTopology, ParameterSet
+from .strategies import FisherState, RunState, StrategyConfig, StrategyKind
 
 CHECKPOINT_MAGIC = b"LLCKPT1\n"
 
@@ -26,24 +26,9 @@ _EXPERIMENT_KEYS = {
     "seed": int,
     "output_dir": str,
 }
-_EXPERIMENT_DEFAULTS = {
-    "epochs_per_stage": 100,
-    "batch_size": 84,
-    "lr": 0.001,
-    "lr_decay_epoch_fraction": 0.6,
-    "buffer_capacity": 300,
-    "seed": 0,
-    "output_dir": "runs/default",
-}
-_TOPOLOGY_KEYS = {
-    "vocab_size": int,
-    "embed_dim": int,
-    "encoder_hidden": int,
-    "trunk_dim": int,
-    "frame_dim": int,
-    "postnet_hidden": int,
-    "num_languages": int,
-}
+_TOPOLOGY_KEYS = {f.name: int for f in fields(ModelTopology)}
+# ModelTopology has no defaults of its own; an unset num_languages is one
+# past the largest task id
 _TOPOLOGY_DEFAULTS = {
     "vocab_size": 40,
     "embed_dim": 16,
@@ -68,14 +53,6 @@ _TASK_KEYS = {
     "seq_len_max": int,
     "transform_scale": float,
 }
-_TASK_DEFAULTS = {
-    "n_train": 3000,
-    "n_dev": 40,
-    "n_test": 20,
-    "seq_len_min": 6,
-    "seq_len_max": 12,
-    "transform_scale": 1.0,
-}
 
 
 @dataclass
@@ -92,6 +69,8 @@ class ExperimentConfig:
     output_dir: str = "runs/default"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("[experiment] seed must be >= 0")
         order = self.task_order
         if len(set(order)) != len(order):
             raise ConfigError("duplicate language ids in task order")
@@ -112,8 +91,9 @@ def _typed(section: str, key: str, raw: str, typ):
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {typ.__name__}") from None
 
 
-def _read_section(parser, name: str, schema: dict, defaults: dict, required=()):
-    out = dict(defaults)
+def _read_section(parser, name: str, schema: dict, required=()):
+    """The typed values of the keys the section sets; defaults are left to the caller."""
+    out = {}
     if parser.has_section(name):
         for key, raw in parser.items(name):
             if key not in schema:
@@ -141,11 +121,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if not task_sections:
         raise ConfigError("config declares no [task <id>] sections")
 
-    exp = _read_section(parser, "experiment", _EXPERIMENT_KEYS, _EXPERIMENT_DEFAULTS)
-    topo_raw = _read_section(parser, "topology", _TOPOLOGY_KEYS, _TOPOLOGY_DEFAULTS)
-    strat_raw = _read_section(
-        parser, "strategy", _STRATEGY_KEYS, {"kind": "fine_tune"}, required=("kind",)
-    )
+    exp = _read_section(parser, "experiment", _EXPERIMENT_KEYS)
+    topo_raw = {**_TOPOLOGY_DEFAULTS, **_read_section(parser, "topology", _TOPOLOGY_KEYS)}
+    strat_raw = _read_section(parser, "strategy", _STRATEGY_KEYS)
 
     specs = []
     for section in task_sections:
@@ -153,18 +131,20 @@ def parse_config(text: str) -> ExperimentConfig:
             language_id = int(section.split(" ", 1)[1])
         except ValueError:
             raise ConfigError(f"[{section}] task section name must be 'task <int>'") from None
-        vals = _read_section(parser, section, _TASK_KEYS, _TASK_DEFAULTS, required=("seed",))
+        if language_id < 0:
+            raise ConfigError(f"[{section}] task id must be >= 0")
+        vals = _read_section(parser, section, _TASK_KEYS, required=("seed",))
+        if vals["seed"] < 0:
+            raise ConfigError(f"[{section}] seed must be >= 0")
+        lo, hi = TaskSpec.seq_len_range
+        lo, hi = vals.pop("seq_len_min", lo), vals.pop("seq_len_max", hi)
         specs.append(
             TaskSpec(
                 language_id=language_id,
-                seed=vals["seed"],
-                n_train=vals["n_train"],
-                n_dev=vals["n_dev"],
-                n_test=vals["n_test"],
-                seq_len_range=(vals["seq_len_min"], vals["seq_len_max"]),
-                transform_scale=vals["transform_scale"],
+                seq_len_range=(lo, hi),
                 vocab_size=topo_raw["vocab_size"],
                 frame_dim=topo_raw["frame_dim"],
+                **vals,
             )
         )
 
@@ -176,7 +156,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"[topology] {exc}") from exc
 
     try:
-        kind = StrategyKind(strat_raw.pop("kind"))
+        kind = StrategyKind(strat_raw.pop("kind", "fine_tune"))
     except ValueError:
         raise ConfigError(f"[strategy] unknown kind {parser.get('strategy', 'kind')!r}") from None
     strategy = StrategyConfig(kind=kind, **strat_raw)
@@ -215,17 +195,6 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(emit_config(replace(config, output_dir="")).encode()).hexdigest()
 
 
-@dataclass
-class Checkpoint:
-    stage: int
-    params: ParameterSet
-    buffer_snapshot: dict
-    fisher: FisherState | None
-    reports: list
-    stage_curves: list
-    config_hash: str = ""
-
-
 def _atomic_write(path, payload: bytes):
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
     try:
@@ -238,23 +207,26 @@ def _atomic_write(path, payload: bytes):
         raise
 
 
-def save_checkpoint(cp: Checkpoint, path) -> None:
+def save_checkpoint(state: RunState, path, config_hash: str) -> None:
+    fstate = state.fstate
     record = {
-        "stage": cp.stage,
-        "param_values": cp.params.values,
-        "topology": cp.params.topology,
-        "buffer": cp.buffer_snapshot,
+        "stage": state.stage,
+        "param_values": state.params.values,
+        "topology": state.params.topology,
+        "buffer": state.buffer.snapshot(),
         "fisher": None
-        if cp.fisher is None
-        else {"diag": cp.fisher.fisher_diag, "anchor": cp.fisher.anchor.values},
-        "reports": cp.reports,
-        "stage_curves": cp.stage_curves,
-        "config_hash": cp.config_hash,
+        if fstate is None
+        else {"diag": fstate.fisher_diag, "anchor": fstate.anchor.values},
+        "reports": state.reports,
+        "stage_curves": state.stage_curves,
+        "config_hash": config_hash,
     }
     _atomic_write(path, CHECKPOINT_MAGIC + pickle.dumps(record, protocol=4))
 
 
-def load_checkpoint(path, expected_hash: str | None = None, force: bool = False) -> Checkpoint:
+def load_checkpoint(path, expected_hash: str | None = None, force: bool = False) -> RunState:
+    """The run state saved in `path`; refuses a checkpoint whose config hash is
+    not `expected_hash` unless `force` is set."""
     with open(path, "rb") as f:
         blob = f.read()
     if not blob.startswith(CHECKPOINT_MAGIC[:6]):
@@ -264,29 +236,23 @@ def load_checkpoint(path, expected_hash: str | None = None, force: bool = False)
     try:
         record = pickle.loads(blob[len(CHECKPOINT_MAGIC) :])
         topology = record["topology"]
-        params = ParameterSet(record["param_values"], segment_ranges(topology), topology)
         fisher = record["fisher"]
         if fisher is not None:
-            anchor = ParameterSet(fisher["anchor"], segment_ranges(topology), topology)
-            fisher = FisherState(fisher["diag"], anchor)
-        cp = Checkpoint(
+            fisher = FisherState(fisher["diag"], ParameterSet(fisher["anchor"], topology))
+        state = RunState(
             stage=record["stage"],
-            params=params,
-            buffer_snapshot=record["buffer"],
-            fisher=fisher,
+            params=ParameterSet(record["param_values"], topology),
+            buffer=MemoryBuffer.restore(record["buffer"]),
+            fstate=fisher,
             reports=record["reports"],
             stage_curves=record["stage_curves"],
-            config_hash=record["config_hash"],
         )
+        saved_hash = record["config_hash"]
     except (pickle.UnpicklingError, KeyError, EOFError, AttributeError) as exc:
         raise FormatError(f"corrupt checkpoint: {exc}") from exc
-    if expected_hash is not None and cp.config_hash != expected_hash and not force:
+    if expected_hash is not None and saved_hash != expected_hash and not force:
         raise UsageError(
             "checkpoint was produced by a different config "
-            f"({cp.config_hash[:12]} != {expected_hash[:12]}); pass force to override"
+            f"({saved_hash[:12]} != {expected_hash[:12]}); pass force to override"
         )
-    return cp
-
-
-def restore_buffer(cp: Checkpoint) -> MemoryBuffer:
-    return MemoryBuffer.restore(cp.buffer_snapshot)
+    return state

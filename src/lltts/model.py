@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,9 +19,6 @@ from .errors import InputDomainError, NumericError, UsageError
 class Head(enum.Enum):
     LBS = "lbs"
     RRS = "rrs"
-
-
-SEGMENT_ORDER = ("embedding", "encoder", "trunk", "head_lbs", "head_rrs", "postnet")
 
 
 @dataclass(frozen=True)
@@ -35,105 +32,72 @@ class ModelTopology:
     num_languages: int
 
     def __post_init__(self):
-        for name in (
-            "vocab_size",
-            "embed_dim",
-            "encoder_hidden",
-            "trunk_dim",
-            "frame_dim",
-            "postnet_hidden",
-            "num_languages",
-        ):
-            if getattr(self, name) < 1:
-                raise UsageError(f"topology field {name} must be >= 1")
-
-    def segment_lengths(self) -> dict[str, int]:
-        t = self
-        return {
-            "embedding": t.vocab_size * t.embed_dim,
-            "encoder": t.encoder_hidden * (t.embed_dim + 1),
-            "trunk": t.trunk_dim * (t.encoder_hidden + t.num_languages + 1),
-            "head_lbs": t.frame_dim * (t.trunk_dim + 1),
-            "head_rrs": t.frame_dim * (t.trunk_dim + 1),
-            "postnet": t.postnet_hidden * (t.frame_dim + 1)
-            + t.frame_dim * (t.postnet_hidden + 1),
-        }
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise UsageError(f"topology field {f.name} must be >= 1")
 
     def num_params(self) -> int:
-        return sum(self.segment_lengths().values())
+        return sum(math.prod(shape) for _, shape in _layout(self))
 
 
-def segment_ranges(topology: ModelTopology) -> dict[str, tuple[int, int]]:
-    lengths = topology.segment_lengths()
-    ranges = {}
-    start = 0
-    for name in SEGMENT_ORDER:
-        ranges[name] = (start, start + lengths[name])
-        start += lengths[name]
-    return ranges
+def _layout(t: ModelTopology) -> tuple:
+    """(name, shape) of every weight and bias, in the order of the flat vector.
+
+    Checkpoints store the flat vector, so a reordered table misreads them.
+    """
+    head = (t.frame_dim, t.trunk_dim)
+    return (
+        ("emb", (t.vocab_size, t.embed_dim)),
+        ("w_enc", (t.encoder_hidden, t.embed_dim)),
+        ("b_enc", (t.encoder_hidden,)),
+        ("w_trunk", (t.trunk_dim, t.encoder_hidden + t.num_languages)),
+        ("b_trunk", (t.trunk_dim,)),
+        ("w_lbs", head),
+        ("b_lbs", (t.frame_dim,)),
+        ("w_rrs", head),
+        ("b_rrs", (t.frame_dim,)),
+        ("w_p1", (t.postnet_hidden, t.frame_dim)),
+        ("b_p1", (t.postnet_hidden,)),
+        ("w_p2", (t.frame_dim, t.postnet_hidden)),
+        ("b_p2", (t.frame_dim,)),
+    )
 
 
 @dataclass
 class ParameterSet:
     values: np.ndarray
-    segments: dict[str, tuple[int, int]]
     topology: ModelTopology
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet(self.values.copy(), dict(self.segments), self.topology)
+        return ParameterSet(self.values.copy(), self.topology)
 
 
 class _Weights:
     """Named matrix views over one flat parameter (or gradient) vector."""
 
     def __init__(self, topology: ModelTopology, flat: np.ndarray):
-        t = topology
-        r = segment_ranges(t)
-
-        def seg(name):
-            lo, hi = r[name]
-            return flat[lo:hi]
-
-        self.emb = seg("embedding").reshape(t.vocab_size, t.embed_dim)
-        enc = seg("encoder")
-        n_w = t.encoder_hidden * t.embed_dim
-        self.w_enc = enc[:n_w].reshape(t.encoder_hidden, t.embed_dim)
-        self.b_enc = enc[n_w:]
-        trunk = seg("trunk")
-        z_dim = t.encoder_hidden + t.num_languages
-        n_w = t.trunk_dim * z_dim
-        self.w_trunk = trunk[:n_w].reshape(t.trunk_dim, z_dim)
-        self.b_trunk = trunk[n_w:]
-        self.heads = {}
-        for head, name in ((Head.LBS, "head_lbs"), (Head.RRS, "head_rrs")):
-            h = seg(name)
-            n_w = t.frame_dim * t.trunk_dim
-            self.heads[head] = (
-                h[:n_w].reshape(t.frame_dim, t.trunk_dim),
-                h[n_w:],
-            )
-        post = seg("postnet")
-        n1 = t.postnet_hidden * t.frame_dim
-        self.w_p1 = post[:n1].reshape(t.postnet_hidden, t.frame_dim)
-        self.b_p1 = post[n1 : n1 + t.postnet_hidden]
-        rest = post[n1 + t.postnet_hidden :]
-        n2 = t.frame_dim * t.postnet_hidden
-        self.w_p2 = rest[:n2].reshape(t.frame_dim, t.postnet_hidden)
-        self.b_p2 = rest[n2:]
+        start = 0
+        for name, shape in _layout(topology):
+            size = math.prod(shape)
+            setattr(self, name, flat[start : start + size].reshape(shape))
+            start += size
+        self.heads = {
+            Head.LBS: (self.w_lbs, self.b_lbs),
+            Head.RRS: (self.w_rrs, self.b_rrs),
+        }
 
 
 def init_params(topology: ModelTopology, seed: int) -> ParameterSet:
     """Xavier-uniform weights, zero biases; deterministic per seed."""
     values = np.zeros(topology.num_params())
-    params = ParameterSet(values, segment_ranges(topology), topology)
     w = _Weights(topology, values)
     rng = np.random.default_rng(seed)
-    matrices = [w.emb, w.w_enc, w.w_trunk, *(m for m, _ in w.heads.values()), w.w_p1, w.w_p2]
-    for mat in matrices:
-        fan_out, fan_in = mat.shape
-        bound = math.sqrt(6.0 / (fan_in + fan_out))
-        mat[...] = rng.uniform(-bound, bound, size=mat.shape)
-    return params
+    for name, shape in _layout(topology):
+        if len(shape) == 2:
+            fan_out, fan_in = shape
+            bound = math.sqrt(6.0 / (fan_in + fan_out))
+            getattr(w, name)[...] = rng.uniform(-bound, bound, size=shape)
+    return ParameterSet(values, topology)
 
 
 def _pad_batch(topology: ModelTopology, samples):
@@ -310,8 +274,7 @@ def adam_step(state: AdamState, params: ParameterSet, grad: np.ndarray):
     v_hat = v / (1 - state.beta2**t)
     new_values = params.values - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
     new_state = AdamState(m, v, t, state.lr, state.beta1, state.beta2, state.epsilon)
-    new_params = ParameterSet(new_values, dict(params.segments), params.topology)
-    return new_state, new_params
+    return new_state, ParameterSet(new_values, params.topology)
 
 
 def infer(params: ParameterSet, sample) -> np.ndarray:

@@ -294,12 +294,26 @@ def train_stage(
     return StageResult(params, curves)
 
 
-def run_sequence(config, checkpoint_hook=None, start_state=None) -> ExperimentResult:
+@dataclass
+class RunState:
+    """Everything one stage hands to the next, and all a resumed run needs."""
+
+    stage: int  # the last finished stage; -1 before the first
+    params: ParameterSet
+    buffer: MemoryBuffer
+    fstate: FisherState | None
+    reports: list  # one McdReport per finished stage
+    stage_curves: list  # one dev_curves dict per finished stage
+
+
+def run_sequence(
+    config, checkpoint_hook=None, start_state: RunState | None = None
+) -> ExperimentResult:
     """Sequential training over the configured task order.
 
-    `config` is an ExperimentConfig. `checkpoint_hook(stage_idx, state)`
-    is called after each stage with a resumable state dict;
-    `start_state` resumes from such a dict at a stage boundary.
+    `config` is an ExperimentConfig. The run continues from `start_state`
+    (a fresh state when None) and advances it in place; `checkpoint_hook(state)`
+    is called with it after each stage.
     """
     tasks = [generate_task(spec) for spec in config.task_specs]
 
@@ -310,57 +324,41 @@ def run_sequence(config, checkpoint_hook=None, start_state=None) -> ExperimentRe
         lr=config.lr,
         lr_decay_epoch_fraction=config.lr_decay_epoch_fraction,
     )
+    state = start_state or RunState(
+        stage=-1,
+        params=init_params(config.topology, config.seed),
+        buffer=MemoryBuffer(config.buffer_capacity, rng_seed=hash_seed(config.seed, 0xB0F)),
+        fstate=None,
+        reports=[],
+        stage_curves=[],
+    )
 
-    if start_state is not None:
-        first_stage = start_state["stage"] + 1
-        params = start_state["params"]
-        buffer = start_state["buffer"]
-        fstate = start_state["fstate"]
-        reports = list(start_state["reports"])
-        stage_curves = list(start_state["stage_curves"])
-    else:
-        first_stage = 0
-        params = init_params(config.topology, config.seed)
-        buffer = MemoryBuffer(config.buffer_capacity, rng_seed=hash_seed(config.seed, 0xB0F))
-        fstate = None
-        reports = []
-        stage_curves = []
-
-    for k in range(first_stage, len(tasks)):
+    for k in range(state.stage + 1, len(tasks)):
         task = tasks[k]
         seen = tasks[: k + 1]
         rng = np.random.default_rng([config.seed, k, 0x7EA1])
         if strategy.kind is StrategyKind.JOINT:
             stage_params = init_params(config.topology, hash_seed(config.seed, k))
         else:
-            stage_params = params
+            stage_params = state.params
         result = train_stage(
-            strategy, stage_params, task, buffer, fstate, stage_cfg, rng, seen_tasks=seen
+            strategy, stage_params, task, state.buffer, state.fstate, stage_cfg, rng, seen_tasks=seen
         )
-        params = result.final_params
-        reports.append(stage_eval(params, seen))
-        stage_curves.append(result.dev_curves)
+        state.stage = k
+        state.params = result.final_params
+        state.reports.append(stage_eval(state.params, seen))
+        state.stage_curves.append(result.dev_curves)
         if strategy.kind in REPLAY_KINDS:
-            buffer.integrate_task(task)
+            state.buffer.integrate_task(task)
         if strategy.kind is StrategyKind.EWC:
             crng = np.random.default_rng([config.seed, k, 0xF15E])
-            fstate = ewc_consolidate(
-                params, task, min(100, len(task.train)), crng, prior=fstate
+            state.fstate = ewc_consolidate(
+                state.params, task, min(100, len(task.train)), crng, prior=state.fstate
             )
         if checkpoint_hook is not None:
-            checkpoint_hook(
-                k,
-                {
-                    "stage": k,
-                    "params": params,
-                    "buffer": buffer,
-                    "fstate": fstate,
-                    "reports": reports,
-                    "stage_curves": stage_curves,
-                },
-            )
+            checkpoint_hook(state)
     task_order = [spec.language_id for spec in config.task_specs]
-    return ExperimentResult(strategy.kind.name, task_order, reports, stage_curves)
+    return ExperimentResult(strategy.kind.name, task_order, state.reports, state.stage_curves)
 
 
 def hash_seed(*parts) -> int:

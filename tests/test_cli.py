@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import types
 
@@ -118,6 +119,24 @@ class TestReport:
         os.makedirs(tmp_path / "empty")
         assert cli(["report", "--in", str(tmp_path / "empty"), "--out", str(tmp_path / "o.csv")]) == 1
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"strategy": "FINE_TUNE", "task_order": [0, ', "malformed JSON.*byte offset 44"),
+            ('{"strategy": "FINE_TUNE", "task_order": [0]}', "malformed result file.*'reports'"),
+            ('{"strategy": "FINE_TUNE", "task_order": [0], "reports": 3}', "malformed result file"),
+        ],
+        ids=["truncated", "missing_key", "wrong_type"],
+    )
+    def test_malformed_result_fails(self, tmp_path, capsys, text, message):
+        path = tmp_path / "run" / "result.json"
+        os.makedirs(path.parent)
+        path.write_text(text)
+        assert cli(["report", "--in", str(tmp_path), "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert re.search(message, err)
+
 
 class TestDeterminismAndResume:
     def test_rerun_byte_identical(self, tmp_path):
@@ -139,6 +158,18 @@ class TestDeterminismAndResume:
         os.unlink(out / "checkpoints" / "stage1.ckpt")
         os.unlink(out / "report.csv")
         os.unlink(out / "result.json")
+        assert cli(["train", "--config", str(cfg), "--resume"]) == 0
+        assert (out / "report.csv").read_bytes() == uninterrupted
+
+    def test_resume_ignores_stray_checkpoint_names(self, tmp_path):
+        cfg, out = write_config(tmp_path)
+        cli(["train", "--config", str(cfg)])
+        uninterrupted = (out / "report.csv").read_bytes()
+
+        os.unlink(out / "checkpoints" / "stage1.ckpt")
+        os.unlink(out / "report.csv")
+        for stray in ("stage_old.ckpt", "stage.ckpt", "stage7.ckpt.bak"):
+            (out / "checkpoints" / stray).write_bytes(b"not a checkpoint")
         assert cli(["train", "--config", str(cfg), "--resume"]) == 0
         assert (out / "report.csv").read_bytes() == uninterrupted
 

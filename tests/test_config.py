@@ -1,21 +1,22 @@
+import hashlib
+import pathlib
+
 import numpy as np
 import pytest
 
 from lltts.buffer import MemoryBuffer
 from lltts.config import (
-    Checkpoint,
     ExperimentConfig,
     config_hash,
     emit_config,
     load_checkpoint,
     parse_config,
-    restore_buffer,
     save_checkpoint,
 )
 from lltts.data import TaskSpec, generate_task
 from lltts.errors import ConfigError, FormatError, UsageError
 from lltts.model import ModelTopology, init_params
-from lltts.strategies import StrategyConfig, StrategyKind
+from lltts.strategies import RunState, StrategyConfig, StrategyKind
 
 MINIMAL = """
 [strategy]
@@ -80,6 +81,42 @@ class TestParseConfig:
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
 
+    @pytest.mark.parametrize(
+        "text, section",
+        [
+            ("\n[task -1]\nseed = 5\n", r"\[task -1\] task id"),
+            ("\n[task 4]\nseed = -5\n", r"\[task 4\] seed"),
+            ("\n[experiment]\nseed = -1\n", r"\[experiment\] seed"),
+        ],
+        ids=["task_id", "task_seed", "experiment_seed"],
+    )
+    def test_negative_id_or_seed_rejected(self, text, section):
+        with pytest.raises(ConfigError, match=section):
+            parse_config(MINIMAL + text)
+
+    @pytest.mark.parametrize(
+        "name, emitted, hashed",
+        [
+            (
+                "desk.ini",
+                "07c6960f33b5159311fc6c19faa1c5f9c1c9a0debd536d60ea0a5980a7120306",
+                "1ca1bb757df8a775a6707ada8d8588d0ae987dfa36c99d1b72b10c59b924871f",
+            ),
+            (
+                "paper_scale.ini",
+                "531384db6fc5234f92845624d3a77dad1f0a44cdd65e1b1ecc4c4439f9aae6a8",
+                "d64657ca07309453a99c555ff780cf4e094f54fa7b7fb0bfe84ebb516a28da4e",
+            ),
+        ],
+    )
+    def test_shipped_configs_pinned(self, name, emitted, hashed):
+        # checkpoints store config_hash, so a change to the canonical text
+        # would refuse every existing run directory on --resume
+        path = pathlib.Path(__file__).parent.parent / "configs" / name
+        cfg = parse_config(path.read_text())
+        assert hashlib.sha256(emit_config(cfg).encode()).hexdigest() == emitted
+        assert config_hash(cfg) == hashed
+
 
 def _tiny_checkpoint():
     topo = ModelTopology(6, 3, 4, 4, 3, 3, 2)
@@ -88,31 +125,28 @@ def _tiny_checkpoint():
     spec = TaskSpec(language_id=0, seed=1, n_train=10, n_dev=2, n_test=2,
                     vocab_size=6, frame_dim=3)
     buf.integrate_task(generate_task(spec))
-    return Checkpoint(
-        stage=0,
-        params=params,
-        buffer_snapshot=buf.snapshot(),
-        fisher=None,
-        reports=[],
-        stage_curves=[],
-        config_hash="abc123" * 8,
-    ), buf
+    state = RunState(stage=0, params=params, buffer=buf, fstate=None, reports=[], stage_curves=[])
+    return state, buf
+
+
+HASH = "abc123" * 8
 
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        cp, buf = _tiny_checkpoint()
+        state, buf = _tiny_checkpoint()
         path = tmp_path / "stage0.ckpt"
-        save_checkpoint(cp, path)
+        save_checkpoint(state, path, HASH)
         loaded = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded.params.values, cp.params.values)
-        assert restore_buffer(loaded) == buf
-        assert loaded.config_hash == cp.config_hash
+        np.testing.assert_array_equal(loaded.params.values, state.params.values)
+        assert loaded.buffer == buf
+        # the stored hash is the one saved: it passes the mismatch guard
+        assert load_checkpoint(path, expected_hash=HASH).stage == 0
 
     def test_hash_mismatch_refused(self, tmp_path):
-        cp, _ = _tiny_checkpoint()
+        state, _ = _tiny_checkpoint()
         path = tmp_path / "stage0.ckpt"
-        save_checkpoint(cp, path)
+        save_checkpoint(state, path, HASH)
         with pytest.raises(UsageError, match="different config"):
             load_checkpoint(path, expected_hash="f" * 48)
         loaded = load_checkpoint(path, expected_hash="f" * 48, force=True)

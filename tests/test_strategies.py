@@ -445,17 +445,17 @@ class TestRunSequence:
 
         captured = {}
 
-        def hook(stage, state):
-            captured[stage] = state["params"].values.copy()
+        def hook(state):
+            captured[state.stage] = state.params.values.copy()
 
         cfg = self._config(StrategyKind.FINE_TUNE)
         run_sequence(cfg, checkpoint_hook=hook)
 
         # replay stage 1 manually from stage 0's checkpointed params
-        from lltts.model import ParameterSet, segment_ranges
+        from lltts.model import ParameterSet
 
         tasks = [generate_task(s) for s in cfg.task_specs]
-        params = ParameterSet(captured[0].copy(), segment_ranges(TINY), TINY)
+        params = ParameterSet(captured[0].copy(), TINY)
         rng = np.random.default_rng([cfg.seed, 1, 0x7EA1])
         res = train_stage(
             cfg.strategy, params, tasks[1], MemoryBuffer(10, 0), None,
