@@ -71,6 +71,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError("[experiment] seed must be >= 0")
+        for key in ("epochs_per_stage", "batch_size", "buffer_capacity"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"[experiment] {key} must be >= 1")
         order = self.task_order
         if len(set(order)) != len(order):
             raise ConfigError("duplicate language ids in task order")
@@ -138,15 +141,17 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"[{section}] seed must be >= 0")
         lo, hi = TaskSpec.seq_len_range
         lo, hi = vals.pop("seq_len_min", lo), vals.pop("seq_len_max", hi)
-        specs.append(
-            TaskSpec(
+        try:
+            spec = TaskSpec(
                 language_id=language_id,
                 seq_len_range=(lo, hi),
                 vocab_size=topo_raw["vocab_size"],
                 frame_dim=topo_raw["frame_dim"],
                 **vals,
             )
-        )
+        except UsageError as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
+        specs.append(spec)
 
     if "num_languages" not in topo_raw:
         topo_raw["num_languages"] = max(s.language_id for s in specs) + 1
@@ -159,7 +164,10 @@ def parse_config(text: str) -> ExperimentConfig:
         kind = StrategyKind(strat_raw.pop("kind", "fine_tune"))
     except ValueError:
         raise ConfigError(f"[strategy] unknown kind {parser.get('strategy', 'kind')!r}") from None
-    strategy = StrategyConfig(kind=kind, **strat_raw)
+    try:
+        strategy = StrategyConfig(kind=kind, **strat_raw)
+    except UsageError as exc:
+        raise ConfigError(f"[strategy] {exc}") from exc
 
     return ExperimentConfig(task_specs=specs, topology=topology, strategy=strategy, **exp)
 

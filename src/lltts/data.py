@@ -26,11 +26,14 @@ _GEN_WINDOW = 3
 # past window positions contribute weakly, so a per-position model keeps
 # a small irreducible error while tasks stay history-dependent
 _GEN_WINDOW_WEIGHTS = (1.0, 0.2, 0.1)
+# generate_task computes targets at most this many tokens at a time, which
+# bounds its temporaries to about 1.5 MB
+_GEN_CHUNK_TOKENS = 4096
 _EMB_STREAM = 0xE3B
 _MAP_STREAM = 0x11A
 
 
-@dataclass
+@dataclass(slots=True)
 class Sample:
     language_id: int
     tokens: np.ndarray
@@ -61,6 +64,12 @@ class TaskDataset:
     train: list
     dev: list
     test: list
+    # generate_task's packed store: sample i of train + dev + test views rows
+    # offsets[i]:offsets[i + 1] of tokens and frames. None when the dataset
+    # was assembled from separate samples (load_dataset, tests).
+    tokens: np.ndarray | None = field(default=None, repr=False, compare=False)
+    frames: np.ndarray | None = field(default=None, repr=False, compare=False)
+    offsets: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def frame_dim(self) -> int:
@@ -81,10 +90,10 @@ class TaskSpec:
 
     def __post_init__(self):
         if min(self.n_train, self.n_dev, self.n_test) < 1:
-            raise UsageError("split sizes must be >= 1")
+            raise UsageError("split sizes n_train, n_dev and n_test must be >= 1")
         lo, hi = self.seq_len_range
         if lo < 1 or lo > hi:
-            raise UsageError("invalid seq_len_range")
+            raise UsageError(f"invalid seq_len_range {self.seq_len_range}: need 1 <= min <= max")
 
 
 @dataclass
@@ -128,36 +137,72 @@ def _language_map(language_id: int, frame_dim: int):
 
 
 def _targets_for(tokens, emb, w_map, b_map, scale):
-    t = len(tokens)
-    win = np.zeros((t, _GEN_WINDOW * _GEN_EMBED_DIM))
+    """Target frames of token sequences of one length; tokens is (..., t)."""
     vecs = emb[tokens]
+    win = np.zeros(vecs.shape[:-1] + (_GEN_WINDOW * _GEN_EMBED_DIM,))
     for k in range(_GEN_WINDOW):
         # window position k holds the embedding of token t-k (zero-padded)
         wk = _GEN_WINDOW_WEIGHTS[k]
         if k == 0:
-            win[:, : _GEN_EMBED_DIM] = wk * vecs
+            win[..., : _GEN_EMBED_DIM] = wk * vecs
         else:
-            win[k:, k * _GEN_EMBED_DIM : (k + 1) * _GEN_EMBED_DIM] = wk * vecs[:-k]
+            win[..., k:, k * _GEN_EMBED_DIM : (k + 1) * _GEN_EMBED_DIM] = wk * vecs[..., :-k, :]
     return scale * np.tanh(win @ w_map.T + b_map)
 
 
+def _views(language_id, tokens, frames, offsets) -> list:
+    """Samples viewing consecutive rows of packed arrays, without Sample's
+    per-sample checks: the caller has validated the arrays as a whole."""
+    samples = []
+    for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        s = object.__new__(Sample)
+        s.language_id, s.tokens, s.target_frames = language_id, tokens[a:b], frames[a:b]
+        samples.append(s)
+    return samples
+
+
 def generate_task(spec: TaskSpec) -> TaskDataset:
-    """Deterministic synthetic dataset for one pseudo-language."""
+    """Deterministic synthetic dataset for one pseudo-language.
+
+    The samples of train, dev and test are views into one packed store (the
+    dataset's tokens, frames and offsets), built and validated once.
+    """
     emb = _gen_embedding(spec.vocab_size)
     w_map, b_map = _language_map(spec.language_id, spec.frame_dim)
     rng = np.random.default_rng([spec.seed, spec.language_id, 0xDA7A])
     lo, hi = spec.seq_len_range
     total = spec.n_train + spec.n_dev + spec.n_test
-    samples = []
+    draws = []
     for _ in range(total):
-        t = int(rng.integers(lo, hi + 1))
-        tokens = rng.integers(0, spec.vocab_size, size=t)
-        frames = _targets_for(tokens, emb, w_map, b_map, spec.transform_scale)
-        samples.append(Sample(spec.language_id, tokens, frames))
+        t = rng.integers(lo, hi + 1)
+        draws.append(rng.integers(0, spec.vocab_size, size=t))
+    lengths = np.fromiter(map(len, draws), dtype=np.int64, count=total)
+    offsets = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    tokens = np.concatenate(draws)
+    del draws
+    # Samples of one length share a _targets_for call, up to _GEN_CHUNK_TOKENS
+    # tokens at a time. Its matmul still makes one BLAS product per sample,
+    # of the sample's own size, so the frames are bit-identical to one call
+    # per sample (a one-row product goes through GEMV, which rounds unlike
+    # GEMM) and every product stays far below OpenBLAS's threading size.
+    frames = np.empty((len(tokens), spec.frame_dim))
+    # the distinct lengths (np.unique would import numpy.ma, +1 MB of RSS)
+    for t in np.flatnonzero(np.bincount(lengths)).tolist():
+        ids = np.flatnonzero(lengths == t)
+        step = max(1, _GEN_CHUNK_TOKENS // t)
+        for c in range(0, len(ids), step):
+            rows = offsets[ids[c : c + step], None] + np.arange(t)
+            frames[rows] = _targets_for(tokens[rows], emb, w_map, b_map, spec.transform_scale)
+    # the only check the samples need: the spec guarantees >= 1 token each,
+    # and the store gives each one frame row per token
+    if not np.isfinite(frames).all():
+        raise UsageError("target frames must be finite")
+    samples = _views(spec.language_id, tokens, frames, offsets)
     train = samples[: spec.n_train]
     dev = samples[spec.n_train : spec.n_train + spec.n_dev]
     test = samples[spec.n_train + spec.n_dev :]
-    return TaskDataset(spec.language_id, train, dev, test)
+    return TaskDataset(spec.language_id, train, dev, test, tokens, frames, offsets)
 
 
 def _write_samples(buf, samples):

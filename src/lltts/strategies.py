@@ -57,6 +57,8 @@ class StrategyConfig:
     def __post_init__(self):
         if self.gamma < 0 or self.beta < 0:
             raise UsageError("gamma and beta must be >= 0")
+        if self.gem_memory_batch < 1:
+            raise UsageError("gem_memory_batch must be >= 1")
 
 
 @dataclass

@@ -95,6 +95,31 @@ class TestParseConfig:
             parse_config(MINIMAL + text)
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            (MINIMAL + "[experiment]\nepochs_per_stage = 0\n", r"\[experiment\] epochs_per_stage"),
+            (MINIMAL + "[experiment]\nbatch_size = 0\n", r"\[experiment\] batch_size"),
+            (MINIMAL + "[experiment]\nbuffer_capacity = -3\n", r"\[experiment\] buffer_capacity"),
+            (
+                "[strategy]\nkind = gem\ngem_memory_batch = 0\n[task 0]\nseed = 1\n",
+                r"\[strategy\] gem_memory_batch",
+            ),
+            (MINIMAL + "[task 4]\nseed = 5\nn_train = 0\n", r"\[task 4\] split sizes n_train"),
+            (
+                MINIMAL + "[task 4]\nseed = 5\nseq_len_min = 9\nseq_len_max = 3\n",
+                r"\[task 4\] invalid seq_len_range",
+            ),
+        ],
+        ids=[
+            "epochs_per_stage", "batch_size", "buffer_capacity", "gem_memory_batch", "n_train",
+            "seq_len",
+        ],
+    )
+    def test_invalid_size_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
         "name, emitted, hashed",
         [
             (

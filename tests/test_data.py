@@ -1,6 +1,12 @@
+import hashlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import lltts
 from lltts.buffer import MemoryBuffer
 from lltts.data import (
     Sample,
@@ -10,7 +16,7 @@ from lltts.data import (
     merge_replay,
     save_dataset,
 )
-from lltts.errors import ConsistencyError, FormatError, VersionError
+from lltts.errors import ConsistencyError, FormatError, UsageError, VersionError
 
 
 def small_spec(language_id=0, seed=3, **kw):
@@ -26,6 +32,46 @@ def datasets_equal(a, b):
         if any(x != y for x, y in zip(split_a, split_b)):
             return False
     return a.language_id == b.language_id
+
+
+def split_digests(ds):
+    """sha256 of each split's tokens and frames, sample by sample."""
+    out = {}
+    for name in ("train", "dev", "test"):
+        h = hashlib.sha256()
+        for s in getattr(ds, name):
+            h.update(s.tokens.astype("<i8").tobytes())
+            h.update(s.target_frames.astype("<f8").tobytes())
+        out[name] = h.hexdigest()
+    return out
+
+
+# Taken from the generator that built and validated one sample at a time. At
+# (1, 4) samples are shorter than the 3-token window, and one-token samples
+# have one-row target products, which BLAS computes with GEMV instead of GEMM.
+PINNED_DIGESTS = {
+    (6, 12): {
+        "train": "079ae54d619cd34e558f53267a229e260ce4c91bb4910cd0c224687ae76a240a",
+        "dev": "b01c0e701706fe53319a1d7f32f5c3db9a5ccdc31cf5aa2da71bcded5a6eb864",
+        "test": "43276b74b2d55975a5c402221ff56e19f0393e49ccc6785c40d0721ba633f632",
+    },
+    (1, 4): {
+        "train": "80f53d589f2803c5e7761aa9eb3fc0622677e1303ff26489efc19a0cf1b3f355",
+        "dev": "0a14cd853ec199b4b7712aff0dac99ebf0c5ba7d1209580258250b7abed899ff",
+        "test": "33e9bb4e246be729e25a6a326e0a93984d9f0e3a2d2de06d458fb87623f89c49",
+    },
+}
+
+_THREADS_CHILD = """
+import hashlib
+from lltts.data import TaskSpec, generate_task
+digest = hashlib.sha256()
+# a paper_scale.ini task, and one of samples shorter than the window
+for seq_len_range in ((6, 12), (1, 4)):
+    ds = generate_task(TaskSpec(language_id=1, seed=5, seq_len_range=seq_len_range))
+    digest.update(ds.tokens.tobytes() + ds.frames.tobytes() + ds.offsets.tobytes())
+print(digest.hexdigest())
+"""
 
 
 class TestGenerateTask:
@@ -63,6 +109,47 @@ class TestGenerateTask:
             assert 6 <= len(s.tokens) <= 12
             assert np.all(s.tokens < spec.vocab_size)
             assert np.all(np.isfinite(s.target_frames))
+
+    @pytest.mark.parametrize("seq_len_range", list(PINNED_DIGESTS), ids=["6-12", "1-4"])
+    def test_generated_bytes_pinned(self, seq_len_range):
+        spec = TaskSpec(language_id=2, seed=7, n_train=300, seq_len_range=seq_len_range)
+        assert split_digests(generate_task(spec)) == PINNED_DIGESTS[seq_len_range]
+
+    def test_generated_bytes_independent_of_blas_threads(self):
+        src = os.path.dirname(os.path.dirname(lltts.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            out = subprocess.run([sys.executable, "-c", _THREADS_CHILD], env=env,
+                                 capture_output=True, text=True, check=True, timeout=120)
+            digests.append(out.stdout.strip())
+        assert digests[0] == digests[1]
+
+    def test_samples_view_the_packed_store(self):
+        ds = generate_task(small_spec(seq_len_range=(1, 4)))
+        samples = ds.train + ds.dev + ds.test
+        assert len(ds.offsets) == len(samples) + 1
+        assert ds.offsets[-1] == len(ds.tokens) == len(ds.frames)
+        for i, s in enumerate(samples):
+            a, b = ds.offsets[i], ds.offsets[i + 1]
+            assert np.shares_memory(s.tokens, ds.tokens)
+            assert np.shares_memory(s.target_frames, ds.frames)
+            assert np.array_equal(s.tokens, ds.tokens[a:b])
+            assert np.array_equal(s.target_frames, ds.frames[a:b])
+
+    def test_in_place_edit_changes_only_its_rows(self):
+        ds = generate_task(small_spec())
+        before = ds.frames.copy()
+        ds.train[1].target_frames[:] = 0.0
+        a, b = ds.offsets[1], ds.offsets[2]
+        assert np.all(ds.frames[a:b] == 0.0)
+        assert np.array_equal(np.delete(ds.frames, np.s_[a:b], axis=0),
+                              np.delete(before, np.s_[a:b], axis=0))
+
+    def test_non_finite_targets_rejected(self):
+        with pytest.raises(UsageError, match="finite"):
+            generate_task(small_spec(transform_scale=float("inf")))
 
     def test_transform_scale_scales_targets(self):
         a = generate_task(small_spec(transform_scale=1.0))
