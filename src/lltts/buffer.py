@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FormatError, UsageError
+from .errors import UsageError
 
 
 class MemoryBuffer:
@@ -11,13 +11,14 @@ class MemoryBuffer:
 
     After every `integrate_task` the per-language counts differ by at
     most one; remainder slots go to the earliest-integrated languages.
+    The contents follow from the rng seed and the tasks integrated so far,
+    in order, so a resumed run rebuilds the buffer instead of loading it.
     """
 
     def __init__(self, capacity: int, rng_seed: int = 0):
         if capacity < 1:
             raise UsageError("capacity must be >= 1")
         self.capacity = capacity
-        self.rng_seed = rng_seed
         self._rng = np.random.default_rng(rng_seed)
         self.slots: dict[int, list] = {}
 
@@ -63,49 +64,3 @@ class MemoryBuffer:
             elif len(samples) > quota:
                 idx = sorted(self._rng.choice(len(samples), size=quota, replace=False))
                 self.slots[lang] = [samples[i] for i in idx]
-
-    def snapshot(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "rng_seed": self.rng_seed,
-            "rng_state": self._rng.bit_generator.state,
-            "slots": [
-                {
-                    "language_id": lang,
-                    "samples": [
-                        {
-                            "tokens": [int(t) for t in s.tokens],
-                            "frames": s.target_frames.tolist(),
-                        }
-                        for s in samples
-                    ],
-                }
-                for lang, samples in self.slots.items()
-            ],
-        }
-
-    @classmethod
-    def restore(cls, record: dict) -> "MemoryBuffer":
-        from .data import Sample
-
-        try:
-            buf = cls(record["capacity"], record["rng_seed"])
-            buf._rng.bit_generator.state = record["rng_state"]
-            for slot in record["slots"]:
-                lang = slot["language_id"]
-                buf.slots[lang] = [
-                    Sample(lang, np.asarray(s["tokens"]), np.asarray(s["frames"]))
-                    for s in slot["samples"]
-                ]
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"corrupt buffer record: {exc}") from exc
-        return buf
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MemoryBuffer)
-            and self.capacity == other.capacity
-            and self._rng.bit_generator.state == other._rng.bit_generator.state
-            and list(self.slots) == list(other.slots)
-            and all(self.slots[k] == other.slots[k] for k in self.slots)
-        )

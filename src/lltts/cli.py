@@ -10,7 +10,7 @@ import re
 import sys
 
 from . import config as cfgmod
-from .data import generate_task, save_dataset
+from .data import atomic_write, generate_task, save_dataset
 from .errors import FormatError, LlttsError
 from .metrics import LearningCurve, McdReport, render_curves, render_table
 from .strategies import ExperimentResult, run_sequence
@@ -59,7 +59,7 @@ def _load_config(path) -> cfgmod.ExperimentConfig:
 
 
 def _write_text(path, text: str):
-    cfgmod._atomic_write(path, text.encode())
+    atomic_write(path, text.encode())
 
 
 def cmd_gen_data(args) -> int:

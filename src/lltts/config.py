@@ -4,13 +4,10 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-import os
 import pickle
-import tempfile
 from dataclasses import dataclass, fields, replace
 
-from .buffer import MemoryBuffer
-from .data import TaskSpec
+from .data import TaskSpec, atomic_write
 from .errors import ConfigError, FormatError, UsageError, VersionError
 from .model import ModelTopology, ParameterSet
 from .strategies import FisherState, RunState, StrategyConfig, StrategyKind
@@ -203,25 +200,12 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(emit_config(replace(config, output_dir="")).encode()).hexdigest()
 
 
-def _atomic_write(path, payload: bytes):
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def save_checkpoint(state: RunState, path, config_hash: str) -> None:
     fstate = state.fstate
     record = {
         "stage": state.stage,
         "param_values": state.params.values,
         "topology": state.params.topology,
-        "buffer": state.buffer.snapshot(),
         "fisher": None
         if fstate is None
         else {"diag": fstate.fisher_diag, "anchor": fstate.anchor.values},
@@ -229,12 +213,13 @@ def save_checkpoint(state: RunState, path, config_hash: str) -> None:
         "stage_curves": state.stage_curves,
         "config_hash": config_hash,
     }
-    _atomic_write(path, CHECKPOINT_MAGIC + pickle.dumps(record, protocol=4))
+    atomic_write(path, CHECKPOINT_MAGIC + pickle.dumps(record, protocol=4))
 
 
 def load_checkpoint(path, expected_hash: str | None = None, force: bool = False) -> RunState:
     """The run state saved in `path`; refuses a checkpoint whose config hash is
-    not `expected_hash` unless `force` is set."""
+    not `expected_hash` unless `force` is set. The "buffer" entry of older
+    checkpoints is ignored: run_sequence rebuilds the buffer."""
     with open(path, "rb") as f:
         blob = f.read()
     if not blob.startswith(CHECKPOINT_MAGIC[:6]):
@@ -250,7 +235,6 @@ def load_checkpoint(path, expected_hash: str | None = None, force: bool = False)
         state = RunState(
             stage=record["stage"],
             params=ParameterSet(record["param_values"], topology),
-            buffer=MemoryBuffer.restore(record["buffer"]),
             fstate=fisher,
             reports=record["reports"],
             stage_curves=record["stage_curves"],

@@ -101,7 +101,7 @@ class ReplayDataset:
     """Merged view of current-task train data and buffered past samples."""
 
     samples: list
-    language_counts: dict = field(default=None)
+    language_counts: dict = field(init=False)
     _groups: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -109,8 +109,7 @@ class ReplayDataset:
         for i, s in enumerate(self.samples):
             groups.setdefault(s.language_id, []).append(i)
         self._groups = {lang: np.array(idx, dtype=np.int64) for lang, idx in groups.items()}
-        if self.language_counts is None:
-            self.language_counts = {lang: len(idx) for lang, idx in self._groups.items()}
+        self.language_counts = {lang: len(idx) for lang, idx in self._groups.items()}
 
     def __len__(self):
         return len(self.samples)
@@ -212,6 +211,20 @@ def _write_samples(buf, samples):
         buf.write(np.ascontiguousarray(s.target_frames, dtype="<f8").tobytes())
 
 
+def atomic_write(path, payload: bytes) -> None:
+    """Write `path` whole or not at all: a temp file in the same directory,
+    renamed over `path`; the temp file is removed if anything fails."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_dataset(ds: TaskDataset, path, vocab_size: int) -> None:
     """Whole-file atomic write (temp + rename)."""
     frame_dim = ds.frame_dim
@@ -230,15 +243,7 @@ def save_dataset(ds: TaskDataset, path, vocab_size: int) -> None:
     )
     for split in (ds.train, ds.dev, ds.test):
         _write_samples(buf, split)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(buf.getvalue())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, buf.getvalue())
 
 
 def load_dataset(path, num_languages: int | None = None) -> TaskDataset:

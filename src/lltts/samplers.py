@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, UsageError
+from .errors import UsageError
 
 
 class Provenance(enum.Enum):
@@ -45,8 +45,6 @@ def build_weight_table(ds) -> SampleWeightTable:
         raise UsageError("dataset is empty")
     total = len(ds)
     counts = ds.language_counts
-    if any(c <= 0 for c in counts.values()):
-        raise ConsistencyError("zero language count in replay dataset")
     weights = np.array([total / counts[s.language_id] for s in ds.samples])
     return SampleWeightTable(weights)
 

@@ -77,7 +77,7 @@ class FisherState:
 
 @dataclass
 class GemState:
-    reference_grads: np.ndarray  # one row per past language
+    reference_grads: np.ndarray  # one row per past language with buffered samples
     languages: list
 
 
@@ -139,14 +139,15 @@ def ewc_penalty(params: ParameterSet, fstate: FisherState, lam: float):
 def gem_reference_grads(
     params: ParameterSet, buffer: MemoryBuffer, batch_size: int, rng
 ) -> GemState:
-    """One LBS-loss gradient per past language, on up to batch_size
-    buffered samples."""
+    """One LBS-loss gradient per past language that has buffered samples,
+    on up to batch_size of them."""
     if buffer.total() == 0:
         raise UsageError("buffer is empty")
     rows = []
     langs = []
-    for lang in buffer.languages():
-        pool = buffer.slots[lang]
+    for lang, pool in buffer.slots.items():
+        if not pool:
+            continue  # its quota is 0: fewer buffer slots than past languages
         n = min(batch_size, len(pool))
         idx = rng.choice(len(pool), size=n, replace=False)
         batch = Batch([pool[i] for i in idx], Provenance.LBS)
@@ -302,7 +303,6 @@ class RunState:
 
     stage: int  # the last finished stage; -1 before the first
     params: ParameterSet
-    buffer: MemoryBuffer
     fstate: FisherState | None
     reports: list  # one McdReport per finished stage
     stage_curves: list  # one dev_curves dict per finished stage
@@ -315,7 +315,8 @@ def run_sequence(
 
     `config` is an ExperimentConfig. The run continues from `start_state`
     (a fresh state when None) and advances it in place; `checkpoint_hook(state)`
-    is called with it after each stage.
+    is called with it after each stage. The replay buffer is not part of the
+    state: it is rebuilt from the tasks of the finished stages.
     """
     tasks = [generate_task(spec) for spec in config.task_specs]
 
@@ -329,36 +330,39 @@ def run_sequence(
     state = start_state or RunState(
         stage=-1,
         params=init_params(config.topology, config.seed),
-        buffer=MemoryBuffer(config.buffer_capacity, rng_seed=hash_seed(config.seed, 0xB0F)),
         fstate=None,
         reports=[],
         stage_curves=[],
     )
+    buffer = MemoryBuffer(config.buffer_capacity, rng_seed=hash_seed(config.seed, 0xB0F))
 
-    for k in range(state.stage + 1, len(tasks)):
-        task = tasks[k]
-        seen = tasks[: k + 1]
-        rng = np.random.default_rng([config.seed, k, 0x7EA1])
-        if strategy.kind is StrategyKind.JOINT:
-            stage_params = init_params(config.topology, hash_seed(config.seed, k))
-        else:
-            stage_params = state.params
-        result = train_stage(
-            strategy, stage_params, task, state.buffer, state.fstate, stage_cfg, rng, seen_tasks=seen
-        )
-        state.stage = k
-        state.params = result.final_params
-        state.reports.append(stage_eval(state.params, seen))
-        state.stage_curves.append(result.dev_curves)
-        if strategy.kind in REPLAY_KINDS:
-            state.buffer.integrate_task(task)
-        if strategy.kind is StrategyKind.EWC:
-            crng = np.random.default_rng([config.seed, k, 0xF15E])
-            state.fstate = ewc_consolidate(
-                state.params, task, min(100, len(task.train)), crng, prior=state.fstate
+    for k, task in enumerate(tasks):
+        if k > state.stage:
+            seen = tasks[: k + 1]
+            rng = np.random.default_rng([config.seed, k, 0x7EA1])
+            if strategy.kind is StrategyKind.JOINT:
+                stage_params = init_params(config.topology, hash_seed(config.seed, k))
+            else:
+                stage_params = state.params
+            result = train_stage(
+                strategy, stage_params, task, buffer, state.fstate, stage_cfg, rng, seen_tasks=seen
             )
-        if checkpoint_hook is not None:
-            checkpoint_hook(state)
+            state.stage = k
+            state.params = result.final_params
+            state.reports.append(stage_eval(state.params, seen))
+            state.stage_curves.append(result.dev_curves)
+            if strategy.kind is StrategyKind.EWC:
+                crng = np.random.default_rng([config.seed, k, 0xF15E])
+                state.fstate = ewc_consolidate(
+                    state.params, task, min(100, len(task.train)), crng, prior=state.fstate
+                )
+            if checkpoint_hook is not None:
+                checkpoint_hook(state)
+        # a stage that start_state already finished only refills the buffer:
+        # only this call draws from the buffer's rng, so integrating the same
+        # tasks in the same order reaches the same slots and rng state
+        if strategy.kind in REPLAY_KINDS:
+            buffer.integrate_task(task)
     task_order = [spec.language_id for spec in config.task_specs]
     return ExperimentResult(strategy.kind.name, task_order, state.reports, state.stage_curves)
 

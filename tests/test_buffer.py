@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from lltts.buffer import MemoryBuffer
 from lltts.data import TaskSpec, generate_task
-from lltts.errors import FormatError, UsageError
+from lltts.errors import UsageError
 
 
 def task(language_id, n_train=40):
@@ -91,29 +91,3 @@ class TestIntegrateTask:
         freq = survival / trials
         assert np.all(np.abs(freq - 0.5) < 0.05)
 
-
-class TestSnapshot:
-    def test_round_trip(self):
-        buf = MemoryBuffer(capacity=12, rng_seed=7)
-        buf.integrate_task(task(0))
-        buf.integrate_task(task(1))
-        restored = MemoryBuffer.restore(buf.snapshot())
-        assert restored == buf
-
-    def test_empty_round_trip(self):
-        buf = MemoryBuffer(capacity=5, rng_seed=1)
-        restored = MemoryBuffer.restore(buf.snapshot())
-        assert restored == buf
-        assert restored.total() == 0
-
-    def test_rng_state_continuity(self):
-        a = MemoryBuffer(capacity=12, rng_seed=3)
-        a.integrate_task(task(0))
-        b = MemoryBuffer.restore(a.snapshot())
-        a.integrate_task(task(1))
-        b.integrate_task(task(1))
-        assert a == b
-
-    def test_corrupt_record(self):
-        with pytest.raises(FormatError):
-            MemoryBuffer.restore({"capacity": 5})

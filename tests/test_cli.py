@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import re
 import shutil
 import types
@@ -7,8 +8,11 @@ import types
 import pytest
 
 import lltts.cli
+from lltts.buffer import MemoryBuffer
 from lltts.cli import cli
-from lltts.data import load_dataset
+from lltts.config import CHECKPOINT_MAGIC, parse_config
+from lltts.data import generate_task, load_dataset
+from lltts.strategies import hash_seed
 
 CONFIG_TEMPLATE = """
 [experiment]
@@ -47,11 +51,33 @@ seq_len_max = 4
 """
 
 
-def write_config(tmp_path, kind="replay_dual", name="exp.ini"):
+TASK_2 = (
+    "\n[task 2]\nseed = 3\nn_train = 30\nn_dev = 4\nn_test = 3\n"
+    "seq_len_min = 2\nseq_len_max = 4\n"
+)
+RUN_OUTPUTS = ("report.csv", "result.json", "curves.csv")
+
+
+def write_config(tmp_path, kind="replay_dual", name="exp.ini", extra=""):
     out = tmp_path / f"run_{kind}"
     path = tmp_path / name
-    path.write_text(CONFIG_TEMPLATE.format(out=out, kind=kind))
+    path.write_text(CONFIG_TEMPLATE.format(out=out, kind=kind) + extra)
     return path, out
+
+
+def read_outputs(out):
+    return {name: (out / name).read_bytes() for name in RUN_OUTPUTS}
+
+
+def resume_after(cfg, out, stage):
+    """Resume as if the run had been killed right after writing stage<stage>.ckpt."""
+    for path in (out / "checkpoints").glob("stage*.ckpt"):
+        if int(path.stem[len("stage"):]) > stage:
+            path.unlink()
+    for name in RUN_OUTPUTS:
+        (out / name).unlink()
+    assert cli(["train", "--config", str(cfg), "--resume"]) == 0
+    return read_outputs(out)
 
 
 class TestGenData:
@@ -85,8 +111,7 @@ class TestTrain:
     def test_curves_numbered_by_global_epoch(self, tmp_path):
         cfg, out = write_config(tmp_path)
         text = cfg.read_text().replace("epochs_per_stage = 2", "epochs_per_stage = 4")
-        text += "\n[task 2]\nseed = 3\nn_train = 30\nn_dev = 4\nn_test = 3\n"
-        cfg.write_text(text + "seq_len_min = 2\nseq_len_max = 4\n")
+        cfg.write_text(text + TASK_2)
         assert cli(["train", "--config", str(cfg)]) == 0
         epochs = {}
         for line in (out / "curves.csv").read_text().strip().split("\n")[1:]:
@@ -187,6 +212,62 @@ class TestDeterminismAndResume:
         assert cli(["train", "--config", str(cfg), "--resume"]) == 0
         for name, blob in uninterrupted.items():
             assert (moved / name).read_bytes() == blob
+
+    @pytest.mark.parametrize(
+        "kind", ["replay_random", "replay_weighted", "replay_dual", "gem", "ewc"]
+    )
+    def test_resume_from_every_stage_byte_identical(self, tmp_path, kind):
+        # buffer_capacity 10 over 3 tasks evicts at every stage, so a rebuilt
+        # buffer must continue the uninterrupted run's rng stream
+        cfg, out = write_config(tmp_path, kind=kind, extra=TASK_2)
+        assert cli(["train", "--config", str(cfg)]) == 0
+        uninterrupted = read_outputs(out)
+        assert resume_after(cfg, out, 1) == uninterrupted
+        assert resume_after(cfg, out, 0) == uninterrupted
+
+    def test_resume_from_checkpoint_with_buffer_entry(self, tmp_path):
+        # checkpoints also used to store a JSON-able copy of the replay
+        # buffer; such a file still resumes, and the entry is ignored
+        cfg, out = write_config(tmp_path, extra=TASK_2)
+        assert cli(["train", "--config", str(cfg)]) == 0
+        uninterrupted = read_outputs(out)
+
+        config = parse_config(cfg.read_text())
+        buf = MemoryBuffer(config.buffer_capacity, rng_seed=hash_seed(config.seed, 0xB0F))
+        buf.integrate_task(generate_task(config.task_specs[0]))
+        path = out / "checkpoints" / "stage0.ckpt"
+        record = pickle.loads(path.read_bytes()[len(CHECKPOINT_MAGIC):])
+        record["buffer"] = {
+            "capacity": buf.capacity,
+            "rng_seed": hash_seed(config.seed, 0xB0F),
+            "rng_state": buf._rng.bit_generator.state,
+            "slots": [
+                {
+                    "language_id": lang,
+                    "samples": [
+                        {"tokens": s.tokens.tolist(), "frames": s.target_frames.tolist()}
+                        for s in samples
+                    ],
+                }
+                for lang, samples in buf.slots.items()
+            ],
+        }
+        path.write_bytes(CHECKPOINT_MAGIC + pickle.dumps(record, protocol=4))
+        assert resume_after(cfg, out, 0) == uninterrupted
+
+    def test_checkpoint_size_independent_of_buffer_capacity(self, tmp_path):
+        cfg, out = write_config(tmp_path, extra=TASK_2)
+        large = tmp_path / "large"
+        text = cfg.read_text().replace("buffer_capacity = 10", "buffer_capacity = 40")
+        cfg_large = tmp_path / "large.ini"
+        cfg_large.write_text(text.replace(f"output_dir = {out}", f"output_dir = {large}"))
+        for path in (cfg, cfg_large):
+            assert cli(["train", "--config", str(path)]) == 0
+        for stage in range(3):
+            name = f"stage{stage}.ckpt"
+            assert os.path.getsize(out / "checkpoints" / name) == os.path.getsize(
+                large / "checkpoints" / name
+            )
 
     def test_resume_with_changed_config_refused(self, tmp_path):
         cfg, out = write_config(tmp_path)

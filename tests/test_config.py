@@ -1,10 +1,10 @@
 import hashlib
+import os
 import pathlib
 
 import numpy as np
 import pytest
 
-from lltts.buffer import MemoryBuffer
 from lltts.config import (
     ExperimentConfig,
     config_hash,
@@ -13,7 +13,7 @@ from lltts.config import (
     parse_config,
     save_checkpoint,
 )
-from lltts.data import TaskSpec, generate_task
+from lltts.data import TaskSpec, generate_task, save_dataset
 from lltts.errors import ConfigError, FormatError, UsageError
 from lltts.model import ModelTopology, init_params
 from lltts.strategies import RunState, StrategyConfig, StrategyKind
@@ -146,12 +146,7 @@ class TestParseConfig:
 def _tiny_checkpoint():
     topo = ModelTopology(6, 3, 4, 4, 3, 3, 2)
     params = init_params(topo, 0)
-    buf = MemoryBuffer(capacity=6, rng_seed=1)
-    spec = TaskSpec(language_id=0, seed=1, n_train=10, n_dev=2, n_test=2,
-                    vocab_size=6, frame_dim=3)
-    buf.integrate_task(generate_task(spec))
-    state = RunState(stage=0, params=params, buffer=buf, fstate=None, reports=[], stage_curves=[])
-    return state, buf
+    return RunState(stage=0, params=params, fstate=None, reports=[], stage_curves=[])
 
 
 HASH = "abc123" * 8
@@ -159,17 +154,17 @@ HASH = "abc123" * 8
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        state, buf = _tiny_checkpoint()
+        state = _tiny_checkpoint()
         path = tmp_path / "stage0.ckpt"
         save_checkpoint(state, path, HASH)
         loaded = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.params.values, state.params.values)
-        assert loaded.buffer == buf
+        assert (loaded.stage, loaded.fstate, loaded.reports) == (0, None, [])
         # the stored hash is the one saved: it passes the mismatch guard
         assert load_checkpoint(path, expected_hash=HASH).stage == 0
 
     def test_hash_mismatch_refused(self, tmp_path):
-        state, _ = _tiny_checkpoint()
+        state = _tiny_checkpoint()
         path = tmp_path / "stage0.ckpt"
         save_checkpoint(state, path, HASH)
         with pytest.raises(UsageError, match="different config"):
@@ -188,3 +183,28 @@ class TestCheckpoint:
         path.write_bytes(b"garbage")
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+
+def _write_tiny_dataset(path):
+    spec = TaskSpec(language_id=0, seed=1, n_train=10, n_dev=2, n_test=2,
+                    vocab_size=6, frame_dim=3)
+    save_dataset(generate_task(spec), path, vocab_size=6)
+
+
+@pytest.mark.parametrize(
+    "write",
+    [_write_tiny_dataset, lambda path: save_checkpoint(_tiny_checkpoint(), path, HASH)],
+    ids=["dataset", "checkpoint"],
+)
+def test_failed_rename_keeps_old_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "target"
+    path.write_bytes(b"old contents")
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        write(path)
+    assert path.read_bytes() == b"old contents"
+    assert os.listdir(tmp_path) == ["target"]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -175,6 +176,18 @@ class TestGemReferenceGrads:
             params, Batch([pool[i] for i in idx], Provenance.LBS), Head.LBS
         )
         np.testing.assert_array_equal(state.reference_grads[0], grad)
+
+    def test_empty_slot_skipped(self):
+        # capacity 1 over two languages leaves language 1 a quota of 0
+        params = init_params(TINY, 0)
+        buf = MemoryBuffer(capacity=1, rng_seed=0)
+        for lang in (0, 1):
+            buf.integrate_task(small_task(language_id=lang))
+        assert buf.counts() == {0: 1, 1: 0}
+        state = gem_reference_grads(params, buf, 4, np.random.default_rng(0))
+        assert state.languages == [0]
+        _, grad = loss_and_grad(params, Batch(buf.slots[0], Provenance.LBS), Head.LBS)
+        np.testing.assert_array_equal(state.reference_grads, grad[None, :])
 
     def test_empty_buffer_rejected(self):
         params = init_params(TINY, 0)
@@ -395,9 +408,8 @@ class TestTrainStage:
 
 
 class TestRunSequence:
-    def _config(self, kind, n_tasks=2, seed=0):
+    def _config(self, kind, n_tasks=2, seed=0, buffer_capacity=10):
         from lltts.config import ExperimentConfig
-        from lltts.model import ModelTopology
 
         specs = [
             TaskSpec(language_id=i, seed=5, n_train=40, n_dev=6, n_test=4,
@@ -405,10 +417,11 @@ class TestRunSequence:
                      seq_len_range=(2, 5))
             for i in range(n_tasks)
         ]
+        topology = dataclasses.replace(TINY, num_languages=max(TINY.num_languages, n_tasks))
         return ExperimentConfig(
-            task_specs=specs, topology=TINY,
+            task_specs=specs, topology=topology,
             strategy=StrategyConfig(kind),
-            epochs_per_stage=2, batch_size=8, buffer_capacity=10, seed=seed,
+            epochs_per_stage=2, batch_size=8, buffer_capacity=buffer_capacity, seed=seed,
         )
 
     def test_single_task_single_cell(self):
@@ -430,6 +443,16 @@ class TestRunSequence:
         result = run_sequence(cfg)
         cells = sum(len(r.per_language) for r in result.reports)
         assert cells == 1 + 2 + 3 + 4
+
+    @pytest.mark.parametrize("kind", [StrategyKind.GEM, StrategyKind.REPLAY_DUAL])
+    def test_fewer_buffer_slots_than_languages(self, kind):
+        # at stage 2 language 1's slot is empty; GEM must build its
+        # constraints from language 0 alone
+        from lltts.strategies import run_sequence
+
+        result = run_sequence(self._config(kind, n_tasks=3, buffer_capacity=1))
+        assert [len(r.per_language) for r in result.reports] == [1, 2, 3]
+        assert all(np.isfinite(v) for r in result.reports for v in r.per_language.values())
 
     def test_deterministic_rerun(self):
         from lltts.strategies import run_sequence
