@@ -2,7 +2,7 @@
 
 from .buffer import MemoryBuffer
 from .config import ExperimentConfig, parse_config
-from .data import ReplayDataset, Sample, TaskDataset, TaskSpec, generate_task, merge_replay
+from .data import TaskDataset, TaskSpec, generate_task, generate_tasks, merge_replay
 from .metrics import McdReport, mcd, mcdr, smooth_curve, stage_eval
 from .model import (
     AdamState,
@@ -24,6 +24,7 @@ from .samplers import (
     draw_random,
     draw_weighted,
 )
+from .store import ReplayDataset, Sample, SampleStore
 from .strategies import (
     StageConfig,
     StrategyConfig,

@@ -13,6 +13,8 @@ class MemoryBuffer:
     most one; remainder slots go to the earliest-integrated languages.
     The contents follow from the rng seed and the tasks integrated so far,
     in order, so a resumed run rebuilds the buffer instead of loading it.
+    Next to each language's samples (`slots`) it keeps their rows of the
+    task's sample store (`rows`, `stores`), so it holds no copy of the data.
     """
 
     def __init__(self, capacity: int, rng_seed: int = 0):
@@ -21,15 +23,15 @@ class MemoryBuffer:
         self.capacity = capacity
         self._rng = np.random.default_rng(rng_seed)
         self.slots: dict[int, list] = {}
+        self.rows: dict[int, np.ndarray] = {}
+        self.stores: dict = {}
 
     def languages(self) -> list:
         return list(self.slots.keys())
 
-    def all_samples(self) -> list:
-        out = []
-        for samples in self.slots.values():
-            out.extend(samples)
-        return out
+    def parts(self) -> list:
+        """(samples, store, rows) of each language, in integration order."""
+        return [(self.slots[lang], self.stores[lang], self.rows[lang]) for lang in self.slots]
 
     def total(self) -> int:
         return sum(len(v) for v in self.slots.values())
@@ -61,6 +63,9 @@ class MemoryBuffer:
                 n = min(quota, len(pool))
                 idx = sorted(self._rng.choice(len(pool), size=n, replace=False))
                 self.slots[lang] = [pool[i] for i in idx]
+                self.rows[lang] = ds.rows("train")[idx]
+                self.stores[lang] = ds.store
             elif len(samples) > quota:
                 idx = sorted(self._rng.choice(len(samples), size=quota, replace=False))
                 self.slots[lang] = [samples[i] for i in idx]
+                self.rows[lang] = self.rows[lang][idx]

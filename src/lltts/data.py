@@ -15,6 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, FormatError, UsageError, VersionError
+from .store import (  # callers also import Sample and ReplayDataset from here
+    INDEX,
+    ReplayDataset,
+    Sample,
+    SampleStore,
+    _starts,
+    _views,
+    join_pools,
+)
 
 MAGIC = b"LLTTS1"
 # the header's language-id field follows the magic, vocab_size and frame_dim
@@ -33,47 +42,61 @@ _EMB_STREAM = 0xE3B
 _MAP_STREAM = 0x11A
 
 
-@dataclass(slots=True)
-class Sample:
-    language_id: int
-    tokens: np.ndarray
-    target_frames: np.ndarray
-
-    def __post_init__(self):
-        self.tokens = np.asarray(self.tokens, dtype=np.int64)
-        self.target_frames = np.asarray(self.target_frames, dtype=np.float64)
-        if len(self.tokens) < 1:
-            raise UsageError("sample must have at least one token")
-        if self.target_frames.shape[0] != len(self.tokens):
-            raise UsageError("target_frames must have one row per token")
-        if not np.all(np.isfinite(self.target_frames)):
-            raise UsageError("target frames must be finite")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Sample)
-            and self.language_id == other.language_id
-            and np.array_equal(self.tokens, other.tokens)
-            and np.array_equal(self.target_frames, other.target_frames)
-        )
-
-
 @dataclass
 class TaskDataset:
+    """One language's train, dev and test samples.
+
+    The splits are consecutive rows of `store`, train then dev then test,
+    from `first_row` on. A dataset assembled from separate samples gets a
+    store of its own, packed from copies of its splits.
+    """
+
     language_id: int
     train: list
     dev: list
     test: list
-    # generate_task's packed store: sample i of train + dev + test views rows
-    # offsets[i]:offsets[i + 1] of tokens and frames. None when the dataset
-    # was assembled from separate samples (load_dataset, tests).
-    tokens: np.ndarray | None = field(default=None, repr=False, compare=False)
-    frames: np.ndarray | None = field(default=None, repr=False, compare=False)
-    offsets: np.ndarray | None = field(default=None, repr=False, compare=False)
+    store: SampleStore = field(default=None, repr=False, compare=False)
+    first_row: int = field(default=0, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.store is None:
+            self.store = SampleStore.pack(self.train + self.dev + self.test)
+
+    def rows(self, split: str) -> np.ndarray:
+        """The store rows of split "train", "dev" or "test"."""
+        sizes = [len(self.train), len(self.dev), len(self.test)]
+        k = ("train", "dev", "test").index(split)
+        first = self.first_row + sum(sizes[:k])
+        return np.arange(first, first + sizes[k])
+
+    def part(self, split: str) -> tuple:
+        """(samples, store, rows) of a split, as `join_pools` takes them."""
+        return getattr(self, split), self.store, self.rows(split)
+
+    # The dataset's part of the store: its tokens and frames, and offsets
+    # such that sample i of train + dev + test views rows offsets[i]:offsets[i + 1].
+    def _rows_and_span(self):
+        n = len(self.train) + len(self.dev) + len(self.test)
+        rows = slice(self.first_row, self.first_row + n)
+        starts, lengths = self.store.starts[rows], self.store.lengths[rows]
+        return starts, slice(starts[0], starts[-1] + lengths[-1])
+
+    @property
+    def tokens(self) -> np.ndarray:
+        return self.store.tokens[self._rows_and_span()[1]]
+
+    @property
+    def frames(self) -> np.ndarray:
+        return self.store.frames[self._rows_and_span()[1]]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        starts, span = self._rows_and_span()
+        return np.append(starts, span.stop) - span.start
 
     @property
     def frame_dim(self) -> int:
-        return self.train[0].target_frames.shape[1]
+        return self.store.frames.shape[1]
 
 
 @dataclass
@@ -94,32 +117,6 @@ class TaskSpec:
         lo, hi = self.seq_len_range
         if lo < 1 or lo > hi:
             raise UsageError(f"invalid seq_len_range {self.seq_len_range}: need 1 <= min <= max")
-
-
-@dataclass
-class ReplayDataset:
-    """Merged view of current-task train data and buffered past samples."""
-
-    samples: list
-    language_counts: dict = field(init=False)
-    _groups: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        groups: dict[int, list[int]] = {}
-        for i, s in enumerate(self.samples):
-            groups.setdefault(s.language_id, []).append(i)
-        self._groups = {lang: np.array(idx, dtype=np.int64) for lang, idx in groups.items()}
-        self.language_counts = {lang: len(idx) for lang, idx in self._groups.items()}
-
-    def __len__(self):
-        return len(self.samples)
-
-    def by_language(self) -> dict:
-        """Language id -> ascending sample indices, in order of first appearance.
-
-        Built once with the dataset; callers must not modify the arrays.
-        """
-        return self._groups
 
 
 def _gen_embedding(vocab_size: int) -> np.ndarray:
@@ -149,25 +146,9 @@ def _targets_for(tokens, emb, w_map, b_map, scale):
     return scale * np.tanh(win @ w_map.T + b_map)
 
 
-def _views(language_id, tokens, frames, offsets) -> list:
-    """Samples viewing consecutive rows of packed arrays, without Sample's
-    per-sample checks: the caller has validated the arrays as a whole."""
-    samples = []
-    for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
-        s = object.__new__(Sample)
-        s.language_id, s.tokens, s.target_frames = language_id, tokens[a:b], frames[a:b]
-        samples.append(s)
-    return samples
-
-
-def generate_task(spec: TaskSpec) -> TaskDataset:
-    """Deterministic synthetic dataset for one pseudo-language.
-
-    The samples of train, dev and test are views into one packed store (the
-    dataset's tokens, frames and offsets), built and validated once.
-    """
-    emb = _gen_embedding(spec.vocab_size)
-    w_map, b_map = _language_map(spec.language_id, spec.frame_dim)
+def _draw(spec: TaskSpec):
+    """Lengths and concatenated tokens of one task's samples, train then dev
+    then test: two rng calls per sample, in sample order."""
     rng = np.random.default_rng([spec.seed, spec.language_id, 0xDA7A])
     lo, hi = spec.seq_len_range
     total = spec.n_train + spec.n_dev + spec.n_test
@@ -175,33 +156,80 @@ def generate_task(spec: TaskSpec) -> TaskDataset:
     for _ in range(total):
         t = rng.integers(lo, hi + 1)
         draws.append(rng.integers(0, spec.vocab_size, size=t))
-    lengths = np.fromiter(map(len, draws), dtype=np.int64, count=total)
-    offsets = np.zeros(total + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    tokens = np.concatenate(draws)
-    del draws
+    lengths = np.fromiter(map(len, draws), dtype=INDEX, count=total)
+    return lengths, np.concatenate(draws, dtype=INDEX)
+
+
+def _fill_targets(spec: TaskSpec, tokens, frames, starts, lengths) -> None:
+    """Write the target frames of one task's samples, which start at the
+    token positions `starts`, into `frames`."""
+    emb = _gen_embedding(spec.vocab_size)
+    w_map, b_map = _language_map(spec.language_id, spec.frame_dim)
     # Samples of one length share a _targets_for call, up to _GEN_CHUNK_TOKENS
     # tokens at a time. Its matmul still makes one BLAS product per sample,
     # of the sample's own size, so the frames are bit-identical to one call
     # per sample (a one-row product goes through GEMV, which rounds unlike
     # GEMM) and every product stays far below OpenBLAS's threading size.
-    frames = np.empty((len(tokens), spec.frame_dim))
-    # the distinct lengths (np.unique would import numpy.ma, +1 MB of RSS)
+    # The distinct lengths come from bincount (np.unique would import
+    # numpy.ma, +1 MB of RSS).
     for t in np.flatnonzero(np.bincount(lengths)).tolist():
         ids = np.flatnonzero(lengths == t)
         step = max(1, _GEN_CHUNK_TOKENS // t)
         for c in range(0, len(ids), step):
-            rows = offsets[ids[c : c + step], None] + np.arange(t)
+            rows = starts[ids[c : c + step], None] + np.arange(t)
             frames[rows] = _targets_for(tokens[rows], emb, w_map, b_map, spec.transform_scale)
-    # the only check the samples need: the spec guarantees >= 1 token each,
+
+
+def generate_tasks(specs) -> list:
+    """Deterministic synthetic datasets, one per spec, generated into one store.
+
+    Each task draws from its own rng stream, so a task's samples do not
+    depend on the other specs: `generate_task(spec)` gives the same bytes.
+    Every sample of every split is a view of its rows of the store, which
+    is built and validated once.
+    """
+    if not specs:
+        raise UsageError("no task specs given")
+    if len({spec.frame_dim for spec in specs}) > 1:
+        raise UsageError("the tasks of one store must share frame_dim")
+    drawn = [_draw(spec) for spec in specs]
+    counts = [len(lengths) for lengths, _ in drawn]
+    lengths = np.concatenate([lengths for lengths, _ in drawn])
+    tokens = np.concatenate([task_tokens for _, task_tokens in drawn])
+    del drawn  # before the frames, the largest array, are allocated
+    starts = _starts(lengths)
+    langs = np.repeat(np.array([spec.language_id for spec in specs], dtype=INDEX), counts)
+    frames = np.empty((len(tokens), specs[0].frame_dim))
+    firsts = np.cumsum([0] + counts[:-1]).tolist()
+    for spec, first, n in zip(specs, firsts, counts):
+        rows = slice(first, first + n)
+        _fill_targets(spec, tokens, frames, starts[rows], lengths[rows])
+    # the only check the samples need: the specs guarantee >= 1 token each,
     # and the store gives each one frame row per token
     if not np.isfinite(frames).all():
         raise UsageError("target frames must be finite")
-    samples = _views(spec.language_id, tokens, frames, offsets)
-    train = samples[: spec.n_train]
-    dev = samples[spec.n_train : spec.n_train + spec.n_dev]
-    test = samples[spec.n_train + spec.n_dev :]
-    return TaskDataset(spec.language_id, train, dev, test, tokens, frames, offsets)
+    store = SampleStore(tokens, frames, starts, lengths, langs)
+    tasks = []
+    for spec, first, n in zip(specs, firsts, counts):
+        samples = _views(store, slice(first, first + n))
+        dev_end = spec.n_train + spec.n_dev
+        tasks.append(
+            TaskDataset(
+                spec.language_id,
+                samples[: spec.n_train],
+                samples[spec.n_train : dev_end],
+                samples[dev_end:],
+                store,
+                first,
+            )
+        )
+    return tasks
+
+
+def generate_task(spec: TaskSpec) -> TaskDataset:
+    """Deterministic synthetic dataset for one pseudo-language, in a store of
+    its own; `generate_tasks` with one spec."""
+    return generate_tasks([spec])[0]
 
 
 def _write_samples(buf, samples):
@@ -247,6 +275,8 @@ def save_dataset(ds: TaskDataset, path, vocab_size: int) -> None:
 
 
 def load_dataset(path, num_languages: int | None = None) -> TaskDataset:
+    """The dataset saved in `path`, read into one store and validated once;
+    its samples are views of the store, as `generate_task`'s are."""
     with open(path, "rb") as f:
         data = f.read()
     if len(data) < len(MAGIC) or data[:5] != MAGIC[:5]:
@@ -266,32 +296,59 @@ def load_dataset(path, num_languages: int | None = None) -> TaskDataset:
             f"language id {language_id} >= declared num_languages {num_languages}",
             offset=_LANGUAGE_ID_OFFSET,
         )
-    splits = []
-    for count in (n_train, n_dev, n_test):
-        split = []
-        for _ in range(count):
-            if pos + 4 > len(data):
-                raise FormatError("truncated sample header", offset=pos)
-            (t,) = struct.unpack_from("<I", data, pos)
-            pos += 4
-            tok_bytes = 4 * t
-            frame_bytes = 8 * t * frame_dim
-            if pos + tok_bytes + frame_bytes > len(data):
-                raise FormatError("truncated sample body", offset=pos)
-            tokens = np.frombuffer(data, dtype="<u4", count=t, offset=pos).astype(np.int64)
-            bad = np.flatnonzero(tokens >= vocab_size)
-            if len(bad):
-                raise FormatError(
-                    "token id exceeds declared vocab_size", offset=pos + 4 * int(bad[0])
-                )
-            pos += tok_bytes
-            frames = np.frombuffer(data, dtype="<f8", count=t * frame_dim, offset=pos)
-            pos += frame_bytes
-            split.append(Sample(language_id, tokens, frames.reshape(t, frame_dim).copy()))
-        splits.append(split)
+    # walk the samples' length fields; the data is read after the walk
+    n = n_train + n_dev + n_test
+    positions, lengths = [], []  # where each sample's tokens start, and its length
+    truncated = None
+    for _ in range(n):
+        if pos + 4 > len(data):
+            truncated = FormatError("truncated sample header", offset=pos)
+            break
+        (t,) = struct.unpack_from("<I", data, pos)
+        pos += 4
+        if pos + 4 * t + 8 * t * frame_dim > len(data):
+            truncated = FormatError("truncated sample body", offset=pos)
+            break
+        positions.append(pos)
+        lengths.append(t)
+        pos += 4 * t + 8 * t * frame_dim
+    lengths = np.array(lengths, dtype=INDEX)
+    starts = _starts(lengths)
+    view = memoryview(data)
+    tokens = np.frombuffer(
+        b"".join(view[p : p + 4 * t] for p, t in zip(positions, lengths.tolist())), dtype="<u4"
+    )
+    # a bad token id in a whole sample comes before a truncation after it
+    bad = np.flatnonzero(tokens >= vocab_size)
+    if len(bad):
+        k = int(bad[0])
+        i = int(np.searchsorted(starts, k, side="right")) - 1
+        raise FormatError(
+            "token id exceeds declared vocab_size", offset=positions[i] + 4 * (k - int(starts[i]))
+        )
+    if truncated is not None:
+        raise truncated
     if pos != len(data):
         raise FormatError("trailing bytes after last sample", offset=pos)
-    return TaskDataset(language_id, *splits)
+    if n and not lengths.all():
+        raise UsageError("sample must have at least one token")
+    # bytearray keeps the frames writable without another copy
+    frames = np.frombuffer(
+        bytearray().join(
+            view[p + 4 * t : p + 4 * t + 8 * t * frame_dim]
+            for p, t in zip(positions, lengths.tolist())
+        ),
+        dtype="<f8",
+    ).astype(np.float64, copy=False).reshape(len(tokens), frame_dim)
+    if not np.isfinite(frames).all():
+        raise UsageError("target frames must be finite")
+    langs = np.full(n, language_id, dtype=INDEX)
+    store = SampleStore(tokens.astype(INDEX), frames, starts, lengths, langs)
+    samples = _views(store, slice(0, n))
+    dev_end = n_train + n_dev
+    return TaskDataset(
+        language_id, samples[:n_train], samples[n_train:dev_end], samples[dev_end:], store
+    )
 
 
 def merge_replay(current: TaskDataset, buffer) -> ReplayDataset:
@@ -301,7 +358,7 @@ def merge_replay(current: TaskDataset, buffer) -> ReplayDataset:
             f"buffer already holds language {current.language_id}; "
             "integrate the task only after its training stage"
         )
-    samples = list(current.train)
+    parts = [current.part("train")]
     if buffer is not None:
-        samples.extend(buffer.all_samples())
-    return ReplayDataset(samples)
+        parts.extend(buffer.parts())
+    return join_pools(parts)

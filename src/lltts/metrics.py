@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import UsageError
 from .model import Head, _forward_padded, _pad_batch, _Weights
+from .samplers import Batch, Provenance
 
 MCD_CONST = 10.0 / math.log(10.0)
 
@@ -36,22 +37,32 @@ class McdReport:
 
 
 def sample_mcds(params, samples) -> np.ndarray:
-    """MCD of the LBS branch's post-net output for each sample of a split,
-    from one batched forward pass; each value equals `mcd` on that sample."""
+    """MCD of the LBS branch's post-net output for each sample, from one
+    batched forward pass; each value equals `mcd` on that sample.
+
+    `samples` is a Batch, or a list of samples, which is packed into one.
+    """
+    batch = samples if isinstance(samples, Batch) else Batch(samples, Provenance.LBS)
     topology = params.topology
-    tokens, targets, _, langs = _pad_batch(topology, samples)
+    tokens, targets, _, langs = _pad_batch(topology, batch)
     w = _Weights(topology, params.values)
     *_, y_post = _forward_padded(w, topology, tokens, langs, Head.LBS)
     per_frame = np.sqrt(2.0 * np.sum((targets - y_post) ** 2, axis=-1))
     # a mean over each sample's own frames sums them as `mcd` does; a masked
     # sum over the padded row, or np.add.reduceat, groups them differently
-    means = np.array([row[: len(s.tokens)].mean() for row, s in zip(per_frame, samples)])
+    lengths = batch.store.lengths[batch.rows].tolist()
+    means = np.array([row[:t].mean() for row, t in zip(per_frame, lengths)])
     return MCD_CONST * means
 
 
 def mean_mcd(params, samples) -> float:
-    """Mean MCD of the LBS branch's post-net output over one split."""
+    """Mean MCD of the LBS branch's post-net output over a Batch or a list of samples."""
     return float(np.mean(sample_mcds(params, samples)))
+
+
+def split_mcd(params, ds, split: str) -> float:
+    """Mean MCD over one split of a TaskDataset, gathered from its store rows."""
+    return mean_mcd(params, Batch.of_rows(ds.store, ds.rows(split), Provenance.LBS))
 
 
 def stage_eval(params, test_sets) -> McdReport:
@@ -62,7 +73,7 @@ def stage_eval(params, test_sets) -> McdReport:
     for ds in test_sets:
         if not ds.test:
             raise UsageError(f"language {ds.language_id} has an empty test split")
-        per_language[ds.language_id] = mean_mcd(params, ds.test)
+        per_language[ds.language_id] = split_mcd(params, ds, "test")
     return McdReport(test_sets[-1].language_id, per_language)
 
 

@@ -100,42 +100,50 @@ def init_params(topology: ModelTopology, seed: int) -> ParameterSet:
     return ParameterSet(values, topology)
 
 
-def _pad_batch(topology: ModelTopology, samples):
-    """Stack variable-length samples into padded arrays plus a mask."""
-    n = len(samples)
-    if n == 0:
-        raise UsageError("empty batch")
-    lengths = np.fromiter((len(s.tokens) for s in samples), dtype=np.int64, count=n)
-    langs = np.fromiter((s.language_id for s in samples), dtype=np.int64, count=n)
-    # row-major boolean indexing visits the valid positions sample by sample,
-    # in the order of the concatenated per-sample arrays
+def _check_rows(topology: ModelTopology, store, rows) -> None:
+    """Raise InputDomainError naming the first of `rows` (by its position in
+    `rows`) whose token ids, language id or frame dim do not fit the topology.
+
+    A store all of whose samples fit is remembered, so it is checked once.
+    """
+    if topology in store.checked:
+        return
+    width = store.frames.shape[1:]
+    if width != (topology.frame_dim,):
+        t = int(store.lengths[rows[0]])
+        raise InputDomainError(
+            f"sample 0: target frames of shape {(t, *width)}, expected ({t}, {topology.frame_dim})"
+        )
+    tokens, langs = store.tokens, store.langs
+    vocab, num_languages = topology.vocab_size, topology.num_languages
+    if min(tokens.min(), langs.min()) >= 0 and tokens.max() < vocab and langs.max() < num_languages:
+        store.checked.add(topology)
+        return
+    for i, row in enumerate(rows.tolist()):
+        a = store.starts[row]
+        sample_tokens = tokens[a : a + store.lengths[row]]
+        if sample_tokens.min() < 0 or sample_tokens.max() >= vocab:
+            raise InputDomainError(f"sample {i}: token id out of range [0, {vocab})")
+        if not 0 <= langs[row] < num_languages:
+            raise InputDomainError(
+                f"sample {i}: language id {langs[row]} out of range [0, {num_languages})"
+            )
+
+
+def _pad_batch(topology: ModelTopology, batch):
+    """The batch's rows as padded arrays plus a mask: one gather from its store."""
+    store, rows = batch.store, batch.rows
+    _check_rows(topology, store, rows)
+    lengths = store.lengths[rows]
     valid = np.arange(lengths.max()) < lengths[:, None]
-    tokens = np.zeros(valid.shape, dtype=np.int64)
-    tokens[valid] = np.concatenate([s.tokens for s in samples])
-    frames = [s.target_frames for s in samples]
-    try:
-        flat = np.concatenate(frames)
-    except ValueError:  # samples disagree in their frame shapes
-        flat = None
-    if flat is None or flat.shape[1:] != (topology.frame_dim,):
-        i = next(i for i, f in enumerate(frames) if f.shape[1:] != (topology.frame_dim,))
-        raise InputDomainError(
-            f"sample {i}: target frames of shape {frames[i].shape}, "
-            f"expected ({len(samples[i].tokens)}, {topology.frame_dim})"
-        )
-    targets = np.zeros(valid.shape + (topology.frame_dim,))
-    targets[valid] = flat
-    bad_token = ((tokens < 0) | (tokens >= topology.vocab_size)).any(axis=1)
-    bad_lang = (langs < 0) | (langs >= topology.num_languages)
-    bad = np.flatnonzero(bad_token | bad_lang)
-    if len(bad):
-        i = int(bad[0])
-        if bad_token[i]:
-            raise InputDomainError(f"sample {i}: token id out of range [0, {topology.vocab_size})")
-        raise InputDomainError(
-            f"sample {i}: language id {langs[i]} out of range [0, {topology.num_languages})"
-        )
-    return tokens, targets, valid.astype(np.float64), langs
+    # each row's token positions; those past the sample's end are zeroed
+    pos = store.starts[rows, None] + np.arange(valid.shape[1])
+    invalid = ~valid
+    tokens = store.tokens.take(pos, mode="clip")
+    tokens[invalid] = 0
+    targets = store.frames.take(pos, axis=0, mode="clip")
+    targets[invalid] = 0.0
+    return tokens, targets, valid.astype(np.float64), store.langs[rows]
 
 
 def _forward_padded(w: _Weights, topology: ModelTopology, tokens, langs, head: Head):
@@ -154,12 +162,11 @@ def _forward_padded(w: _Weights, topology: ModelTopology, tokens, langs, head: H
 def forward(params: ParameterSet, batch, head: Head):
     """Predicted frames per sample: (pre-postnet list, post-postnet list)."""
     topology = params.topology
-    tokens, _, _, langs = _pad_batch(topology, batch.samples)
+    tokens, _, _, langs = _pad_batch(topology, batch)
     w = _Weights(topology, params.values)
     *_, y_pre, _, y_post = _forward_padded(w, topology, tokens, langs, head)
     pre, post = [], []
-    for i, s in enumerate(batch.samples):
-        ti = len(s.tokens)
+    for i, ti in enumerate(batch.store.lengths[batch.rows].tolist()):
         pre.append(y_pre[i, :ti].copy())
         post.append(y_post[i, :ti].copy())
     return pre, post
@@ -196,7 +203,7 @@ def loss_and_grad(params: ParameterSet, batch, head: Head):
     segment stays zero.
     """
     topology = params.topology
-    tokens, targets, mask, langs = _pad_batch(topology, batch.samples)
+    tokens, targets, mask, langs = _pad_batch(topology, batch)
     w = _Weights(topology, params.values)
     e, h, z, u, y_pre, q, y_post = _forward_padded(w, topology, tokens, langs, head)
 

@@ -1,4 +1,8 @@
-"""Batch construction: random, weighted, and language-balanced."""
+"""Batch construction: random, weighted, and language-balanced.
+
+The samplers draw sample indices of a pool and return batches of the pool's
+store rows; the model gathers those rows, so a draw copies no sample data.
+"""
 from __future__ import annotations
 
 import enum
@@ -8,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
+from .store import SampleStore
 
 
 class Provenance(enum.Enum):
@@ -17,21 +22,52 @@ class Provenance(enum.Enum):
     RRS = "rrs"
 
 
-@dataclass
 class Batch:
-    samples: list
-    provenance: Provenance
+    """The samples of one loss term, as rows of a sample store.
 
-    def __post_init__(self):
-        if not self.samples:
+    Batch(samples, provenance) packs copies of the samples into a store of
+    their own. `Batch.of_rows` addresses rows of an existing store and copies
+    nothing; its `samples` are looked up when first asked for.
+    """
+
+    __slots__ = ("store", "rows", "provenance", "_samples", "_source", "_idx")
+
+    def __init__(self, samples, provenance: Provenance):
+        if not samples:
             raise UsageError("batch must be non-empty")
+        self.store = SampleStore.pack(samples)
+        self.rows = np.arange(len(samples))
+        self.provenance = provenance
+        self._samples = list(samples)
+
+    @classmethod
+    def of_rows(cls, store, rows, provenance: Provenance, source=None, idx=None) -> "Batch":
+        """The batch of `store`'s `rows`; its samples are source[i] for i in
+        idx (or None when no source is given)."""
+        if len(rows) == 0:
+            raise UsageError("batch must be non-empty")
+        batch = cls.__new__(cls)
+        batch.store, batch.rows, batch.provenance = store, rows, provenance
+        batch._samples, batch._source, batch._idx = None, source, idx
+        return batch
+
+    @property
+    def samples(self) -> list:
+        if self._samples is None and self._source is not None:
+            self._samples = [self._source[i] for i in self._idx.tolist()]
+        return self._samples
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.rows)
 
     @property
     def language_histogram(self) -> dict:
-        return dict(Counter(s.language_id for s in self.samples))
+        return dict(Counter(self.store.langs[self.rows].tolist()))
+
+
+def _drawn(ds, idx, provenance: Provenance) -> Batch:
+    """The batch of pool `ds`'s samples at indices `idx`."""
+    return Batch.of_rows(ds.store, ds.rows[idx], provenance, ds.samples, idx)
 
 
 @dataclass
@@ -43,9 +79,9 @@ def build_weight_table(ds) -> SampleWeightTable:
     """Per-sample weight |D+| / C_lang (reciprocal language frequency)."""
     if len(ds) == 0:
         raise UsageError("dataset is empty")
-    total = len(ds)
-    counts = ds.language_counts
-    weights = np.array([total / counts[s.language_id] for s in ds.samples])
+    weights = np.empty(len(ds))
+    for idx in ds.by_language().values():
+        weights[idx] = len(ds) / len(idx)
     return SampleWeightTable(weights)
 
 
@@ -55,7 +91,7 @@ def draw_random(ds, batch_size: int, rng, provenance: Provenance = Provenance.RA
     if len(ds) == 0:
         raise UsageError("cannot sample from an empty dataset")
     idx = rng.integers(0, len(ds), size=batch_size)
-    return Batch([ds.samples[i] for i in idx.tolist()], provenance)
+    return _drawn(ds, idx, provenance)
 
 
 def draw_weighted(table: SampleWeightTable, ds, batch_size: int, rng) -> Batch:
@@ -65,7 +101,7 @@ def draw_weighted(table: SampleWeightTable, ds, batch_size: int, rng) -> Batch:
         raise UsageError("weight table does not match dataset")
     p = table.weights / table.weights.sum()
     idx = rng.choice(len(ds), size=batch_size, replace=True, p=p)
-    return Batch([ds.samples[i] for i in idx.tolist()], Provenance.WEIGHTED)
+    return _drawn(ds, idx, Provenance.WEIGHTED)
 
 
 def draw_balanced(ds, batch_size: int, rng) -> Batch:
@@ -81,9 +117,8 @@ def draw_balanced(ds, batch_size: int, rng) -> Batch:
     if rem:
         for j in rng.choice(k, size=rem, replace=False):
             quota[langs[j]] += 1
-    samples = []
+    picks = []
     for lang in langs:
         group = groups[lang]
-        idx = rng.integers(0, len(group), size=quota[lang])
-        samples.extend(ds.samples[i] for i in group[idx].tolist())
-    return Batch(samples, Provenance.LBS)
+        picks.append(group[rng.integers(0, len(group), size=quota[lang])])
+    return _drawn(ds, np.concatenate(picks), Provenance.LBS)

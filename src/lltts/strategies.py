@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .buffer import MemoryBuffer
-from .data import ReplayDataset, TaskDataset, generate_task, merge_replay
-from .errors import NumericError, UsageError
-from .metrics import mean_mcd, stage_eval
+from .data import TaskDataset, generate_tasks, merge_replay
+from .errors import ConfigError, NumericError, UsageError
+from .metrics import split_mcd, stage_eval
 from .model import AdamState, Head, ParameterSet, adam_step, init_params, loss_and_grad
 from .samplers import (
     Batch,
@@ -24,6 +24,7 @@ from .samplers import (
     draw_random,
     draw_weighted,
 )
+from .store import join_pools
 
 
 class StrategyKind(enum.Enum):
@@ -118,9 +119,11 @@ def ewc_consolidate(
         raise UsageError("n_samples must be >= 1")
     replace = n_samples > len(ds.train)
     idx = rng.choice(len(ds.train), size=n_samples, replace=replace)
+    rows = ds.rows("train")[idx]
     fisher = np.zeros_like(params.values)
-    for i in idx:
-        _, grad = loss_and_grad(params, Batch([ds.train[i]], Provenance.LBS), Head.LBS)
+    for j in range(n_samples):
+        batch = Batch.of_rows(ds.store, rows[j : j + 1], Provenance.LBS)
+        _, grad = loss_and_grad(params, batch, Head.LBS)
         fisher += grad**2
     fisher /= n_samples
     if prior is not None:
@@ -143,18 +146,19 @@ def gem_reference_grads(
     on up to batch_size of them."""
     if buffer.total() == 0:
         raise UsageError("buffer is empty")
-    rows = []
+    grads = []
     langs = []
     for lang, pool in buffer.slots.items():
         if not pool:
             continue  # its quota is 0: fewer buffer slots than past languages
         n = min(batch_size, len(pool))
         idx = rng.choice(len(pool), size=n, replace=False)
-        batch = Batch([pool[i] for i in idx], Provenance.LBS)
+        rows = buffer.rows[lang][idx]
+        batch = Batch.of_rows(buffer.stores[lang], rows, Provenance.LBS, pool, idx)
         _, grad = loss_and_grad(params, batch, Head.LBS)
-        rows.append(grad)
+        grads.append(grad)
         langs.append(lang)
-    return GemState(np.stack(rows), langs)
+    return GemState(np.stack(grads), langs)
 
 
 def gem_project(g: np.ndarray, gstate: GemState, tol: float = 1e-9) -> np.ndarray:
@@ -199,10 +203,10 @@ def lr_for_epoch(base_lr: float, epoch: int, epochs: int, decay_fraction: float)
 
 
 def _dev_mcd(params: ParameterSet, ds: TaskDataset) -> float:
-    return mean_mcd(params, ds.dev)
+    return split_mcd(params, ds, "dev")
 
 
-def _loss_terms(strategy: StrategyConfig, pool: ReplayDataset, batch_size: int, rng) -> list:
+def _loss_terms(strategy: StrategyConfig, pool, batch_size: int, rng) -> list:
     """The (weight, draw, head) terms whose weighted loss sum is one step's loss.
 
     REPLAY_DUAL sums gamma * L_lbs + beta * L_rrs; every other strategy has
@@ -248,9 +252,9 @@ def train_stage(
     seen_tasks = seen_tasks if seen_tasks is not None else [ds_k]
 
     if kind is StrategyKind.JOINT:
-        pool = ReplayDataset([s for t in seen_tasks for s in t.train])
+        pool = join_pools([t.part("train") for t in seen_tasks])
     elif kind in (StrategyKind.FINE_TUNE, StrategyKind.EWC, StrategyKind.GEM):
-        pool = ReplayDataset(list(ds_k.train))
+        pool = join_pools([ds_k.part("train")])
     else:
         pool = merge_replay(ds_k, buffer if buffer and buffer.total() else None)
 
@@ -318,7 +322,12 @@ def run_sequence(
     is called with it after each stage. The replay buffer is not part of the
     state: it is rebuilt from the tasks of the finished stages.
     """
-    tasks = [generate_task(spec) for spec in config.task_specs]
+    if start_state is not None and start_state.stage >= len(config.task_specs):
+        raise ConfigError(
+            f"the checkpoint finished stage {start_state.stage}, past the config's "
+            f"{len(config.task_specs)} tasks (stages 0 to {len(config.task_specs) - 1})"
+        )
+    tasks = generate_tasks(config.task_specs)
 
     strategy = config.strategy
     stage_cfg = StageConfig(

@@ -269,6 +269,20 @@ class TestDeterminismAndResume:
                 large / "checkpoints" / name
             )
 
+    def test_resume_past_the_configs_task_count_refused(self, tmp_path, capsys):
+        # a 3-task run's last checkpoint finished stage 2; a 2-task config has
+        # no stage 2, so resuming it under --force must not write a report
+        cfg, out = write_config(tmp_path, extra=TASK_2)
+        assert cli(["train", "--config", str(cfg)]) == 0
+        for name in RUN_OUTPUTS:
+            (out / name).unlink()
+        cfg.write_text(cfg.read_text().replace(TASK_2, ""))
+        capsys.readouterr()
+        assert cli(["train", "--config", str(cfg), "--resume", "--force"]) == 1
+        err = capsys.readouterr().err
+        assert "stage 2" in err and "2 tasks" in err
+        assert not any((out / name).exists() for name in RUN_OUTPUTS)
+
     def test_resume_with_changed_config_refused(self, tmp_path):
         cfg, out = write_config(tmp_path)
         cli(["train", "--config", str(cfg)])

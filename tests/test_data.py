@@ -169,6 +169,23 @@ class TestDatasetFile:
         for a, b in zip(ds.train, loaded.train):
             assert np.array_equal(a.target_frames, b.target_frames)  # bit-exact
 
+    def test_loaded_samples_view_one_store(self, tmp_path):
+        ds = generate_task(small_spec(seq_len_range=(1, 4)))
+        path = tmp_path / "lang0.lltts"
+        save_dataset(ds, path, vocab_size=12)
+        loaded = load_dataset(path)
+        store, offsets = loaded.store, loaded.offsets
+        assert len(store) == 30 + 8 + 5 and np.all(store.langs == 0)
+        originals = ds.train + ds.dev + ds.test
+        for i, (a, b) in enumerate(zip(originals, loaded.train + loaded.dev + loaded.test)):
+            assert a == b
+            assert np.shares_memory(b.tokens, store.tokens)
+            assert np.shares_memory(b.target_frames, store.frames)
+            assert np.array_equal(b.tokens, store.tokens[offsets[i] : offsets[i + 1]])
+        # writable views, as generated samples are
+        loaded.train[0].target_frames[0, 0] = 7.0
+        assert store.frames[0, 0] == 7.0
+
     def test_truncated_file_rejected(self, tmp_path):
         ds = generate_task(small_spec())
         path = tmp_path / "lang0.lltts"

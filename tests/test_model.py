@@ -260,7 +260,7 @@ def test_embedding_gradient_matches_add_at_scatter(tiny_params, monkeypatch):
     monkeypatch.setattr(np, "bincount", spy)
     _, grad = loss_and_grad(tiny_params, Batch(samples, Provenance.LBS), Head.LBS)
     (de,) = upstream
-    tokens, *_ = _pad_batch(TINY, samples)
+    tokens, *_ = _pad_batch(TINY, Batch(samples, Provenance.LBS))
     expected = np.zeros((TINY.vocab_size, TINY.embed_dim))
     np.add.at(expected, tokens.reshape(-1), de.reshape(-1, TINY.embed_dim))
     g_emb = _Weights(TINY, grad).emb
