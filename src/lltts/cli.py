@@ -70,7 +70,7 @@ def cmd_gen_data(args) -> int:
         ds = generate_task(spec)
         path = os.path.join(out, f"lang{spec.language_id}.lltts")
         save_dataset(ds, path, vocab_size=spec.vocab_size)
-        log.info("wrote %s (%d train samples)", path, len(ds.train))
+        log.info("wrote %s (%d train samples)", path, len(ds.rows("train")))
     return 0
 
 

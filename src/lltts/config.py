@@ -4,6 +4,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 import pickle
 from dataclasses import dataclass, fields, replace
 
@@ -71,6 +72,10 @@ class ExperimentConfig:
         for key in ("epochs_per_stage", "batch_size", "buffer_capacity"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"[experiment] {key} must be >= 1")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError("[experiment] lr must be finite and > 0")
+        if not 0 <= self.lr_decay_epoch_fraction <= 1:
+            raise ConfigError("[experiment] lr_decay_epoch_fraction must be in [0, 1]")
         order = self.task_order
         if len(set(order)) != len(order):
             raise ConfigError("duplicate language ids in task order")

@@ -10,7 +10,7 @@ import io
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .store import (  # callers also import Sample and ReplayDataset from here
     Sample,
     SampleStore,
     _starts,
-    _views,
     join_pools,
 )
 
@@ -42,57 +41,48 @@ _EMB_STREAM = 0xE3B
 _MAP_STREAM = 0x11A
 
 
-@dataclass
 class TaskDataset:
     """One language's train, dev and test samples.
 
     The splits are consecutive rows of `store`, train then dev then test,
-    from `first_row` on. A dataset assembled from separate samples gets a
-    store of its own, packed from copies of its splits.
+    from `first_row` on, with `sizes` rows each; their samples are made by
+    the store when asked for. TaskDataset(language_id, train, dev, test)
+    packs copies of the samples into a store of their own.
     """
 
-    language_id: int
-    train: list
-    dev: list
-    test: list
-    store: SampleStore = field(default=None, repr=False, compare=False)
-    first_row: int = field(default=0, repr=False, compare=False)
+    def __init__(self, language_id: int, train: list, dev: list, test: list):
+        self.language_id = language_id
+        self.store = SampleStore.pack(train + dev + test)
+        self.first_row = 0
+        self.sizes = (len(train), len(dev), len(test))
 
-    def __post_init__(self):
-        if self.store is None:
-            self.store = SampleStore.pack(self.train + self.dev + self.test)
+    @classmethod
+    def of_rows(cls, language_id: int, store: SampleStore, first_row: int, sizes) -> "TaskDataset":
+        ds = cls.__new__(cls)
+        ds.language_id, ds.store, ds.first_row, ds.sizes = language_id, store, first_row, tuple(sizes)
+        return ds
 
     def rows(self, split: str) -> np.ndarray:
         """The store rows of split "train", "dev" or "test"."""
-        sizes = [len(self.train), len(self.dev), len(self.test)]
         k = ("train", "dev", "test").index(split)
-        first = self.first_row + sum(sizes[:k])
-        return np.arange(first, first + sizes[k])
+        first = self.first_row + sum(self.sizes[:k])
+        return np.arange(first, first + self.sizes[k])
 
     def part(self, split: str) -> tuple:
-        """(samples, store, rows) of a split, as `join_pools` takes them."""
-        return getattr(self, split), self.store, self.rows(split)
-
-    # The dataset's part of the store: its tokens and frames, and offsets
-    # such that sample i of train + dev + test views rows offsets[i]:offsets[i + 1].
-    def _rows_and_span(self):
-        n = len(self.train) + len(self.dev) + len(self.test)
-        rows = slice(self.first_row, self.first_row + n)
-        starts, lengths = self.store.starts[rows], self.store.lengths[rows]
-        return starts, slice(starts[0], starts[-1] + lengths[-1])
+        """(store, rows) of a split, as `join_pools` takes them."""
+        return self.store, self.rows(split)
 
     @property
-    def tokens(self) -> np.ndarray:
-        return self.store.tokens[self._rows_and_span()[1]]
+    def train(self) -> list:
+        return self.store.samples(self.rows("train"))
 
     @property
-    def frames(self) -> np.ndarray:
-        return self.store.frames[self._rows_and_span()[1]]
+    def dev(self) -> list:
+        return self.store.samples(self.rows("dev"))
 
     @property
-    def offsets(self) -> np.ndarray:
-        starts, span = self._rows_and_span()
-        return np.append(starts, span.stop) - span.start
+    def test(self) -> list:
+        return self.store.samples(self.rows("test"))
 
     @property
     def frame_dim(self) -> int:
@@ -117,6 +107,8 @@ class TaskSpec:
         lo, hi = self.seq_len_range
         if lo < 1 or lo > hi:
             raise UsageError(f"invalid seq_len_range {self.seq_len_range}: need 1 <= min <= max")
+        if not np.isfinite(self.transform_scale):
+            raise UsageError("transform_scale must be finite")
 
 
 def _gen_embedding(vocab_size: int) -> np.ndarray:
@@ -185,8 +177,7 @@ def generate_tasks(specs) -> list:
 
     Each task draws from its own rng stream, so a task's samples do not
     depend on the other specs: `generate_task(spec)` gives the same bytes.
-    Every sample of every split is a view of its rows of the store, which
-    is built and validated once.
+    Every task is rows of the store, which is built once.
     """
     if not specs:
         raise UsageError("no task specs given")
@@ -204,39 +195,20 @@ def generate_tasks(specs) -> list:
     for spec, first, n in zip(specs, firsts, counts):
         rows = slice(first, first + n)
         _fill_targets(spec, tokens, frames, starts[rows], lengths[rows])
-    # the only check the samples need: the specs guarantee >= 1 token each,
-    # and the store gives each one frame row per token
-    if not np.isfinite(frames).all():
-        raise UsageError("target frames must be finite")
+    # the samples need no check: the specs guarantee >= 1 token each and
+    # finite frames (a finite scale times tanh), and the store gives each one
+    # frame row per token
     store = SampleStore(tokens, frames, starts, lengths, langs)
-    tasks = []
-    for spec, first, n in zip(specs, firsts, counts):
-        samples = _views(store, slice(first, first + n))
-        dev_end = spec.n_train + spec.n_dev
-        tasks.append(
-            TaskDataset(
-                spec.language_id,
-                samples[: spec.n_train],
-                samples[spec.n_train : dev_end],
-                samples[dev_end:],
-                store,
-                first,
-            )
-        )
-    return tasks
+    return [
+        TaskDataset.of_rows(spec.language_id, store, first, (spec.n_train, spec.n_dev, spec.n_test))
+        for spec, first in zip(specs, firsts)
+    ]
 
 
 def generate_task(spec: TaskSpec) -> TaskDataset:
     """Deterministic synthetic dataset for one pseudo-language, in a store of
     its own; `generate_tasks` with one spec."""
     return generate_tasks([spec])[0]
-
-
-def _write_samples(buf, samples):
-    for s in samples:
-        buf.write(struct.pack("<I", len(s.tokens)))
-        buf.write(np.asarray(s.tokens, dtype="<u4").tobytes())
-        buf.write(np.ascontiguousarray(s.target_frames, dtype="<f8").tobytes())
 
 
 def atomic_write(path, payload: bytes) -> None:
@@ -264,19 +236,21 @@ def save_dataset(ds: TaskDataset, path, vocab_size: int) -> None:
             vocab_size,
             frame_dim,
             ds.language_id,
-            len(ds.train),
-            len(ds.dev),
-            len(ds.test),
+            *ds.sizes,
         )
     )
-    for split in (ds.train, ds.dev, ds.test):
-        _write_samples(buf, split)
+    store = ds.store
+    for row in range(ds.first_row, ds.first_row + sum(ds.sizes)):
+        a, t = int(store.starts[row]), int(store.lengths[row])
+        buf.write(struct.pack("<I", t))
+        buf.write(store.tokens[a : a + t].astype("<u4").tobytes())
+        buf.write(store.frames[a : a + t].astype("<f8").tobytes())
     atomic_write(path, buf.getvalue())
 
 
 def load_dataset(path, num_languages: int | None = None) -> TaskDataset:
-    """The dataset saved in `path`, read into one store and validated once;
-    its samples are views of the store, as `generate_task`'s are."""
+    """The dataset saved in `path`, read into one store and validated once,
+    as `generate_task`'s is."""
     with open(path, "rb") as f:
         data = f.read()
     if len(data) < len(MAGIC) or data[:5] != MAGIC[:5]:
@@ -344,11 +318,7 @@ def load_dataset(path, num_languages: int | None = None) -> TaskDataset:
         raise UsageError("target frames must be finite")
     langs = np.full(n, language_id, dtype=INDEX)
     store = SampleStore(tokens.astype(INDEX), frames, starts, lengths, langs)
-    samples = _views(store, slice(0, n))
-    dev_end = n_train + n_dev
-    return TaskDataset(
-        language_id, samples[:n_train], samples[n_train:dev_end], samples[dev_end:], store
-    )
+    return TaskDataset.of_rows(language_id, store, 0, (n_train, n_dev, n_test))
 
 
 def merge_replay(current: TaskDataset, buffer) -> ReplayDataset:

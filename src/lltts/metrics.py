@@ -71,7 +71,7 @@ def stage_eval(params, test_sets) -> McdReport:
         raise UsageError("no test sets given")
     per_language = {}
     for ds in test_sets:
-        if not ds.test:
+        if not len(ds.rows("test")):
             raise UsageError(f"language {ds.language_id} has an empty test split")
         per_language[ds.language_id] = split_mcd(params, ds, "test")
     return McdReport(test_sets[-1].language_id, per_language)

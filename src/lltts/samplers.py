@@ -27,10 +27,10 @@ class Batch:
 
     Batch(samples, provenance) packs copies of the samples into a store of
     their own. `Batch.of_rows` addresses rows of an existing store and copies
-    nothing; its `samples` are looked up when first asked for.
+    nothing.
     """
 
-    __slots__ = ("store", "rows", "provenance", "_samples", "_source", "_idx")
+    __slots__ = ("store", "rows", "provenance")
 
     def __init__(self, samples, provenance: Provenance):
         if not samples:
@@ -38,24 +38,19 @@ class Batch:
         self.store = SampleStore.pack(samples)
         self.rows = np.arange(len(samples))
         self.provenance = provenance
-        self._samples = list(samples)
 
     @classmethod
-    def of_rows(cls, store, rows, provenance: Provenance, source=None, idx=None) -> "Batch":
-        """The batch of `store`'s `rows`; its samples are source[i] for i in
-        idx (or None when no source is given)."""
+    def of_rows(cls, store, rows, provenance: Provenance) -> "Batch":
+        """The batch of `store`'s `rows`."""
         if len(rows) == 0:
             raise UsageError("batch must be non-empty")
         batch = cls.__new__(cls)
         batch.store, batch.rows, batch.provenance = store, rows, provenance
-        batch._samples, batch._source, batch._idx = None, source, idx
         return batch
 
     @property
     def samples(self) -> list:
-        if self._samples is None and self._source is not None:
-            self._samples = [self._source[i] for i in self._idx.tolist()]
-        return self._samples
+        return self.store.samples(self.rows)
 
     def __len__(self):
         return len(self.rows)
@@ -67,7 +62,7 @@ class Batch:
 
 def _drawn(ds, idx, provenance: Provenance) -> Batch:
     """The batch of pool `ds`'s samples at indices `idx`."""
-    return Batch.of_rows(ds.store, ds.rows[idx], provenance, ds.samples, idx)
+    return Batch.of_rows(ds.store, ds.rows[idx], provenance)
 
 
 @dataclass

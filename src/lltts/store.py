@@ -1,8 +1,9 @@
 """The sample store: samples packed into one array each, addressed by row.
 
 A `SampleStore` holds every sample's tokens and target frames as rows of one
-array each. `Sample`s view their rows, and task splits, replay pools and
-batches address samples by row number, so none of them copies sample data.
+array each. Task splits, replay pools, buffer slots and batches are rows of
+a store, so none of them copies sample data. The store makes a row's
+`Sample`, a view of the row, only when it is first asked for.
 """
 from __future__ import annotations
 
@@ -58,13 +59,34 @@ class SampleStore:
     langs: np.ndarray  # (samples,) INDEX
     # the model topologies that every sample is known to fit (model._check_rows)
     checked: set = field(default_factory=set, repr=False)
+    # row -> its Sample, made on first request or given to `pack`
+    _samples: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self):
         return len(self.lengths)
 
+    def samples(self, rows) -> list:
+        """The Sample of each of `rows`: the same object every time a row is
+        asked for. A row's first request makes a view of its tokens and
+        frames, without Sample's per-sample checks, which the store has passed.
+        """
+        made = self._samples
+        out = []
+        for row in np.asarray(rows).tolist():
+            s = made.get(row)
+            if s is None:
+                a, t = int(self.starts[row]), int(self.lengths[row])
+                s = object.__new__(Sample)
+                s.language_id = int(self.langs[row])
+                s.tokens, s.target_frames = self.tokens[a : a + t], self.frames[a : a + t]
+                made[row] = s
+            out.append(s)
+        return out
+
     @classmethod
     def pack(cls, samples) -> "SampleStore":
-        """A store of copies of `samples`, sample i in row i.
+        """A store of copies of `samples`, sample i in row i; row i's Sample
+        is samples[i] itself.
 
         Raises InputDomainError naming the first sample whose target frames
         are not one row per token of the samples' most common frame dim (the
@@ -85,7 +107,9 @@ class SampleStore:
                 )
         tokens = np.concatenate([s.tokens for s in samples]).astype(np.int64, copy=False)
         frames = np.concatenate([s.target_frames for s in samples]).astype(np.float64, copy=False)
-        return cls(tokens, frames, _starts(lengths), lengths, langs)
+        store = cls(tokens, frames, _starts(lengths), lengths, langs)
+        store._samples.update(enumerate(samples))
+        return store
 
 
 def _starts(lengths) -> np.ndarray:
@@ -97,36 +121,25 @@ def _starts(lengths) -> np.ndarray:
     return starts
 
 
-def _views(store: SampleStore, rows: slice) -> list:
-    """Samples viewing the store's rows, without Sample's per-sample checks:
-    the caller has validated the store as a whole."""
-    samples = []
-    tokens, frames = store.tokens, store.frames
-    for lang, a, t in zip(*(x[rows].tolist() for x in (store.langs, store.starts, store.lengths))):
-        s = object.__new__(Sample)
-        s.language_id, s.tokens, s.target_frames = lang, tokens[a : a + t], frames[a : a + t]
-        samples.append(s)
-    return samples
-
-
-@dataclass(eq=False)
 class ReplayDataset:
-    """A training pool: samples, and their rows of one store.
+    """A training pool: rows of one sample store.
 
     ReplayDataset(samples) packs copies of the samples into a store of their
-    own; `join_pools` passes the store and rows the samples already have.
+    own; `ReplayDataset.of_rows` addresses rows of an existing store.
     """
 
-    samples: list
-    store: SampleStore = field(default=None, repr=False)
-    rows: np.ndarray = field(default=None, repr=False)
-    language_counts: dict = field(init=False)
-    _groups: dict = field(init=False, repr=False)
+    def __init__(self, samples):
+        self._index(SampleStore.pack(samples), np.arange(len(samples)))
 
-    def __post_init__(self):
-        if self.store is None:
-            self.store, self.rows = SampleStore.pack(self.samples), np.arange(len(self.samples))
-        langs = self.store.langs[self.rows]
+    @classmethod
+    def of_rows(cls, store: SampleStore, rows) -> "ReplayDataset":
+        ds = cls.__new__(cls)
+        ds._index(store, rows)
+        return ds
+
+    def _index(self, store, rows):
+        self.store, self.rows = store, rows
+        langs = store.langs[rows]
         groups = []
         if len(langs):
             order = np.argsort(langs, kind="stable")
@@ -135,8 +148,12 @@ class ReplayDataset:
         self._groups = {int(langs[idx[0]]): idx for idx in groups}
         self.language_counts = {lang: len(idx) for lang, idx in self._groups.items()}
 
+    @property
+    def samples(self) -> list:
+        return self.store.samples(self.rows)
+
     def __len__(self):
-        return len(self.samples)
+        return len(self.rows)
 
     def by_language(self) -> dict:
         """Language id -> ascending sample indices, in order of first appearance.
@@ -147,14 +164,13 @@ class ReplayDataset:
 
 
 def join_pools(parts) -> ReplayDataset:
-    """One pool of the (samples, store, rows) parts, in order.
+    """One pool of the (store, rows) parts, in order.
 
-    Parts whose samples all lie in one store are joined by their rows, which
-    copies no sample data; samples of several stores are packed into a new one.
+    Parts of one store are joined by their rows, which copies no sample
+    data; the samples of several stores are packed into a new one.
     """
-    samples = [s for part, _, _ in parts for s in part]
-    stores = {id(store): store for part, store, _ in parts if len(part)}
+    stores = {id(store): store for store, rows in parts if len(rows)}
     if len(stores) != 1:
-        return ReplayDataset(samples)
+        return ReplayDataset([s for store, rows in parts for s in store.samples(rows)])
     (store,) = stores.values()
-    return ReplayDataset(samples, store, np.concatenate([rows for _, _, rows in parts]))
+    return ReplayDataset.of_rows(store, np.concatenate([rows for _, rows in parts]))

@@ -56,8 +56,9 @@ class StrategyConfig:
     force_lbs_random: bool = False
 
     def __post_init__(self):
-        if self.gamma < 0 or self.beta < 0:
-            raise UsageError("gamma and beta must be >= 0")
+        for key in ("gamma", "beta", "ewc_lambda"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise UsageError(f"{key} must be finite and >= 0")
         if self.gem_memory_batch < 1:
             raise UsageError("gem_memory_batch must be >= 1")
 
@@ -117,9 +118,9 @@ def ewc_consolidate(
     """
     if n_samples < 1:
         raise UsageError("n_samples must be >= 1")
-    replace = n_samples > len(ds.train)
-    idx = rng.choice(len(ds.train), size=n_samples, replace=replace)
-    rows = ds.rows("train")[idx]
+    train = ds.rows("train")
+    idx = rng.choice(len(train), size=n_samples, replace=n_samples > len(train))
+    rows = train[idx]
     fisher = np.zeros_like(params.values)
     for j in range(n_samples):
         batch = Batch.of_rows(ds.store, rows[j : j + 1], Provenance.LBS)
@@ -148,13 +149,11 @@ def gem_reference_grads(
         raise UsageError("buffer is empty")
     grads = []
     langs = []
-    for lang, pool in buffer.slots.items():
-        if not pool:
+    for lang, rows in buffer.rows.items():
+        if not len(rows):
             continue  # its quota is 0: fewer buffer slots than past languages
-        n = min(batch_size, len(pool))
-        idx = rng.choice(len(pool), size=n, replace=False)
-        rows = buffer.rows[lang][idx]
-        batch = Batch.of_rows(buffer.stores[lang], rows, Provenance.LBS, pool, idx)
+        idx = rng.choice(len(rows), size=min(batch_size, len(rows)), replace=False)
+        batch = Batch.of_rows(buffer.stores[lang], rows[idx], Provenance.LBS)
         _, grad = loss_and_grad(params, batch, Head.LBS)
         grads.append(grad)
         langs.append(lang)
@@ -363,7 +362,7 @@ def run_sequence(
             if strategy.kind is StrategyKind.EWC:
                 crng = np.random.default_rng([config.seed, k, 0xF15E])
                 state.fstate = ewc_consolidate(
-                    state.params, task, min(100, len(task.train)), crng, prior=state.fstate
+                    state.params, task, min(100, len(task.rows("train"))), crng, prior=state.fstate
                 )
             if checkpoint_hook is not None:
                 checkpoint_hook(state)

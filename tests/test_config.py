@@ -109,10 +109,29 @@ class TestParseConfig:
                 MINIMAL + "[task 4]\nseed = 5\nseq_len_min = 9\nseq_len_max = 3\n",
                 r"\[task 4\] invalid seq_len_range",
             ),
+            (MINIMAL + "[experiment]\nlr = 0\n", r"\[experiment\] lr must"),
+            (MINIMAL + "[experiment]\nlr = inf\n", r"\[experiment\] lr must"),
+            (MINIMAL + "[experiment]\nlr = nan\n", r"\[experiment\] lr must"),
+            (
+                MINIMAL + "[experiment]\nlr_decay_epoch_fraction = nan\n",
+                r"\[experiment\] lr_decay_epoch_fraction",
+            ),
+            (
+                MINIMAL + "[experiment]\nlr_decay_epoch_fraction = 1.5\n",
+                r"\[experiment\] lr_decay_epoch_fraction",
+            ),
+            ("[strategy]\ngamma = nan\n[task 0]\nseed = 1\n", r"\[strategy\] gamma"),
+            ("[strategy]\nbeta = inf\n[task 0]\nseed = 1\n", r"\[strategy\] beta"),
+            ("[strategy]\newc_lambda = -3\n[task 0]\nseed = 1\n", r"\[strategy\] ewc_lambda"),
+            ("[strategy]\newc_lambda = nan\n[task 0]\nseed = 1\n", r"\[strategy\] ewc_lambda"),
+            (MINIMAL + "[task 4]\nseed = 5\ntransform_scale = nan\n", r"\[task 4\] transform_scale"),
+            (MINIMAL + "[task 4]\nseed = 5\ntransform_scale = -inf\n", r"\[task 4\] transform_scale"),
         ],
         ids=[
             "epochs_per_stage", "batch_size", "buffer_capacity", "gem_memory_batch", "n_train",
-            "seq_len",
+            "seq_len", "lr_zero", "lr_inf", "lr_nan", "lr_decay_nan", "lr_decay_above_1",
+            "gamma_nan", "beta_inf", "ewc_lambda_negative", "ewc_lambda_nan", "transform_scale_nan",
+            "transform_scale_inf",
         ],
     )
     def test_invalid_size_rejected(self, text, message):

@@ -68,8 +68,9 @@ from lltts.data import TaskSpec, generate_task
 digest = hashlib.sha256()
 # a paper_scale.ini task, and one of samples shorter than the window
 for seq_len_range in ((6, 12), (1, 4)):
-    ds = generate_task(TaskSpec(language_id=1, seed=5, seq_len_range=seq_len_range))
-    digest.update(ds.tokens.tobytes() + ds.frames.tobytes() + ds.offsets.tobytes())
+    store = generate_task(TaskSpec(language_id=1, seed=5, seq_len_range=seq_len_range)).store
+    for name in ("tokens", "frames", "starts", "lengths", "langs"):
+        digest.update(getattr(store, name).tobytes())
 print(digest.hexdigest())
 """
 
@@ -128,23 +129,26 @@ class TestGenerateTask:
 
     def test_samples_view_the_packed_store(self):
         ds = generate_task(small_spec(seq_len_range=(1, 4)))
+        store = ds.store
         samples = ds.train + ds.dev + ds.test
-        assert len(ds.offsets) == len(samples) + 1
-        assert ds.offsets[-1] == len(ds.tokens) == len(ds.frames)
+        assert len(store) == len(samples)
+        assert store.starts[-1] + store.lengths[-1] == len(store.tokens) == len(store.frames)
         for i, s in enumerate(samples):
-            a, b = ds.offsets[i], ds.offsets[i + 1]
-            assert np.shares_memory(s.tokens, ds.tokens)
-            assert np.shares_memory(s.target_frames, ds.frames)
-            assert np.array_equal(s.tokens, ds.tokens[a:b])
-            assert np.array_equal(s.target_frames, ds.frames[a:b])
+            a, b = store.starts[i], store.starts[i] + store.lengths[i]
+            assert np.shares_memory(s.tokens, store.tokens)
+            assert np.shares_memory(s.target_frames, store.frames)
+            assert np.array_equal(s.tokens, store.tokens[a:b])
+            assert np.array_equal(s.target_frames, store.frames[a:b])
 
     def test_in_place_edit_changes_only_its_rows(self):
         ds = generate_task(small_spec())
-        before = ds.frames.copy()
+        frames = ds.store.frames
+        before = frames.copy()
         ds.train[1].target_frames[:] = 0.0
-        a, b = ds.offsets[1], ds.offsets[2]
-        assert np.all(ds.frames[a:b] == 0.0)
-        assert np.array_equal(np.delete(ds.frames, np.s_[a:b], axis=0),
+        a = ds.store.starts[1]
+        b = a + ds.store.lengths[1]
+        assert np.all(frames[a:b] == 0.0)
+        assert np.array_equal(np.delete(frames, np.s_[a:b], axis=0),
                               np.delete(before, np.s_[a:b], axis=0))
 
     def test_non_finite_targets_rejected(self):
@@ -174,14 +178,15 @@ class TestDatasetFile:
         path = tmp_path / "lang0.lltts"
         save_dataset(ds, path, vocab_size=12)
         loaded = load_dataset(path)
-        store, offsets = loaded.store, loaded.offsets
+        store = loaded.store
         assert len(store) == 30 + 8 + 5 and np.all(store.langs == 0)
         originals = ds.train + ds.dev + ds.test
         for i, (a, b) in enumerate(zip(originals, loaded.train + loaded.dev + loaded.test)):
             assert a == b
             assert np.shares_memory(b.tokens, store.tokens)
             assert np.shares_memory(b.target_frames, store.frames)
-            assert np.array_equal(b.tokens, store.tokens[offsets[i] : offsets[i + 1]])
+            first = store.starts[i]
+            assert np.array_equal(b.tokens, store.tokens[first : first + store.lengths[i]])
         # writable views, as generated samples are
         loaded.train[0].target_frames[0, 0] = 7.0
         assert store.frames[0, 0] == 7.0

@@ -1,4 +1,4 @@
-"""The sample store: one gather per batch, and no copy of the data in a run."""
+"""The sample store: one gather per batch, and no copy of the data or Sample in a run."""
 import dataclasses
 
 import numpy as np
@@ -111,12 +111,32 @@ class TestOneStore:
     def test_generate_task_alone_gives_the_bytes_of_a_run(self):
         specs = tiny_specs()
         together = generate_tasks(specs)
+        store = together[0].store
         for spec, task in zip(specs, together):
-            alone = generate_task(spec)
-            for name in ("tokens", "frames", "offsets"):
-                assert getattr(alone, name).tobytes() == getattr(task, name).tobytes(), name
-            assert task.store is together[0].store
-            assert np.shares_memory(task.frames, task.store.frames)
+            alone = generate_task(spec).store
+            # the task's rows and token span of the run store
+            rows = task.first_row + np.arange(len(alone))
+            first = store.starts[task.first_row]
+            span = slice(first, first + len(alone.tokens))
+            assert alone.tokens.tobytes() == store.tokens[span].tobytes()
+            assert alone.frames.tobytes() == store.frames[span].tobytes()
+            assert alone.starts.tobytes() == (store.starts[rows] - first).tobytes()
+            for name in ("lengths", "langs"):
+                assert getattr(alone, name).tobytes() == getattr(store, name)[rows].tobytes(), name
+            assert task.store is store
+            assert np.shares_memory(task.train[0].target_frames, store.frames)
+
+    def test_each_row_has_one_sample(self, rng):
+        task = generate_task(tiny_specs()[0])
+        train = task.train
+        assert all(a is b for a, b in zip(train, task.train))
+        assert all(s is train[3] for s in task.store.samples([3, 3]))
+        assert task.dev[0] is task.store.samples([len(train)])[0]
+        # packed samples are their rows' samples
+        samples = [random_sample(rng, t=t) for t in (3, 1, 4)]
+        samples.append(samples[0])
+        for pool in (Batch(samples, Provenance.LBS), ReplayDataset(samples)):
+            assert all(a is b for a, b in zip(pool.samples, samples))
 
     def test_pools_of_one_store_copy_nothing(self):
         tasks = generate_tasks(tiny_specs())
@@ -149,7 +169,11 @@ class TestOneStore:
         def no_copy(samples):
             raise AssertionError("a run packed a copy of its samples")
 
+        def no_sample(store, rows):
+            raise AssertionError("a run made a Sample")
+
         monkeypatch.setattr(SampleStore, "pack", staticmethod(no_copy))
+        monkeypatch.setattr(SampleStore, "samples", no_sample)
         stores, stages = [], []
         pad_batch = metrics._pad_batch
 
@@ -180,13 +204,12 @@ class TestOneStore:
         monkeypatch.setattr(strategies, "_loss_terms", spy_terms)
         monkeypatch.setattr(strategies, "train_stage", spy_stage)
         run_sequence(config)
+        monkeypatch.undo()
 
         tasks, buffer = stages[-1]
         store = tasks[0].store
         assert all(s is store for s in stores) and len(stores) > 3
-        for task in tasks:
-            assert task.store is store
-            assert np.shares_memory(task.frames, store.frames)
+        assert all(task.store is store for task in tasks)
         for lang, samples in buffer.slots.items():
             assert buffer.stores[lang] is store
             train, first = tasks[lang].train, tasks[lang].first_row
