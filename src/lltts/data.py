@@ -37,6 +37,11 @@ _GEN_WINDOW_WEIGHTS = (1.0, 0.2, 0.1)
 # generate_task computes targets at most this many tokens at a time, which
 # bounds its temporaries to about 1.5 MB
 _GEN_CHUNK_TOKENS = 4096
+# _draw maps its rng's 32-bit words to bounded integers this many at a time,
+# which bounds its uint64 temporaries to 64 kB
+_DRAW_BLOCK = 8192
+_WORD = 1 << 32
+_NO_WORD = 1 << 62  # past any word index
 _EMB_STREAM = 0xE3B
 _MAP_STREAM = 0x11A
 
@@ -105,8 +110,15 @@ class TaskSpec:
         if min(self.n_train, self.n_dev, self.n_test) < 1:
             raise UsageError("split sizes n_train, n_dev and n_test must be >= 1")
         lo, hi = self.seq_len_range
-        if lo < 1 or lo > hi:
-            raise UsageError(f"invalid seq_len_range {self.seq_len_range}: need 1 <= min <= max")
+        # lengths and token ids are INDEX values, which also keeps the ranges
+        # that _draw draws from within its 2**32 values
+        top = int(np.iinfo(INDEX).max)
+        if lo < 1 or lo > hi or hi > top:
+            raise UsageError(
+                f"invalid seq_len_range {self.seq_len_range}: need 1 <= min <= max <= {top}"
+            )
+        if not 1 <= self.vocab_size <= top + 1:
+            raise UsageError(f"vocab_size {self.vocab_size} must be in [1, {top + 1}]")
         if not np.isfinite(self.transform_scale):
             raise UsageError("transform_scale must be finite")
 
@@ -138,18 +150,89 @@ def _targets_for(tokens, emb, w_map, b_map, scale):
     return scale * np.tanh(win @ w_map.T + b_map)
 
 
+def _raw_words(bitgen, count: int) -> np.ndarray:
+    """The next 32-bit words of a PCG64 stream, at least `count` of them, in
+    the order numpy's Generator uses them: each 64-bit output low half first."""
+    return bitgen.random_raw((count + 1) // 2).astype("<u8", copy=False).view("<u4")
+
+
+def _products(words, n: int):
+    """(offset, w * n as uint64) of the 32-bit words w, _DRAW_BLOCK at a time."""
+    for a in range(0, len(words), _DRAW_BLOCK):
+        yield a, words[a : a + _DRAW_BLOCK].astype(np.uint64) * np.uint64(n)
+
+
 def _draw(spec: TaskSpec):
     """Lengths and concatenated tokens of one task's samples, train then dev
-    then test: two rng calls per sample, in sample order."""
-    rng = np.random.default_rng([spec.seed, spec.language_id, 0xDA7A])
+    then test.
+
+    They are what numpy's per-sample calls `rng.integers(lo, hi + 1)` and
+    `rng.integers(0, vocab_size, size=t)` return, taken in one pass over the
+    rng's raw words. numpy draws an integer in [0, n), n <= 2**32, by Lemire's
+    method on its stream of 32-bit words: a word w gives (w * n) >> 32, unless
+    (w * n) mod 2**32 < 2**32 mod n, when numpy rejects it and takes the next
+    word. A range of one value takes no word.
+    """
+    bitgen = np.random.default_rng([spec.seed, spec.language_id, 0xDA7A]).bit_generator
     lo, hi = spec.seq_len_range
+    n_len, n_tok = hi - lo + 1, spec.vocab_size
+    len_threshold, tok_threshold = _WORD % n_len, _WORD % n_tok
     total = spec.n_train + spec.n_dev + spec.n_test
-    draws = []
-    for _ in range(total):
-        t = rng.integers(lo, hi + 1)
-        draws.append(rng.integers(0, spec.vocab_size, size=t))
-    lengths = np.fromiter(map(len, draws), dtype=INDEX, count=total)
-    return lengths, np.concatenate(draws, dtype=INDEX)
+    # the words a sample takes on average, not counting rejected ones
+    per_sample = (n_len > 1) + (n_tok > 1) * (lo + hi) / 2
+    words = np.empty(0, dtype=np.uint32)
+    is_length_word = bytearray()  # 1 at each word that a length took or rejected
+    rejected = [_NO_WORD]  # the words that a token would reject, then a sentinel
+    lengths = []
+    pos = j = 0  # the next sample's first word, and the first rejected word from there
+    while len(lengths) < total:
+        # the words the remaining samples need, with a margin that makes
+        # running short again rare unless many words are rejected
+        more = _raw_words(bitgen, int((total - len(lengths)) * per_sample * 1.02) + 64)
+        rejected.pop()
+        for a, m in _products(more, n_tok):
+            # m.astype(np.uint32) is (w * n) mod 2**32
+            drop = np.flatnonzero(m.astype(np.uint32) < tok_threshold)
+            rejected.extend((drop + len(words) + a).tolist())
+        rejected.append(_NO_WORD)
+        is_length_word.extend(bytes(len(more)))
+        words = np.concatenate([words, more]) if len(words) else more
+        n_words = len(words)
+        while len(lengths) < total:
+            p, k = pos, j
+            if n_len > 1:
+                while p < n_words and (words.item(p) * n_len) % _WORD < len_threshold:
+                    is_length_word[p] = 1
+                    p += 1
+                if p == n_words:
+                    break
+                is_length_word[p] = 1
+                t = lo + ((words.item(p) * n_len) >> 32)
+                p += 1
+            else:
+                t = lo
+            if n_tok > 1:
+                # the sample's tokens are the next t words that are not rejected
+                while rejected[k] < p:
+                    k += 1
+                p += t
+                while rejected[k] < p:
+                    k += 1
+                    p += 1
+                if p > n_words:
+                    break
+            lengths.append(t)
+            pos, j = p, k
+    lengths = np.array(lengths, dtype=INDEX)
+    if n_tok == 1:
+        return lengths, np.zeros(int(lengths.sum()), dtype=INDEX)
+    in_tokens = np.frombuffer(is_length_word, dtype=np.uint8, count=pos) == 0
+    in_tokens[rejected[:j]] = False
+    token_words = words[:pos][in_tokens]
+    tokens = np.empty(len(token_words), dtype=INDEX)
+    for a, m in _products(token_words, n_tok):
+        tokens[a : a + _DRAW_BLOCK] = m >> np.uint64(32)
+    return lengths, tokens
 
 
 def _fill_targets(spec: TaskSpec, tokens, frames, starts, lengths) -> None:

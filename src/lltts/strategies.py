@@ -45,6 +45,12 @@ REPLAY_KINDS = {
 }
 
 
+def _check_weight(name: str, value: float) -> None:
+    """A loss weight must be finite and >= 0 (NaN is neither)."""
+    if not 0 <= value < math.inf:
+        raise UsageError(f"{name} must be finite and >= 0")
+
+
 @dataclass
 class StrategyConfig:
     kind: StrategyKind
@@ -57,8 +63,7 @@ class StrategyConfig:
 
     def __post_init__(self):
         for key in ("gamma", "beta", "ewc_lambda"):
-            if not 0 <= getattr(self, key) < math.inf:
-                raise UsageError(f"{key} must be finite and >= 0")
+            _check_weight(key, getattr(self, key))
         if self.gem_memory_batch < 1:
             raise UsageError("gem_memory_batch must be >= 1")
 
@@ -99,8 +104,8 @@ class ExperimentResult:
 
 def dual_loss(l_lbs, l_rrs, gamma: float, beta: float) -> float:
     """Total dual-sampler loss gamma * L_lbs + beta * L_rrs."""
-    if gamma < 0 or beta < 0:
-        raise UsageError("gamma and beta must be >= 0")
+    _check_weight("gamma", gamma)
+    _check_weight("beta", beta)
     return gamma * l_lbs.total + beta * l_rrs.total
 
 

@@ -5,8 +5,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lltts
+from lltts import data
 from lltts.buffer import MemoryBuffer
 from lltts.data import (
     Sample,
@@ -73,6 +76,85 @@ for seq_len_range in ((6, 12), (1, 4)):
         digest.update(getattr(store, name).tobytes())
 print(digest.hexdigest())
 """
+
+
+def numpy_draw(spec):
+    """What `data._draw` reproduces: numpy's per-sample rng calls, the
+    sample's length, then its tokens."""
+    rng = np.random.default_rng([spec.seed, spec.language_id, 0xDA7A])
+    lo, hi = spec.seq_len_range
+    total = spec.n_train + spec.n_dev + spec.n_test
+    draws = []
+    for _ in range(total):
+        t = rng.integers(lo, hi + 1)
+        draws.append(rng.integers(0, spec.vocab_size, size=t))
+    lengths = np.fromiter(map(len, draws), dtype=data.INDEX, count=total)
+    return lengths, np.concatenate(draws, dtype=data.INDEX)
+
+
+def assert_draws_equal(spec):
+    for got, want in zip(data._draw(spec), numpy_draw(spec)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+class TestExactDraw:
+    # 1431655766 = ceil(2**32 / 3): numpy rejects a third of the words
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        language_id=st.integers(0, 9),
+        lo=st.integers(1, 12),
+        spread=st.sampled_from([0, 0, 1]) | st.integers(0, 60),
+        vocab_size=st.sampled_from([1, 2, 40, 1431655766, 2**31 - 1, 2**31])
+        | st.integers(1, 2**31),
+        n_train=st.integers(1, 40),
+    )
+    @example(seed=0, language_id=0, lo=6, spread=0, vocab_size=40, n_train=20)
+    @example(seed=1, language_id=2, lo=3, spread=4, vocab_size=1, n_train=20)
+    @example(seed=2, language_id=1, lo=1, spread=5, vocab_size=2, n_train=20)
+    @example(seed=3, language_id=0, lo=1, spread=9, vocab_size=1431655766, n_train=30)
+    @example(seed=4, language_id=3, lo=2, spread=9, vocab_size=2**31 - 1, n_train=30)
+    @example(seed=5, language_id=0, lo=7, spread=0, vocab_size=1, n_train=5)
+    def test_matches_numpy_per_sample_draws(self, seed, language_id, lo, spread, vocab_size,
+                                            n_train):
+        assert_draws_equal(TaskSpec(language_id=language_id, seed=seed, n_train=n_train,
+                                    n_dev=2, n_test=1, seq_len_range=(lo, lo + spread),
+                                    vocab_size=vocab_size))
+
+    @pytest.mark.parametrize("vocab_size", [40, 1431655766])
+    def test_first_block_running_short_draws_more(self, monkeypatch, vocab_size):
+        calls = []
+        raw_words = data._raw_words
+
+        def counting(bitgen, count):
+            calls.append(count)
+            return raw_words(bitgen, count)
+
+        monkeypatch.setattr(data, "_raw_words", counting)
+        # this seed's three lengths (3,164 to 3,383 at vocab_size 40) exceed the
+        # about 2,000 words that the first block allows a sample
+        spec = TaskSpec(language_id=0, seed=3, n_train=1, n_dev=1, n_test=1,
+                        seq_len_range=(1, 4000), vocab_size=vocab_size)
+        assert_draws_equal(spec)
+        assert len(calls) >= 2
+
+    def test_rejected_length_word_skipped(self):
+        # 2**32 + 1 = 641 * 6700417, so numpy rejects one word in 641 when it
+        # draws from 6700417 lengths. With vocab_size 1 every word is a
+        # length word, and this seed's second word is rejected.
+        assert_draws_equal(TaskSpec(language_id=0, seed=84377, n_train=1, n_dev=1, n_test=1,
+                                    seq_len_range=(1, 6700417), vocab_size=1))
+
+    def test_paper_scale_tasks_match(self):
+        for k in range(4):
+            assert_draws_equal(TaskSpec(language_id=k, seed=11))
+
+    @pytest.mark.parametrize("kw", [dict(vocab_size=0), dict(vocab_size=2**31 + 1),
+                                    dict(seq_len_range=(1, 2**31))])
+    def test_ranges_beyond_index_rejected(self, kw):
+        with pytest.raises(UsageError):
+            TaskSpec(language_id=0, seed=0, **kw)
 
 
 class TestGenerateTask:

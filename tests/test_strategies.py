@@ -56,6 +56,12 @@ class TestDualLoss:
         with pytest.raises(UsageError):
             dual_loss(LossBreakdown(1.0, 1.0), LossBreakdown(1.0, 1.0), -1.0, 1.0)
 
+    @pytest.mark.parametrize("gamma, beta", [(float("nan"), 1.0), (1.0, float("inf")),
+                                             (float("inf"), 1.0), (1.0, float("nan"))])
+    def test_non_finite_weight_rejected(self, gamma, beta):
+        with pytest.raises(UsageError, match="finite"):
+            dual_loss(LossBreakdown(1.0, 1.0), LossBreakdown(1.0, 1.0), gamma, beta)
+
 
 class TestEwc:
     def test_zero_gradient_zero_fisher(self, rng):
