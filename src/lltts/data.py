@@ -38,8 +38,8 @@ _GEN_WINDOW_WEIGHTS = (1.0, 0.2, 0.1)
 # bounds its temporaries to about 1.5 MB
 _GEN_CHUNK_TOKENS = 4096
 # _draw maps its rng's 32-bit words to bounded integers this many at a time,
-# which bounds its uint64 temporaries to 64 kB
-_DRAW_BLOCK = 8192
+# which bounds each of its uint64 temporaries to 16 kB
+_DRAW_BLOCK = 2048
 _WORD = 1 << 32
 _NO_WORD = 1 << 62  # past any word index
 _EMB_STREAM = 0xE3B
@@ -159,7 +159,7 @@ def _raw_words(bitgen, count: int) -> np.ndarray:
 def _products(words, n: int):
     """(offset, w * n as uint64) of the 32-bit words w, _DRAW_BLOCK at a time."""
     for a in range(0, len(words), _DRAW_BLOCK):
-        yield a, words[a : a + _DRAW_BLOCK].astype(np.uint64) * np.uint64(n)
+        yield a, np.multiply(words[a : a + _DRAW_BLOCK], np.uint64(n), dtype=np.uint64)
 
 
 def _draw(spec: TaskSpec):
@@ -231,7 +231,7 @@ def _draw(spec: TaskSpec):
     token_words = words[:pos][in_tokens]
     tokens = np.empty(len(token_words), dtype=INDEX)
     for a, m in _products(token_words, n_tok):
-        tokens[a : a + _DRAW_BLOCK] = m >> np.uint64(32)
+        tokens[a : a + _DRAW_BLOCK] = np.right_shift(m, np.uint64(32), out=m)
     return lengths, tokens
 
 
