@@ -1,4 +1,4 @@
-"""Command-line surface: gen-data, train, report."""
+"""Command-line surface: train, report."""
 from __future__ import annotations
 
 import argparse
@@ -10,7 +10,6 @@ import re
 import sys
 
 from . import config as cfgmod
-from .data import atomic_write, generate_task, save_dataset
 from .errors import FormatError, LlttsError
 from .metrics import LearningCurve, McdReport, render_curves, render_table
 from .strategies import ExperimentResult, run_sequence
@@ -59,19 +58,7 @@ def _load_config(path) -> cfgmod.ExperimentConfig:
 
 
 def _write_text(path, text: str):
-    atomic_write(path, text.encode())
-
-
-def cmd_gen_data(args) -> int:
-    config = _load_config(args.config)
-    out = os.path.join(config.output_dir, "data")
-    os.makedirs(out, exist_ok=True)
-    for spec in config.task_specs:
-        ds = generate_task(spec)
-        path = os.path.join(out, f"lang{spec.language_id}.lltts")
-        save_dataset(ds, path, vocab_size=spec.vocab_size)
-        log.info("wrote %s (%d train samples)", path, len(ds.rows("train")))
-    return 0
+    cfgmod.atomic_write(path, text.encode())
 
 
 def _result_record(result: ExperimentResult) -> dict:
@@ -90,11 +77,22 @@ def _result_record(result: ExperimentResult) -> dict:
 
 
 def _result_from_record(record: dict) -> ExperimentResult:
-    reports = [
-        McdReport(r["stage_language"], {int(k): v for k, v in r["per_language"].items()})
-        for r in record["reports"]
-    ]
-    return ExperimentResult(record["strategy"], record["task_order"], reports, [])
+    """The result a record holds; ValueError unless it has one report per task
+    of its task order, each with a number for every language seen by then."""
+    order = record["task_order"]
+    reports = []
+    for k, r in enumerate(record["reports"]):
+        per_language = {int(lang): float(v) for lang, v in r["per_language"].items()}
+        if (
+            k >= len(order)
+            or r["stage_language"] != order[k]
+            or sorted(per_language) != sorted(order[: k + 1])
+        ):
+            raise ValueError(f"report {k} does not match task_order {order}")
+        reports.append(McdReport(r["stage_language"], per_language))
+    if len(reports) != len(order):
+        raise ValueError(f"{len(reports)} reports for {len(order)} tasks")
+    return ExperimentResult(record["strategy"], order, reports, [])
 
 
 def cmd_train(args) -> int:
@@ -167,10 +165,6 @@ def cmd_report(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lltts", description="Lifelong multilingual training engine")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="materialize the synthetic task datasets")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="run the sequential training experiment")
     p.add_argument("--config", required=True)

@@ -5,10 +5,12 @@ import configparser
 import hashlib
 import io
 import math
+import os
 import pickle
+import tempfile
 from dataclasses import dataclass, fields, replace
 
-from .data import TaskSpec, atomic_write
+from .data import TaskSpec
 from .errors import ConfigError, FormatError, UsageError, VersionError
 from .model import ModelTopology, ParameterSet
 from .strategies import FisherState, RunState, StrategyConfig, StrategyKind
@@ -205,6 +207,20 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(emit_config(replace(config, output_dir="")).encode()).hexdigest()
 
 
+def atomic_write(path, payload: bytes) -> None:
+    """Write `path` whole or not at all: a temp file in the same directory,
+    renamed over `path`; the temp file is removed if anything fails."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(state: RunState, path, config_hash: str) -> None:
     fstate = state.fstate
     record = {
@@ -245,8 +261,8 @@ def load_checkpoint(path, expected_hash: str | None = None, force: bool = False)
             stage_curves=record["stage_curves"],
         )
         saved_hash = record["config_hash"]
-    except (pickle.UnpicklingError, KeyError, EOFError, AttributeError) as exc:
-        raise FormatError(f"corrupt checkpoint: {exc}") from exc
+    except Exception as exc:  # a corrupt pickle can raise almost any exception
+        raise FormatError(f"corrupt checkpoint: {exc!r}") from exc
     if expected_hash is not None and saved_hash != expected_hash and not force:
         raise UsageError(
             "checkpoint was produced by a different config "

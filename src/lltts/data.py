@@ -1,4 +1,4 @@
-"""Synthetic pseudo-language tasks, dataset files, and the merged replay view.
+"""Synthetic pseudo-language tasks and the merged replay view.
 
 Each language id owns a fixed smooth map from sliding token-embedding
 windows to target frames, so tasks share low-level structure (they
@@ -6,15 +6,11 @@ interfere in shared parameters) while remaining learnable.
 """
 from __future__ import annotations
 
-import io
-import os
-import struct
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, FormatError, UsageError, VersionError
+from .errors import ConsistencyError, UsageError
 from .store import (  # callers also import Sample and ReplayDataset from here
     INDEX,
     ReplayDataset,
@@ -23,10 +19,6 @@ from .store import (  # callers also import Sample and ReplayDataset from here
     _starts,
     join_pools,
 )
-
-MAGIC = b"LLTTS1"
-# the header's language-id field follows the magic, vocab_size and frame_dim
-_LANGUAGE_ID_OFFSET = len(MAGIC) + 8
 
 # generator-side constants, independent of the model topology
 _GEN_EMBED_DIM = 6
@@ -88,10 +80,6 @@ class TaskDataset:
     @property
     def test(self) -> list:
         return self.store.samples(self.rows("test"))
-
-    @property
-    def frame_dim(self) -> int:
-        return self.store.frames.shape[1]
 
 
 @dataclass
@@ -292,116 +280,6 @@ def generate_task(spec: TaskSpec) -> TaskDataset:
     """Deterministic synthetic dataset for one pseudo-language, in a store of
     its own; `generate_tasks` with one spec."""
     return generate_tasks([spec])[0]
-
-
-def atomic_write(path, payload: bytes) -> None:
-    """Write `path` whole or not at all: a temp file in the same directory,
-    renamed over `path`; the temp file is removed if anything fails."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def save_dataset(ds: TaskDataset, path, vocab_size: int) -> None:
-    """Whole-file atomic write (temp + rename)."""
-    frame_dim = ds.frame_dim
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(
-        struct.pack(
-            "<IIIIII",
-            vocab_size,
-            frame_dim,
-            ds.language_id,
-            *ds.sizes,
-        )
-    )
-    store = ds.store
-    for row in range(ds.first_row, ds.first_row + sum(ds.sizes)):
-        a, t = int(store.starts[row]), int(store.lengths[row])
-        buf.write(struct.pack("<I", t))
-        buf.write(store.tokens[a : a + t].astype("<u4").tobytes())
-        buf.write(store.frames[a : a + t].astype("<f8").tobytes())
-    atomic_write(path, buf.getvalue())
-
-
-def load_dataset(path, num_languages: int | None = None) -> TaskDataset:
-    """The dataset saved in `path`, read into one store and validated once,
-    as `generate_task`'s is."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < len(MAGIC) or data[:5] != MAGIC[:5]:
-        raise FormatError("bad magic string", offset=0)
-    if data[: len(MAGIC)] != MAGIC:
-        raise VersionError(f"unsupported format version {data[5:6]!r}", offset=5)
-    pos = len(MAGIC)
-    try:
-        vocab_size, frame_dim, language_id, n_train, n_dev, n_test = struct.unpack_from(
-            "<IIIIII", data, pos
-        )
-    except struct.error:
-        raise FormatError("truncated header", offset=pos) from None
-    pos += 24
-    if num_languages is not None and language_id >= num_languages:
-        raise FormatError(
-            f"language id {language_id} >= declared num_languages {num_languages}",
-            offset=_LANGUAGE_ID_OFFSET,
-        )
-    # walk the samples' length fields; the data is read after the walk
-    n = n_train + n_dev + n_test
-    positions, lengths = [], []  # where each sample's tokens start, and its length
-    truncated = None
-    for _ in range(n):
-        if pos + 4 > len(data):
-            truncated = FormatError("truncated sample header", offset=pos)
-            break
-        (t,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        if pos + 4 * t + 8 * t * frame_dim > len(data):
-            truncated = FormatError("truncated sample body", offset=pos)
-            break
-        positions.append(pos)
-        lengths.append(t)
-        pos += 4 * t + 8 * t * frame_dim
-    lengths = np.array(lengths, dtype=INDEX)
-    starts = _starts(lengths)
-    view = memoryview(data)
-    tokens = np.frombuffer(
-        b"".join(view[p : p + 4 * t] for p, t in zip(positions, lengths.tolist())), dtype="<u4"
-    )
-    # a bad token id in a whole sample comes before a truncation after it
-    bad = np.flatnonzero(tokens >= vocab_size)
-    if len(bad):
-        k = int(bad[0])
-        i = int(np.searchsorted(starts, k, side="right")) - 1
-        raise FormatError(
-            "token id exceeds declared vocab_size", offset=positions[i] + 4 * (k - int(starts[i]))
-        )
-    if truncated is not None:
-        raise truncated
-    if pos != len(data):
-        raise FormatError("trailing bytes after last sample", offset=pos)
-    if n and not lengths.all():
-        raise UsageError("sample must have at least one token")
-    # bytearray keeps the frames writable without another copy
-    frames = np.frombuffer(
-        bytearray().join(
-            view[p + 4 * t : p + 4 * t + 8 * t * frame_dim]
-            for p, t in zip(positions, lengths.tolist())
-        ),
-        dtype="<f8",
-    ).astype(np.float64, copy=False).reshape(len(tokens), frame_dim)
-    if not np.isfinite(frames).all():
-        raise UsageError("target frames must be finite")
-    langs = np.full(n, language_id, dtype=INDEX)
-    store = SampleStore(tokens.astype(INDEX), frames, starts, lengths, langs)
-    return TaskDataset.of_rows(language_id, store, 0, (n_train, n_dev, n_test))
 
 
 def merge_replay(current: TaskDataset, buffer) -> ReplayDataset:

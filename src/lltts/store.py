@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InputDomainError, UsageError
 
 # the dtype of a store's per-sample starts, lengths and language ids, and of
-# the token ids of a generated or loaded store: 4 bytes a token instead of 8
+# the token ids of a generated store: 4 bytes a token instead of 8
 INDEX = np.int32
 
 
@@ -52,7 +52,7 @@ class SampleStore:
     tokens[starts[i] : starts[i] + lengths[i]] and the same rows of frames.
     """
 
-    tokens: np.ndarray  # (total tokens,) INDEX if generated or loaded, int64 if packed
+    tokens: np.ndarray  # (total tokens,) INDEX if generated, int64 if packed
     frames: np.ndarray  # (total tokens, frame_dim) float64
     starts: np.ndarray  # (samples,) INDEX
     lengths: np.ndarray  # (samples,) INDEX

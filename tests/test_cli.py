@@ -11,7 +11,7 @@ import lltts.cli
 from lltts.buffer import MemoryBuffer
 from lltts.cli import cli
 from lltts.config import CHECKPOINT_MAGIC, parse_config
-from lltts.data import generate_task, load_dataset
+from lltts.data import generate_task
 from lltts.strategies import hash_seed
 
 CONFIG_TEMPLATE = """
@@ -58,6 +58,19 @@ TASK_2 = (
 RUN_OUTPUTS = ("report.csv", "result.json", "curves.csv")
 
 
+def result_text(task_order, reports):
+    """result.json text whose reports are (stage_language, evaluated languages) pairs."""
+    return json.dumps({
+        "strategy": "FINE_TUNE",
+        "task_order": task_order,
+        "reports": [
+            {"stage_language": stage, "per_language": {str(lang): 1.0 for lang in langs},
+             "average": 1.0}
+            for stage, langs in reports
+        ],
+    })
+
+
 def write_config(tmp_path, kind="replay_dual", name="exp.ini", extra=""):
     out = tmp_path / f"run_{kind}"
     path = tmp_path / name
@@ -78,22 +91,6 @@ def resume_after(cfg, out, stage):
         (out / name).unlink()
     assert cli(["train", "--config", str(cfg), "--resume"]) == 0
     return read_outputs(out)
-
-
-class TestGenData:
-    def test_writes_datasets(self, tmp_path):
-        cfg, out = write_config(tmp_path)
-        assert cli(["gen-data", "--config", str(cfg)]) == 0
-        for lang in (0, 1):
-            ds = load_dataset(out / "data" / f"lang{lang}.lltts")
-            assert len(ds.train) == 30
-
-    def test_deterministic_files(self, tmp_path):
-        cfg, out = write_config(tmp_path)
-        cli(["gen-data", "--config", str(cfg)])
-        first = (out / "data" / "lang0.lltts").read_bytes()
-        cli(["gen-data", "--config", str(cfg)])
-        assert (out / "data" / "lang0.lltts").read_bytes() == first
 
 
 class TestTrain:
@@ -150,8 +147,18 @@ class TestReport:
             ('{"strategy": "FINE_TUNE", "task_order": [0, ', "malformed JSON.*byte offset 44"),
             ('{"strategy": "FINE_TUNE", "task_order": [0]}', "malformed result file.*'reports'"),
             ('{"strategy": "FINE_TUNE", "task_order": [0], "reports": 3}', "malformed result file"),
+            (result_text([0, 1], [(0, [0]), (1, [1])]), "malformed result file.*report 1 "),
+            (result_text([0, 1], [(0, [0, 1]), (1, [0, 1])]), "malformed result file.*report 0 "),
+            (result_text([0, 1], [(1, [0]), (0, [0, 1])]), "malformed result file.*report 0 "),
+            (result_text([0, 1], [(0, [0]), (1, [0, 1]), (2, [0, 1, 2])]),
+             "malformed result file.*report 2 "),
+            (result_text([0, 1, 2], [(0, [0])]), "malformed result file.*1 reports for 3 tasks"),
+            (result_text([0], []), "malformed result file.*0 reports for 1 tasks"),
+            ('{"strategy": "FINE_TUNE", "task_order": [0], "reports": '
+             '[{"stage_language": 0, "per_language": {"0": [1.0]}}]}', "malformed result file"),
         ],
-        ids=["truncated", "missing_key", "wrong_type"],
+        ids=["truncated", "missing_key", "wrong_type", "missing_language", "extra_language",
+             "wrong_stage_language", "extra_report", "missing_report", "no_reports", "non_numeric_mcd"],
     )
     def test_malformed_result_fails(self, tmp_path, capsys, text, message):
         path = tmp_path / "run" / "result.json"

@@ -1,19 +1,21 @@
 import hashlib
 import os
 import pathlib
+import pickle
 
 import numpy as np
 import pytest
 
 from lltts.config import (
+    CHECKPOINT_MAGIC,
     ExperimentConfig,
+    atomic_write,
     config_hash,
     emit_config,
     load_checkpoint,
     parse_config,
     save_checkpoint,
 )
-from lltts.data import TaskSpec, generate_task, save_dataset
 from lltts.errors import ConfigError, FormatError, UsageError
 from lltts.model import ModelTopology, init_params
 from lltts.strategies import RunState, StrategyConfig, StrategyKind
@@ -191,10 +193,21 @@ class TestCheckpoint:
         loaded = load_checkpoint(path, expected_hash="f" * 48, force=True)
         assert loaded.stage == 0
 
-    def test_corrupt_file(self, tmp_path):
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b" not a pickle",
+            b"\x80\x24.",  # protocol 36: ValueError
+            pickle.dumps(3),  # not a dict: TypeError
+            b"cno_such_module\nname\n.",  # a global of no module: ModuleNotFoundError
+            b"\x80\x04\x8c\x02\xff\xfe.",  # a string not in UTF-8: UnicodeDecodeError
+        ],
+        ids=["not_a_pickle", "bad_protocol", "not_a_record", "unknown_module", "bad_utf8"],
+    )
+    def test_corrupt_file(self, tmp_path, payload):
         path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"LLCKPT1\n not a pickle")
-        with pytest.raises(FormatError):
+        path.write_bytes(CHECKPOINT_MAGIC + payload)
+        with pytest.raises(FormatError, match="corrupt checkpoint"):
             load_checkpoint(path)
 
     def test_wrong_magic(self, tmp_path):
@@ -204,16 +217,13 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
-def _write_tiny_dataset(path):
-    spec = TaskSpec(language_id=0, seed=1, n_train=10, n_dev=2, n_test=2,
-                    vocab_size=6, frame_dim=3)
-    save_dataset(generate_task(spec), path, vocab_size=6)
-
-
 @pytest.mark.parametrize(
     "write",
-    [_write_tiny_dataset, lambda path: save_checkpoint(_tiny_checkpoint(), path, HASH)],
-    ids=["dataset", "checkpoint"],
+    [
+        lambda path: atomic_write(path, b"new contents"),
+        lambda path: save_checkpoint(_tiny_checkpoint(), path, HASH),
+    ],
+    ids=["atomic_write", "checkpoint"],
 )
 def test_failed_rename_keeps_old_file(tmp_path, monkeypatch, write):
     path = tmp_path / "target"

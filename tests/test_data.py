@@ -11,15 +11,8 @@ from hypothesis import strategies as st
 import lltts
 from lltts import data
 from lltts.buffer import MemoryBuffer
-from lltts.data import (
-    Sample,
-    TaskSpec,
-    generate_task,
-    load_dataset,
-    merge_replay,
-    save_dataset,
-)
-from lltts.errors import ConsistencyError, FormatError, UsageError, VersionError
+from lltts.data import Sample, TaskSpec, generate_task, merge_replay
+from lltts.errors import ConsistencyError, UsageError
 
 
 def small_spec(language_id=0, seed=3, **kw):
@@ -243,86 +236,6 @@ class TestGenerateTask:
         np.testing.assert_allclose(
             2.0 * a.train[0].target_frames, b.train[0].target_frames, atol=1e-12
         )
-
-
-class TestDatasetFile:
-    def test_round_trip(self, tmp_path):
-        ds = generate_task(small_spec())
-        path = tmp_path / "lang0.lltts"
-        save_dataset(ds, path, vocab_size=12)
-        loaded = load_dataset(path)
-        assert datasets_equal(ds, loaded)
-        for a, b in zip(ds.train, loaded.train):
-            assert np.array_equal(a.target_frames, b.target_frames)  # bit-exact
-
-    def test_loaded_samples_view_one_store(self, tmp_path):
-        ds = generate_task(small_spec(seq_len_range=(1, 4)))
-        path = tmp_path / "lang0.lltts"
-        save_dataset(ds, path, vocab_size=12)
-        loaded = load_dataset(path)
-        store = loaded.store
-        assert len(store) == 30 + 8 + 5 and np.all(store.langs == 0)
-        originals = ds.train + ds.dev + ds.test
-        for i, (a, b) in enumerate(zip(originals, loaded.train + loaded.dev + loaded.test)):
-            assert a == b
-            assert np.shares_memory(b.tokens, store.tokens)
-            assert np.shares_memory(b.target_frames, store.frames)
-            first = store.starts[i]
-            assert np.array_equal(b.tokens, store.tokens[first : first + store.lengths[i]])
-        # writable views, as generated samples are
-        loaded.train[0].target_frames[0, 0] = 7.0
-        assert store.frames[0, 0] == 7.0
-
-    def test_truncated_file_rejected(self, tmp_path):
-        ds = generate_task(small_spec())
-        path = tmp_path / "lang0.lltts"
-        save_dataset(ds, path, vocab_size=12)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) - 17])
-        with pytest.raises(FormatError):
-            load_dataset(path)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "x.lltts"
-        path.write_bytes(b"NOTAFILE")
-        with pytest.raises(FormatError):
-            load_dataset(path)
-
-    def test_version_mismatch(self, tmp_path):
-        ds = generate_task(small_spec())
-        path = tmp_path / "lang0.lltts"
-        save_dataset(ds, path, vocab_size=12)
-        blob = bytearray(path.read_bytes())
-        blob[5] = ord("9")
-        path.write_bytes(bytes(blob))
-        with pytest.raises(VersionError):
-            load_dataset(path)
-
-    def test_language_range_check(self, tmp_path):
-        ds = generate_task(small_spec(language_id=5))
-        path = tmp_path / "lang5.lltts"
-        save_dataset(ds, path, vocab_size=12)
-        with pytest.raises(FormatError, match="num_languages") as exc:
-            load_dataset(path, num_languages=3)
-        # the header's language-id field: magic, vocab_size, frame_dim
-        assert exc.value.offset == 14
-        assert load_dataset(path, num_languages=6).language_id == 5
-
-    def test_token_range_check_names_first_bad_token(self, tmp_path):
-        ds = generate_task(small_spec())
-        ds.train[1].tokens[2] = 12
-        ds.train[1].tokens[4] = 13
-        path = tmp_path / "lang0.lltts"
-        save_dataset(ds, path, vocab_size=12)
-        with pytest.raises(FormatError, match="vocab_size") as exc:
-            load_dataset(path)
-        # 30-byte header, sample 0 (length, tokens, frames), sample 1's
-        # length field, then its first two tokens
-        t0 = len(ds.train[0].tokens)
-        expected = 30 + (4 + t0 * (4 + 8 * ds.frame_dim)) + 4 + 4 * 2
-        assert exc.value.offset == expected
-        blob = path.read_bytes()
-        assert int.from_bytes(blob[expected : expected + 4], "little") == 12
 
 
 class TestMergeReplay:
