@@ -78,13 +78,17 @@ def _result_record(result: ExperimentResult) -> dict:
 
 def _result_from_record(record: dict) -> ExperimentResult:
     """The result a record holds; ValueError unless it has one report per task
-    of its task order, each with a number for every language seen by then."""
+    of its task order, each with a number for every language seen by then.
+    Language ids must be ints: JSON's true and 1.0 compare equal to 1."""
     order = record["task_order"]
+    if any(type(lang) is not int for lang in order):
+        raise ValueError(f"task_order {order} holds a language id that is not an int")
     reports = []
     for k, r in enumerate(record["reports"]):
         per_language = {int(lang): float(v) for lang, v in r["per_language"].items()}
         if (
             k >= len(order)
+            or type(r["stage_language"]) is not int
             or r["stage_language"] != order[k]
             or sorted(per_language) != sorted(order[: k + 1])
         ):

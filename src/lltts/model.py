@@ -146,16 +146,26 @@ def _pad_batch(topology: ModelTopology, batch):
     return tokens, targets, valid.astype(np.float64), store.langs[rows]
 
 
+def _affine(x, weight, bias, tanh: bool):
+    """x @ weight.T + bias, through tanh if asked, in the buffer the product returns."""
+    out = x @ weight.T
+    out += bias
+    return np.tanh(out, out=out) if tanh else out
+
+
 def _forward_padded(w: _Weights, topology: ModelTopology, tokens, langs, head: Head):
     e = w.emb[tokens]
-    h = np.tanh(e @ w.w_enc.T + w.b_enc)
+    h = _affine(e, w.w_enc, w.b_enc, tanh=True)
     onehot = np.eye(topology.num_languages)[langs]
     z = np.concatenate([h, np.broadcast_to(onehot[:, None, :], h.shape[:2] + (topology.num_languages,))], axis=2)
-    u = np.tanh(z @ w.w_trunk.T + w.b_trunk)
+    u = _affine(z, w.w_trunk, w.b_trunk, tanh=True)
     w_h, b_h = w.heads[head]
-    y_pre = u @ w_h.T + b_h
-    q = np.tanh(y_pre @ w.w_p1.T + w.b_p1)
-    y_post = y_pre + q @ w.w_p2.T + w.b_p2
+    y_pre = _affine(u, w_h, b_h, tanh=False)
+    q = _affine(y_pre, w.w_p1, w.b_p1, tanh=True)
+    # y_pre + q @ w_p2.T + b_p2, with the first sum's operands swapped
+    y_post = q @ w.w_p2.T
+    y_post += y_pre
+    y_post += w.b_p2
     return e, h, z, u, y_pre, q, y_post
 
 
@@ -203,17 +213,23 @@ def loss_and_grad(params: ParameterSet, batch, head: Head):
     segment stays zero.
     """
     topology = params.topology
-    tokens, targets, mask, langs = _pad_batch(topology, batch)
+    # d_pre is the targets' buffer and d_post is y_post's, until each becomes its residual
+    tokens, d_pre, mask, langs = _pad_batch(topology, batch)
     w = _Weights(topology, params.values)
-    e, h, z, u, y_pre, q, y_post = _forward_padded(w, topology, tokens, langs, head)
+    e, h, z, u, y_pre, q, d_post = _forward_padded(w, topology, tokens, langs, head)
 
-    n, _, f_dim = targets.shape
+    n, _, f_dim = d_pre.shape
     lengths = mask.sum(axis=1)
     # per-element averaging weight: 1 / (n_samples * T_i * frame_dim)
     weight = (mask / (n * lengths[:, None] * f_dim))[:, :, None]
+    del mask, langs
 
-    d_pre = y_pre - targets
-    d_post = y_post - targets
+    # A backward quantity takes over the buffer of an array at its last use, and
+    # what no later step reads is dropped before the next weight gradient. Each
+    # step is the out-of-place operation, the operands of a + or * at most
+    # swapped, so the bits are the same.
+    d_post -= d_pre
+    np.subtract(y_pre, d_pre, out=d_pre)
     pre_mse = float(np.sum(weight * d_pre**2))
     post_mse = float(np.sum(weight * d_post**2))
     loss = LossBreakdown(pre_mse, post_mse)
@@ -221,29 +237,38 @@ def loss_and_grad(params: ParameterSet, batch, head: Head):
     grad = np.zeros_like(params.values)
     g = _Weights(topology, grad)
 
-    g_post = 2.0 * weight * d_post
+    g_post = np.multiply(2.0 * weight, d_post, out=d_post)
     g.b_p2[...] = g_post.sum(axis=(0, 1))
     g.w_p2[...] = _weight_grad(g_post, q)
-    dq = g_post @ w.w_p2
-    ds1 = dq * (1.0 - q**2)
+    ds1 = g_post @ w.w_p2  # dq, then dq * (1 - q**2)
+    ds1 *= np.subtract(1.0, np.square(q, out=q), out=q)
+    del q
     g.b_p1[...] = ds1.sum(axis=(0, 1))
     g.w_p1[...] = _weight_grad(ds1, y_pre)
+    del y_pre
 
-    dy_pre = 2.0 * weight * d_pre + g_post + ds1 @ w.w_p1
+    dy_pre = np.multiply(2.0 * weight, d_pre, out=d_pre)
+    dy_pre += g_post
+    dy_pre += ds1 @ w.w_p1
+    del weight, d_post, g_post, ds1
     w_h, _ = w.heads[head]
     gw_h, gb_h = g.heads[head]
     gb_h[...] = dy_pre.sum(axis=(0, 1))
     gw_h[...] = _weight_grad(dy_pre, u)
 
-    du = dy_pre @ w_h
-    da_tr = du * (1.0 - u**2)
+    da_tr = dy_pre @ w_h  # du, then du * (1 - u**2)
+    da_tr *= np.subtract(1.0, np.square(u, out=u), out=u)
+    del d_pre, dy_pre, u
     g.b_trunk[...] = da_tr.sum(axis=(0, 1))
     g.w_trunk[...] = _weight_grad(da_tr, z)
     dh = (da_tr @ w.w_trunk)[:, :, : topology.encoder_hidden]
-    da_enc = dh * (1.0 - h**2)
+    del da_tr, z
+    da_enc = np.multiply(dh, np.subtract(1.0, np.square(h, out=h), out=h), out=h)
+    del dh
     g.b_enc[...] = da_enc.sum(axis=(0, 1))
     g.w_enc[...] = _weight_grad(da_enc, e)
     de = da_enc @ w.w_enc
+    del e, da_enc, h
     # bincount adds the rows in input order onto 0.0, as np.add.at would, so
     # the sums are bitwise the same; padded positions carry zero upstream
     # gradient and add exact zeros, so no masking is needed

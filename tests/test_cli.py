@@ -156,9 +156,13 @@ class TestReport:
             (result_text([0], []), "malformed result file.*0 reports for 1 tasks"),
             ('{"strategy": "FINE_TUNE", "task_order": [0], "reports": '
              '[{"stage_language": 0, "per_language": {"0": [1.0]}}]}', "malformed result file"),
+            (result_text([True], [(1, [1])]), "malformed result file.*not an int"),
+            (result_text([1.0], [(1, [1])]), "malformed result file.*not an int"),
+            (result_text([1], [(True, [1])]), "malformed result file.*report 0 "),
         ],
         ids=["truncated", "missing_key", "wrong_type", "missing_language", "extra_language",
-             "wrong_stage_language", "extra_report", "missing_report", "no_reports", "non_numeric_mcd"],
+             "wrong_stage_language", "extra_report", "missing_report", "no_reports", "non_numeric_mcd",
+             "bool_language", "float_language", "bool_stage_language"],
     )
     def test_malformed_result_fails(self, tmp_path, capsys, text, message):
         path = tmp_path / "run" / "result.json"

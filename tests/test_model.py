@@ -2,11 +2,13 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lltts import model
+from lltts.data import Sample
 from lltts.errors import InputDomainError, NumericError, UsageError
 from lltts.model import (
     AdamState,
@@ -24,6 +26,10 @@ from lltts.model import (
 from lltts.samplers import Batch, Provenance
 
 from conftest import TINY, random_batch, random_sample
+
+# the topology of configs/paper_scale.ini
+PAPER_SCALE = ModelTopology(vocab_size=40, embed_dim=16, encoder_hidden=32, trunk_dim=32,
+                            frame_dim=8, postnet_hidden=16, num_languages=4)
 
 
 def reference_forward(params, sample, head):
@@ -244,6 +250,75 @@ class TestLossAndGrad:
         assert np.array_equal(g1, g2)
 
 
+def reference_loss_and_grad(params, batch, head):
+    """The out-of-place arithmetic of loss_and_grad, every activation and
+    backward temporary a fresh array kept until the return."""
+    topology = params.topology
+    tokens, targets, mask, langs = _pad_batch(topology, batch)
+    w = _Weights(topology, params.values)
+    e = w.emb[tokens]
+    h = np.tanh(e @ w.w_enc.T + w.b_enc)
+    onehot = np.eye(topology.num_languages)[langs]
+    z = np.concatenate([h, np.broadcast_to(onehot[:, None, :], h.shape[:2] + (topology.num_languages,))], axis=2)
+    u = np.tanh(z @ w.w_trunk.T + w.b_trunk)
+    w_h, b_h = w.heads[head]
+    y_pre = u @ w_h.T + b_h
+    q = np.tanh(y_pre @ w.w_p1.T + w.b_p1)
+    y_post = y_pre + q @ w.w_p2.T + w.b_p2
+
+    n, _, f_dim = targets.shape
+    lengths = mask.sum(axis=1)
+    weight = (mask / (n * lengths[:, None] * f_dim))[:, :, None]
+    d_pre = y_pre - targets
+    d_post = y_post - targets
+    loss = model.LossBreakdown(float(np.sum(weight * d_pre**2)), float(np.sum(weight * d_post**2)))
+
+    grad = np.zeros_like(params.values)
+    g = _Weights(topology, grad)
+    g_post = 2.0 * weight * d_post
+    g.b_p2[...] = g_post.sum(axis=(0, 1))
+    g.w_p2[...] = model._weight_grad(g_post, q)
+    dq = g_post @ w.w_p2
+    ds1 = dq * (1.0 - q**2)
+    g.b_p1[...] = ds1.sum(axis=(0, 1))
+    g.w_p1[...] = model._weight_grad(ds1, y_pre)
+    dy_pre = 2.0 * weight * d_pre + g_post + ds1 @ w.w_p1
+    gw_h, gb_h = g.heads[head]
+    gb_h[...] = dy_pre.sum(axis=(0, 1))
+    gw_h[...] = model._weight_grad(dy_pre, u)
+    du = dy_pre @ w_h
+    da_tr = du * (1.0 - u**2)
+    g.b_trunk[...] = da_tr.sum(axis=(0, 1))
+    g.w_trunk[...] = model._weight_grad(da_tr, z)
+    dh = (da_tr @ w.w_trunk)[:, :, : topology.encoder_hidden]
+    da_enc = dh * (1.0 - h**2)
+    g.b_enc[...] = da_enc.sum(axis=(0, 1))
+    g.w_enc[...] = model._weight_grad(da_enc, e)
+    de = da_enc @ w.w_enc
+    d_emb = topology.embed_dim
+    slots = (tokens.reshape(-1, 1) * d_emb + np.arange(d_emb)).reshape(-1)
+    g.emb[...] = np.bincount(
+        slots, weights=de.reshape(-1), minlength=topology.vocab_size * d_emb
+    ).reshape(topology.vocab_size, d_emb)
+    return loss, grad
+
+
+@pytest.mark.parametrize("topology", [TINY, PAPER_SCALE], ids=["tiny", "paper_scale"])
+@pytest.mark.parametrize("head", [Head.LBS, Head.RRS])
+def test_loss_and_grad_bits_match_out_of_place_reference(rng, topology, head):
+    # the in-place buffers must not change a bit of the loss or the gradient
+    samples = [random_sample(rng, topology, t=t) for t in (7, 2, 5, 1, 4, 7)]
+    for i, s in enumerate(samples):
+        s.language_id = i % topology.num_languages
+    batch = Batch(samples, Provenance.LBS)
+    params = init_params(topology, 2)
+    params.values[:] += 0.1 * rng.standard_normal(len(params.values))
+    loss, grad = loss_and_grad(params, batch, head)
+    ref_loss, ref_grad = reference_loss_and_grad(params, batch, head)
+    assert loss == ref_loss
+    assert np.array_equal(grad.view(np.uint64), ref_grad.view(np.uint64))
+
+
 def test_embedding_gradient_matches_add_at_scatter(tiny_params, monkeypatch):
     # the bincount scatter must add in np.add.at's order: compare the bits on
     # a batch with repeated tokens and unequal lengths
@@ -289,6 +364,31 @@ for head in (Head.LBS, Head.RRS):
     digest.update(np.float64(loss.total).tobytes() + grad.tobytes())
 print(digest.hexdigest())
 """
+
+
+def paper_scale_batch():
+    """The batch _THREADS_CHILD builds: 84 samples of 6-12 tokens."""
+    rng = np.random.default_rng(3)
+    samples = []
+    for i in range(84):
+        t = int(rng.integers(6, 13))
+        samples.append(Sample(i % 4, rng.integers(0, 40, size=t), rng.standard_normal((t, 8))))
+    return Batch(samples, Provenance.LBS)
+
+
+def test_loss_and_grad_peak_memory():
+    # the heap a training step adds to the sample store: each activation and
+    # backward temporary is freed at its last use. Keeping them all until the
+    # return peaks at 3.30 MB here
+    params, batch = init_params(PAPER_SCALE, 1), paper_scale_batch()
+    loss_and_grad(params, batch, Head.LBS)  # the first call checks the store's ids
+    tracemalloc.start()
+    try:
+        loss_and_grad(params, batch, Head.LBS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_200_000
 
 
 def test_gradient_independent_of_blas_threads():
