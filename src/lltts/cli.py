@@ -79,12 +79,17 @@ def _result_record(result: ExperimentResult) -> dict:
 def _result_from_record(record: dict) -> ExperimentResult:
     """The result a record holds; ValueError unless it has one report per task
     of its task order, each with a number for every language seen by then.
-    Language ids must be ints: JSON's true and 1.0 compare equal to 1."""
+    Language ids must be ints: JSON's true and 1.0 compare equal to 1. A
+    per_language key must be an int as str() writes it: int() also reads
+    " 1", "01" and "+0_1" as 1."""
     order = record["task_order"]
     if any(type(lang) is not int for lang in order):
         raise ValueError(f"task_order {order} holds a language id that is not an int")
     reports = []
     for k, r in enumerate(record["reports"]):
+        if any(str(int(lang)) != lang for lang in r["per_language"]):
+            raise ValueError(f"report {k} has a language key that is not an int: "
+                             f"{list(r['per_language'])}")
         per_language = {int(lang): float(v) for lang, v in r["per_language"].items()}
         if (
             k >= len(order)

@@ -26,9 +26,9 @@ _GEN_WINDOW = 3
 # past window positions contribute weakly, so a per-position model keeps
 # a small irreducible error while tasks stay history-dependent
 _GEN_WINDOW_WEIGHTS = (1.0, 0.2, 0.1)
-# generate_task computes targets at most this many tokens at a time, which
-# bounds its temporaries to about 1.5 MB
-_GEN_CHUNK_TOKENS = 4096
+# generate_tasks computes targets at most this many tokens at a time, which
+# bounds its temporaries to about 300 kB, below one training step's
+_GEN_CHUNK_TOKENS = 1024
 # _draw maps its rng's 32-bit words to bounded integers this many at a time,
 # which bounds each of its uint64 temporaries to 16 kB
 _DRAW_BLOCK = 2048
@@ -125,17 +125,25 @@ def _language_map(language_id: int, frame_dim: int):
 
 
 def _targets_for(tokens, emb, w_map, b_map, scale):
-    """Target frames of token sequences of one length; tokens is (..., t)."""
+    """Target frames of token sequences of one length; tokens is (..., t).
+
+    The window columns are written in place and the frames are made in the
+    buffer the product returns, so the only temporaries are the embeddings,
+    the window and the frames themselves.
+    """
     vecs = emb[tokens]
+    t = vecs.shape[-2]
     win = np.zeros(vecs.shape[:-1] + (_GEN_WINDOW * _GEN_EMBED_DIM,))
-    for k in range(_GEN_WINDOW):
+    for k in range(min(_GEN_WINDOW, t)):
         # window position k holds the embedding of token t-k (zero-padded)
-        wk = _GEN_WINDOW_WEIGHTS[k]
-        if k == 0:
-            win[..., : _GEN_EMBED_DIM] = wk * vecs
-        else:
-            win[..., k:, k * _GEN_EMBED_DIM : (k + 1) * _GEN_EMBED_DIM] = wk * vecs[..., :-k, :]
-    return scale * np.tanh(win @ w_map.T + b_map)
+        cols = slice(k * _GEN_EMBED_DIM, (k + 1) * _GEN_EMBED_DIM)
+        np.multiply(vecs[..., : t - k, :], _GEN_WINDOW_WEIGHTS[k], out=win[..., k:, cols])
+    del vecs
+    out = win @ w_map.T
+    out += b_map
+    np.tanh(out, out=out)
+    out *= scale
+    return out
 
 
 def _raw_words(bitgen, count: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import pathlib
 import sys
 
 import numpy as np
@@ -8,6 +9,8 @@ from lltts.model import ModelTopology, init_params
 from lltts.samplers import Batch, Provenance
 
 
+CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
+
 TINY = ModelTopology(
     vocab_size=5,
     embed_dim=3,
@@ -17,6 +20,12 @@ TINY = ModelTopology(
     postnet_hidden=3,
     num_languages=2,
 )
+
+
+def store_nbytes(store):
+    """The bytes of a SampleStore's arrays."""
+    return sum(a.nbytes for a in (store.tokens, store.frames, store.starts, store.lengths,
+                                  store.langs))
 
 
 def random_sample(rng, topology=TINY, t=None):

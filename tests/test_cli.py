@@ -159,10 +159,14 @@ class TestReport:
             (result_text([True], [(1, [1])]), "malformed result file.*not an int"),
             (result_text([1.0], [(1, [1])]), "malformed result file.*not an int"),
             (result_text([1], [(True, [1])]), "malformed result file.*report 0 "),
+            (result_text([1], [(1, [" +0_1"])]), "malformed result file.*report 0 "),
+            (result_text([1], [(1, ["01"])]), "malformed result file.*report 0 "),
+            (result_text([1], [(1, [" 1"])]), "malformed result file.*report 0 "),
         ],
         ids=["truncated", "missing_key", "wrong_type", "missing_language", "extra_language",
              "wrong_stage_language", "extra_report", "missing_report", "no_reports", "non_numeric_mcd",
-             "bool_language", "float_language", "bool_stage_language"],
+             "bool_language", "float_language", "bool_stage_language", "underscore_key",
+             "zero_padded_key", "space_padded_key"],
     )
     def test_malformed_result_fails(self, tmp_path, capsys, text, message):
         path = tmp_path / "run" / "result.json"

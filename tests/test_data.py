@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from hypothesis import strategies as st
 import lltts
 from lltts import data
 from lltts.buffer import MemoryBuffer
-from lltts.data import Sample, TaskSpec, generate_task, merge_replay
+from lltts.config import parse_config
+from lltts.data import Sample, TaskSpec, generate_task, generate_tasks, merge_replay
 from lltts.errors import ConsistencyError, UsageError
+
+from conftest import CONFIGS, store_nbytes
 
 
 def small_spec(language_id=0, seed=3, **kw):
@@ -56,6 +60,15 @@ PINNED_DIGESTS = {
         "dev": "0a14cd853ec199b4b7712aff0dac99ebf0c5ba7d1209580258250b7abed899ff",
         "test": "33e9bb4e246be729e25a6a326e0a93984d9f0e3a2d2de06d458fb87623f89c49",
     },
+}
+
+# An n_train = 3000 task, whose 410 to 466 samples of each length span several
+# _GEN_CHUNK_TOKENS chunks. Taken with 4,096-token chunks, which split each
+# length into at most 2.
+MULTI_CHUNK_DIGESTS = {
+    "train": "c6a7efaedcd02b11e9e86c0713d1fc5141989d814b4077253a7f8f85ef8543fd",
+    "dev": "23e692558cd2033cb0bdd332823a252101d9bfb361120666c06921b1b5331995",
+    "test": "7d19c3d83a7209ab7d151e0ee74313d15c187189ee88441aaa1ab8c50ab572c5",
 }
 
 _THREADS_CHILD = """
@@ -190,6 +203,28 @@ class TestGenerateTask:
     def test_generated_bytes_pinned(self, seq_len_range):
         spec = TaskSpec(language_id=2, seed=7, n_train=300, seq_len_range=seq_len_range)
         assert split_digests(generate_task(spec)) == PINNED_DIGESTS[seq_len_range]
+
+    def test_generated_bytes_pinned_across_chunks(self):
+        ds = generate_task(TaskSpec(language_id=2, seed=7, n_train=3000))
+        counts = np.bincount(ds.store.lengths)
+        for t in np.flatnonzero(counts):
+            assert counts[t] > 2 * max(1, data._GEN_CHUNK_TOKENS // t)
+        assert split_digests(ds) == MULTI_CHUNK_DIGESTS
+
+    @pytest.mark.parametrize("name", ["desk.ini", "paper_scale.ini"])
+    def test_generate_tasks_peak_memory(self, name):
+        # the heap generation adds to the store it builds: one chunk's
+        # embeddings, window and frames. With 4,096-token chunks and the
+        # frames made out of place this was 983 kB (desk) and 1,435 kB (paper)
+        specs = parse_config((CONFIGS / name).read_text()).task_specs
+        generate_tasks(specs)
+        tracemalloc.start()
+        try:
+            store = generate_tasks(specs)[0].store
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - store_nbytes(store) <= 400_000
 
     def test_generated_bytes_independent_of_blas_threads(self):
         src = os.path.dirname(os.path.dirname(lltts.__file__))

@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lltts.buffer import MemoryBuffer
-from lltts.data import TaskSpec, generate_task
+from lltts.config import parse_config
+from lltts.data import TaskSpec, generate_task, generate_tasks
 from lltts.errors import NumericError, UsageError
 from lltts.model import Head, LossBreakdown, init_params, loss_and_grad
 from lltts.samplers import Batch, Provenance
@@ -23,7 +25,7 @@ from lltts.strategies import (
     train_stage,
 )
 
-from conftest import TINY
+from conftest import CONFIGS, TINY, store_nbytes
 
 
 def small_task(language_id=0, n_train=60, seed=5):
@@ -493,3 +495,23 @@ class TestRunSequence:
             rng, seen_tasks=tasks,
         )
         np.testing.assert_array_equal(res.final_params.values, captured[1])
+
+    @pytest.mark.parametrize("kind", ["replay_dual", "gem"])
+    def test_desk_run_peak_memory(self, kind):
+        # a run's heap is the sample store plus about one training step's
+        # activations (the generator's chunks stay below that). Out-of-place
+        # generation with 4,096-token chunks peaked 983 kB above the store
+        from lltts.strategies import run_sequence
+
+        text = (CONFIGS / "desk.ini").read_text()
+        text = text.replace("epochs_per_stage = 20", "epochs_per_stage = 2")
+        cfg = parse_config(text.replace("kind = replay_dual", f"kind = {kind}"))
+        assert cfg.epochs_per_stage == 2 and cfg.strategy.kind.value == kind
+        store = generate_tasks(cfg.task_specs)[0].store
+        tracemalloc.start()
+        try:
+            run_sequence(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - store_nbytes(store) <= 600_000
