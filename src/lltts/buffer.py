@@ -30,9 +30,6 @@ class MemoryBuffer:
         """Language -> its buffered samples, in integration order."""
         return {lang: self.stores[lang].samples(rows) for lang, rows in self.rows.items()}
 
-    def languages(self) -> list:
-        return list(self.rows.keys())
-
     def parts(self) -> list:
         """(store, rows) of each language, in integration order."""
         return [(self.stores[lang], rows) for lang, rows in self.rows.items()]
@@ -42,9 +39,6 @@ class MemoryBuffer:
 
     def counts(self) -> dict:
         return {lang: len(v) for lang, v in self.rows.items()}
-
-    def __len__(self):
-        return self.total()
 
     def _quotas(self):
         k = len(self.rows)

@@ -11,8 +11,8 @@ import sys
 
 from . import config as cfgmod
 from .errors import FormatError, LlttsError
-from .metrics import LearningCurve, McdReport, render_curves, render_table
-from .strategies import ExperimentResult, run_sequence
+from .metrics import McdReport, render_curves, render_table
+from .strategies import ExperimentResult, StrategyKind, run_sequence
 
 log = logging.getLogger("lltts")
 
@@ -44,17 +44,7 @@ def _keep_freed_buffers() -> bool:
     return True
 
 
-def _setup_logging():
-    level = os.environ.get("LLTTS_LOG", "info").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(
-        level=levels.get(level, logging.INFO), format="%(levelname)s %(name)s: %(message)s"
-    )
-
-
-def _load_config(path) -> cfgmod.ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        return cfgmod.parse_config(f.read())
+_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 
 def _write_text(path, text: str):
@@ -81,7 +71,9 @@ def _result_from_record(record: dict) -> ExperimentResult:
     of its task order, each with a number for every language seen by then.
     Language ids must be ints: JSON's true and 1.0 compare equal to 1. A
     per_language key must be an int as str() writes it: int() also reads
-    " 1", "01" and "+0_1" as 1."""
+    " 1", "01" and "+0_1" as 1. The strategy must be a StrategyKind name."""
+    if record["strategy"] not in StrategyKind.__members__:
+        raise ValueError(f"strategy {record['strategy']!r} is not a strategy name")
     order = record["task_order"]
     if any(type(lang) is not int for lang in order):
         raise ValueError(f"task_order {order} holds a language id that is not an int")
@@ -105,7 +97,8 @@ def _result_from_record(record: dict) -> ExperimentResult:
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args.config)
+    with open(args.config, "r", encoding="utf-8") as f:
+        config = cfgmod.parse_config(f.read())
     chash = cfgmod.config_hash(config)
     ckpt_dir = os.path.join(config.output_dir, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
@@ -130,17 +123,9 @@ def cmd_train(args) -> int:
         os.path.join(config.output_dir, "result.json"),
         json.dumps(record, sort_keys=True, indent=2) + "\n",
     )
-    # learning curves concatenated over stages, one file per run; a language
-    # first evaluated in stage k starts at global epoch k * epochs_per_stage
-    merged: dict[int, list] = {}
-    first_epoch: dict[int, int] = {}
-    for stage, curves in enumerate(result.stage_curves):
-        for lang, vals in curves.items():
-            first_epoch.setdefault(lang, stage * config.epochs_per_stage)
-            merged.setdefault(lang, []).extend(vals)
     _write_text(
         os.path.join(config.output_dir, "curves.csv"),
-        render_curves(LearningCurve(merged), first_epoch),
+        render_curves(result.stage_curves, config.epochs_per_stage),
     )
     _write_text(os.path.join(config.output_dir, "report.csv"), render_table([result]))
     return 0
@@ -190,7 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cli(argv=None) -> int:
     _keep_freed_buffers()
-    _setup_logging()
+    value = os.environ.get("LLTTS_LOG", "info")
+    level = _LOG_LEVELS.get(value.lower())
+    if level is None:
+        print(f"error: LLTTS_LOG={value!r}: accepted values are {', '.join(_LOG_LEVELS)}",
+              file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -177,18 +177,18 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def emit_config(config: ExperimentConfig) -> str:
-    """Canonical text form; parse_config(emit_config(c)) == c."""
+    """Canonical text form, values as str(); parse_config(emit_config(c)) == c."""
     buf = io.StringIO()
     buf.write("[experiment]\n")
     for key in _EXPERIMENT_KEYS:
-        buf.write(f"{key} = {getattr(config, key)!r}\n".replace("'", ""))
+        buf.write(f"{key} = {getattr(config, key)}\n")
     buf.write("\n[topology]\n")
     for key in _TOPOLOGY_KEYS:
         buf.write(f"{key} = {getattr(config.topology, key)}\n")
     buf.write("\n[strategy]\n")
     buf.write(f"kind = {config.strategy.kind.value}\n")
     for key in ("gamma", "beta", "ewc_lambda", "gem_memory_batch"):
-        buf.write(f"{key} = {getattr(config.strategy, key)!r}\n".replace("'", ""))
+        buf.write(f"{key} = {getattr(config.strategy, key)}\n")
     for spec in config.task_specs:
         buf.write(f"\n[task {spec.language_id}]\n")
         buf.write(f"seed = {spec.seed}\n")

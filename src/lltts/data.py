@@ -292,7 +292,7 @@ def generate_task(spec: TaskSpec) -> TaskDataset:
 
 def merge_replay(current: TaskDataset, buffer) -> ReplayDataset:
     """D_k merged with the buffer; buffer must not hold current-task samples."""
-    if buffer is not None and current.language_id in buffer.languages():
+    if buffer is not None and current.language_id in buffer.rows:
         raise ConsistencyError(
             f"buffer already holds language {current.language_id}; "
             "integrate the task only after its training stage"

@@ -96,15 +96,6 @@ def smooth_curve(series, factor: float):
     return out
 
 
-@dataclass
-class LearningCurve:
-    per_language: dict  # language_id -> per-epoch raw values
-    smoothing: float = 0.5
-
-    def smoothed(self) -> dict:
-        return {lang: smooth_curve(vals, self.smoothing) for lang, vals in self.per_language.items()}
-
-
 def render_table(results) -> str:
     """CSV: one row per method, staircase columns per stage with Avg and MCDR.
 
@@ -144,16 +135,23 @@ def render_table(results) -> str:
     return buf.getvalue()
 
 
-def render_curves(curve: LearningCurve, first_epoch: dict) -> str:
-    """CSV with columns epoch, language, raw, smoothed.
+def render_curves(stage_curves, epochs_per_stage: int) -> str:
+    """CSV with columns epoch, language, raw, smoothed (EMA factor 0.5).
 
-    `first_epoch` maps each language to the global epoch of its first value.
+    `stage_curves` holds one language -> per-epoch dev MCD dict per stage. A
+    language's curve runs on across stages; a language first evaluated in
+    stage k starts at global epoch k * epochs_per_stage.
     """
+    merged: dict[int, list] = {}
+    first_epoch: dict[int, int] = {}
+    for stage, curves in enumerate(stage_curves):
+        for lang, vals in curves.items():
+            first_epoch.setdefault(lang, stage * epochs_per_stage)
+            merged.setdefault(lang, []).extend(vals)
     buf = io.StringIO()
     buf.write("epoch,language,raw,smoothed\n")
-    smoothed = curve.smoothed()
-    for lang in sorted(curve.per_language):
-        raw = curve.per_language[lang]
-        for epoch, (x, s) in enumerate(zip(raw, smoothed[lang]), start=first_epoch[lang]):
+    for lang in sorted(merged):
+        raw = merged[lang]
+        for epoch, (x, s) in enumerate(zip(raw, smooth_curve(raw, 0.5)), start=first_epoch[lang]):
             buf.write(f"{epoch},{lang},{x!r},{s!r}\n")
     return buf.getvalue()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -186,11 +186,10 @@ def forward(params: ParameterSet, batch, head: Head):
 class LossBreakdown:
     pre_postnet_mse: float
     post_postnet_mse: float
-    total: float = field(default=None)
 
-    def __post_init__(self):
-        if self.total is None:
-            self.total = self.pre_postnet_mse + self.post_postnet_mse
+    @property
+    def total(self) -> float:
+        return self.pre_postnet_mse + self.post_postnet_mse
 
 
 def _weight_grad(upstream, inputs):
@@ -280,19 +279,22 @@ def loss_and_grad(params: ParameterSet, batch, head: Head):
     return loss, grad
 
 
+# Adam's moment decay rates and denominator offset
+ADAM_B1 = 0.9
+ADAM_B2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     first_moment: np.ndarray
     second_moment: np.ndarray
     step: int = 0
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def fresh(cls, n_params: int, lr: float = 0.001, **kwargs) -> "AdamState":
-        return cls(np.zeros(n_params), np.zeros(n_params), lr=lr, **kwargs)
+    def fresh(cls, n_params: int, lr: float = 0.001) -> "AdamState":
+        return cls(np.zeros(n_params), np.zeros(n_params), lr=lr)
 
 
 def adam_step(state: AdamState, params: ParameterSet, grad: np.ndarray):
@@ -300,13 +302,12 @@ def adam_step(state: AdamState, params: ParameterSet, grad: np.ndarray):
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite gradient entries")
     t = state.step + 1
-    m = state.beta1 * state.first_moment + (1 - state.beta1) * grad
-    v = state.beta2 * state.second_moment + (1 - state.beta2) * grad**2
-    m_hat = m / (1 - state.beta1**t)
-    v_hat = v / (1 - state.beta2**t)
-    new_values = params.values - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    new_state = AdamState(m, v, t, state.lr, state.beta1, state.beta2, state.epsilon)
-    return new_state, ParameterSet(new_values, params.topology)
+    m = ADAM_B1 * state.first_moment + (1 - ADAM_B1) * grad
+    v = ADAM_B2 * state.second_moment + (1 - ADAM_B2) * grad**2
+    m_hat = m / (1 - ADAM_B1**t)
+    v_hat = v / (1 - ADAM_B2**t)
+    new_values = params.values - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return AdamState(m, v, t, state.lr), ParameterSet(new_values, params.topology)
 
 
 def infer(params: ParameterSet, sample) -> np.ndarray:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,19 +64,14 @@ def _drawn(ds, idx, provenance: Provenance) -> Batch:
     return Batch.of_rows(ds.store, ds.rows[idx], provenance)
 
 
-@dataclass
-class SampleWeightTable:
-    weights: np.ndarray
-
-
-def build_weight_table(ds) -> SampleWeightTable:
+def build_weight_table(ds) -> np.ndarray:
     """Per-sample weight |D+| / C_lang (reciprocal language frequency)."""
     if len(ds) == 0:
         raise UsageError("dataset is empty")
     weights = np.empty(len(ds))
     for idx in ds.by_language().values():
         weights[idx] = len(ds) / len(idx)
-    return SampleWeightTable(weights)
+    return weights
 
 
 def draw_random(ds, batch_size: int, rng, provenance: Provenance = Provenance.RANDOM) -> Batch:
@@ -89,12 +83,12 @@ def draw_random(ds, batch_size: int, rng, provenance: Provenance = Provenance.RA
     return _drawn(ds, idx, provenance)
 
 
-def draw_weighted(table: SampleWeightTable, ds, batch_size: int, rng) -> Batch:
+def draw_weighted(weights: np.ndarray, ds, batch_size: int, rng) -> Batch:
     if batch_size < 1:
         raise UsageError("batch_size must be >= 1")
-    if len(table.weights) != len(ds):
+    if len(weights) != len(ds):
         raise UsageError("weight table does not match dataset")
-    p = table.weights / table.weights.sum()
+    p = weights / weights.sum()
     idx = rng.choice(len(ds), size=batch_size, replace=True, p=p)
     return _drawn(ds, idx, Provenance.WEIGHTED)
 

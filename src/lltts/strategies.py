@@ -165,13 +165,14 @@ def gem_reference_grads(
     return GemState(np.stack(grads), langs)
 
 
-def gem_project(g: np.ndarray, gstate: GemState, tol: float = 1e-9) -> np.ndarray:
+def gem_project(g: np.ndarray, gstate: GemState) -> np.ndarray:
     """Project g to the nearest point with nonnegative inner products
     against every reference gradient.
 
     Solves the dual QP min_v 0.5 v'GG'v + (Gg)'v, v >= 0 by projected
     coordinate descent; the projected gradient is g + G'v.
     """
+    tol = 1e-9
     g_mat = gstate.reference_grads
     dots = g_mat @ g
     if np.all(dots >= -tol):
@@ -376,8 +377,9 @@ def run_sequence(
         # tasks in the same order reaches the same slots and rng state
         if strategy.kind in REPLAY_KINDS:
             buffer.integrate_task(task)
-    task_order = [spec.language_id for spec in config.task_specs]
-    return ExperimentResult(strategy.kind.name, task_order, state.reports, state.stage_curves)
+    return ExperimentResult(
+        strategy.kind.name, config.task_order, state.reports, state.stage_curves
+    )
 
 
 def hash_seed(*parts) -> int:

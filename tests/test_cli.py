@@ -58,10 +58,10 @@ TASK_2 = (
 RUN_OUTPUTS = ("report.csv", "result.json", "curves.csv")
 
 
-def result_text(task_order, reports):
+def result_text(task_order, reports, strategy="FINE_TUNE"):
     """result.json text whose reports are (stage_language, evaluated languages) pairs."""
     return json.dumps({
-        "strategy": "FINE_TUNE",
+        "strategy": strategy,
         "task_order": task_order,
         "reports": [
             {"stage_language": stage, "per_language": {str(lang): 1.0 for lang in langs},
@@ -162,11 +162,17 @@ class TestReport:
             (result_text([1], [(1, [" +0_1"])]), "malformed result file.*report 0 "),
             (result_text([1], [(1, ["01"])]), "malformed result file.*report 0 "),
             (result_text([1], [(1, [" 1"])]), "malformed result file.*report 0 "),
+            (result_text([0], [(0, [0])], strategy=7), "malformed result file.*strategy 7 "),
+            (result_text([0], [(0, [0])], strategy="A,B\nX"),
+             "malformed result file.*strategy 'A,B.*nX' "),
+            (result_text([0], [(0, [0])], strategy="fine_tune"),
+             "malformed result file.*strategy 'fine_tune' "),
         ],
         ids=["truncated", "missing_key", "wrong_type", "missing_language", "extra_language",
              "wrong_stage_language", "extra_report", "missing_report", "no_reports", "non_numeric_mcd",
              "bool_language", "float_language", "bool_stage_language", "underscore_key",
-             "zero_padded_key", "space_padded_key"],
+             "zero_padded_key", "space_padded_key", "int_strategy", "comma_strategy",
+             "unknown_strategy"],
     )
     def test_malformed_result_fails(self, tmp_path, capsys, text, message):
         path = tmp_path / "run" / "result.json"
@@ -330,3 +336,17 @@ class TestMallocThresholds:
 
         monkeypatch.setattr(lltts.cli.ctypes, "CDLL", no_library)
         assert not lltts.cli._keep_freed_buffers()
+
+
+class TestLogLevel:
+    @pytest.mark.parametrize("value, code", [
+        ("error", 1), ("INFO", 1), ("debug", 1), ("warning", 2), ("inf", 2), ("", 2),
+    ])
+    def test_only_the_three_levels_are_accepted(self, tmp_path, monkeypatch, capsys, value, code):
+        # an empty run tree makes `report` exit 1 once logging is set up
+        monkeypatch.setenv("LLTTS_LOG", value)
+        assert cli(["report", "--in", str(tmp_path), "--out", str(tmp_path / "o.csv")]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.startswith(f"error: LLTTS_LOG={value!r}: ")
+            assert all(level in err for level in ("error", "info", "debug"))

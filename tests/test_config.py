@@ -78,10 +78,13 @@ class TestParseConfig:
             parse_config("[strategy]\nkind = wishful\n[task 0]\nseed = 1\n")
 
     def test_round_trip(self):
-        cfg = parse_config(MINIMAL)
-        again = parse_config(emit_config(cfg))
-        assert again == cfg
-        assert config_hash(again) == config_hash(cfg)
+        # an apostrophe in a string value must survive the canonical text
+        for extra in ("", "\n[experiment]\noutput_dir = runs/bob's run\n"):
+            cfg = parse_config(MINIMAL + extra)
+            again = parse_config(emit_config(cfg))
+            assert again == cfg
+            assert config_hash(again) == config_hash(cfg)
+        assert again.output_dir == "runs/bob's run"
 
     @pytest.mark.parametrize(
         "text, section",

@@ -10,11 +10,11 @@ from hypothesis.extra.numpy import arrays
 from lltts.data import Sample, TaskDataset
 from lltts.errors import UsageError
 from lltts.metrics import (
-    LearningCurve,
     McdReport,
     mcd,
     mcdr,
     mean_mcd,
+    render_curves,
     render_table,
     sample_mcds,
     smooth_curve,
@@ -167,9 +167,21 @@ class TestSmoothCurve:
         with pytest.raises(UsageError):
             smooth_curve([1.0], 1.0)
 
-    def test_curve_lengths_match(self):
-        curve = LearningCurve({0: [1.0, 2.0, 3.0]}, smoothing=0.5)
-        assert len(curve.smoothed()[0]) == 3
+
+class TestRenderCurves:
+    def test_numbered_by_global_epoch_and_smoothed_across_stages(self):
+        # two stages of E = 2 epochs; language 1 arrives in stage 1, so it
+        # starts at epoch 2, and language 0's EMA runs on into stage 1
+        stage_curves = [{0: [4.0, 2.0]}, {0: [5.0, 1.0], 1: [6.0, 4.0]}]
+        assert render_curves(stage_curves, 2) == (
+            "epoch,language,raw,smoothed\n"
+            "0,0,4.0,4.0\n"
+            "1,0,2.0,3.0\n"
+            "2,0,5.0,4.0\n"
+            "3,0,1.0,2.5\n"
+            "2,1,6.0,6.0\n"
+            "3,1,4.0,5.0\n"
+        )
 
 
 def _result(strategy, reports, order):

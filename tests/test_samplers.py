@@ -25,19 +25,19 @@ def make_dataset(counts):
 class TestWeightTable:
     def test_formula(self):
         ds = make_dataset({0: 100, 1: 10})
-        table = build_weight_table(ds)
-        for s, w in zip(ds.samples, table.weights):
+        weights = build_weight_table(ds)
+        for s, w in zip(ds.samples, weights):
             assert w == pytest.approx(110 / (100 if s.language_id == 0 else 10))
 
     def test_symmetric_counts_equal_weights(self):
-        table = build_weight_table(make_dataset({0: 50, 1: 50}))
-        assert np.all(table.weights == 2.0)
+        weights = build_weight_table(make_dataset({0: 50, 1: 50}))
+        assert np.all(weights == 2.0)
 
     def test_per_language_total_weight_equal(self):
         ds = make_dataset({0: 300, 1: 30, 2: 7})
-        table = build_weight_table(ds)
+        weights = build_weight_table(ds)
         totals = {}
-        for s, w in zip(ds.samples, table.weights):
+        for s, w in zip(ds.samples, weights):
             totals[s.language_id] = totals.get(s.language_id, 0.0) + w
         vals = list(totals.values())
         assert all(v == pytest.approx(vals[0]) for v in vals)
@@ -75,15 +75,15 @@ class TestDrawRandom:
 class TestDrawWeighted:
     def test_language_marginal_uniform(self):
         ds = make_dataset({0: 300, 1: 30})
-        table = build_weight_table(ds)
-        batch = draw_weighted(table, ds, 20000, np.random.default_rng(1))
+        weights = build_weight_table(ds)
+        batch = draw_weighted(weights, ds, 20000, np.random.default_rng(1))
         frac = batch.language_histogram[0] / len(batch)
         assert frac == pytest.approx(0.5, abs=0.02)
 
     def test_three_languages(self):
         ds = make_dataset({0: 300, 1: 20, 2: 10})
-        table = build_weight_table(ds)
-        batch = draw_weighted(table, ds, 30000, np.random.default_rng(2))
+        weights = build_weight_table(ds)
+        batch = draw_weighted(weights, ds, 30000, np.random.default_rng(2))
         for lang in (0, 1, 2):
             assert batch.language_histogram[lang] / len(batch) == pytest.approx(
                 1 / 3, abs=0.02
@@ -91,8 +91,8 @@ class TestDrawWeighted:
 
     def test_single_language_is_uniform(self):
         ds = make_dataset({0: 10})
-        table = build_weight_table(ds)
-        batch = draw_weighted(table, ds, 5000, np.random.default_rng(3))
+        weights = build_weight_table(ds)
+        batch = draw_weighted(weights, ds, 5000, np.random.default_rng(3))
         # uniform over the 10 samples: each drawn ~500 times
         by_id = {}
         for s in batch.samples:
