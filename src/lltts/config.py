@@ -88,6 +88,9 @@ class ExperimentConfig:
 
 
 def _typed(section: str, key: str, raw: str, typ):
+    # emit_config writes each value on one line, so a continued one cannot round-trip
+    if "\n" in raw:
+        raise ConfigError(f"[{section}] {key}: a value must fit on one line")
     try:
         if typ is int:
             return int(raw)

@@ -87,6 +87,20 @@ class TestParseConfig:
         assert again.output_dir == "runs/bob's run"
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            (MINIMAL + "[experiment]\noutput_dir = runs/a\n  b\n", r"\[experiment\] output_dir"),
+            ("[strategy]\nkind = gem\n  gem\n[task 0]\nseed = 1\n", r"\[strategy\] kind"),
+            (MINIMAL + "[task 4]\nseed = 5\n\n  6\n", r"\[task 4\] seed"),
+        ],
+        ids=["string", "kind", "int_after_blank_line"],
+    )
+    def test_multi_line_value_rejected(self, text, message):
+        # a continuation line would make a value that emit_config cannot write back
+        with pytest.raises(ConfigError, match=message + ": a value must fit on one line"):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
         "text, section",
         [
             ("\n[task -1]\nseed = 5\n", r"\[task -1\] task id"),

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -317,6 +318,108 @@ def test_loss_and_grad_bits_match_out_of_place_reference(rng, topology, head):
     ref_loss, ref_grad = reference_loss_and_grad(params, batch, head)
     assert loss == ref_loss
     assert np.array_equal(grad.view(np.uint64), ref_grad.view(np.uint64))
+
+
+def reference_forward_padded(w, topology, tokens, langs, head):
+    """The per-position forward: each product runs over every padded position
+    of the batch, one (T, K) @ (K, N) product per sample."""
+    e = w.emb[tokens]
+    h = model._affine(e, w.w_enc, w.b_enc, tanh=True)
+    onehot = np.eye(topology.num_languages)[langs]
+    z = np.concatenate([h, np.broadcast_to(onehot[:, None, :], h.shape[:2] + (topology.num_languages,))], axis=2)
+    u = model._affine(z, w.w_trunk, w.b_trunk, tanh=True)
+    w_h, b_h = w.heads[head]
+    y_pre = model._affine(u, w_h, b_h, tanh=False)
+    q = model._affine(y_pre, w.w_p1, w.b_p1, tanh=True)
+    y_post = q @ w.w_p2.T
+    y_post += y_pre
+    y_post += w.b_p2
+    return e, h, z, u, y_pre, q, y_post
+
+
+# the topology of configs/desk.ini
+DESK = ModelTopology(vocab_size=40, embed_dim=8, encoder_hidden=12, trunk_dim=8,
+                     frame_dim=8, postnet_hidden=8, num_languages=3)
+# more (token, language) pairs than a 7-sample batch has positions
+WIDE_VOCAB = ModelTopology(vocab_size=300, embed_dim=16, encoder_hidden=32, trunk_dim=32,
+                           frame_dim=8, postnet_hidden=16, num_languages=4)
+
+
+def forward_batch(topology, n, lengths, multi_language, seed=7):
+    """n samples of lengths drawn from [lo, hi), all of language 1 unless
+    `multi_language`, when sample i is of language i mod num_languages."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    for i in range(n):
+        t = int(rng.integers(*lengths))
+        lang = i % topology.num_languages if multi_language else 1
+        tokens = rng.integers(0, topology.vocab_size, size=t)
+        samples.append(Sample(lang, tokens, rng.standard_normal((t, topology.frame_dim))))
+    return Batch(samples, Provenance.LBS)
+
+
+# (topology, samples, [lo, hi) of the lengths, multi-language)
+FORWARD_CASES = {
+    **{f"{name}_{n}": (topology, n, (6, 13), False)
+       for name, topology in (("desk", DESK), ("paper_scale", PAPER_SCALE)) for n in (1, 7, 32, 84)},
+    "short": (PAPER_SCALE, 32, (2, 6), False),
+    "multi_language": (PAPER_SCALE, 84, (6, 13), True),
+    "wide_vocab": (WIDE_VOCAB, 7, (6, 13), True),
+}
+
+
+def distinct_pairs(tokens, langs):
+    return len({(int(k), int(lang)) for row, lang in zip(tokens, langs) for k in row})
+
+
+@pytest.mark.parametrize("head", [Head.LBS, Head.RRS])
+@pytest.mark.parametrize("case", FORWARD_CASES)
+def test_forward_bits_match_per_position_reference(case, head):
+    # running the chain once per distinct (token, language) pair and gathering
+    # must give every activation of every position bit for bit
+    topology, n, lengths, multi_language = FORWARD_CASES[case]
+    batch = forward_batch(topology, n, lengths, multi_language)
+    params = init_params(topology, 4)
+    params.values[:] += 0.1 * np.random.default_rng(8).standard_normal(len(params.values))
+    w = _Weights(topology, params.values)
+    tokens, _, _, langs = _pad_batch(topology, batch)
+    got = model._forward_padded(w, topology, tokens, langs, head)
+    want = reference_forward_padded(w, topology, tokens, langs, head)
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_forward_cases_cover_edge_shapes():
+    # a padded length below 12, pair counts that fill a whole number of T-row
+    # blocks and that do not, more possible pairs than positions, several languages
+    shape = {}
+    for case, (topology, n, lengths, multi_language) in FORWARD_CASES.items():
+        tokens, _, _, langs = _pad_batch(topology, forward_batch(topology, n, lengths, multi_language))
+        shape[case] = tokens.shape[1], distinct_pairs(tokens, langs), tokens.size, len(set(langs.tolist()))
+    assert shape["short"][0] < 12
+    assert {pairs % t == 0 for t, pairs, _, _ in shape.values()} == {True, False}
+    assert WIDE_VOCAB.vocab_size * WIDE_VOCAB.num_languages > shape["wide_vocab"][2]
+    assert shape["multi_language"][3] == shape["wide_vocab"][3] == 4
+
+
+def test_forward_runs_once_per_distinct_pair(monkeypatch):
+    # a one-language paper-scale batch has 84·T padded positions but at most
+    # 40 distinct pairs: the first product must see the pairs, in T-row blocks
+    first_rows = []
+    affine = model._affine
+
+    def spy(x, *args, **kwargs):
+        first_rows.append(math.prod(x.shape[:-1]))
+        return affine(x, *args, **kwargs)
+
+    batch = forward_batch(PAPER_SCALE, 84, (6, 13), multi_language=False)
+    tokens, _, _, langs = _pad_batch(PAPER_SCALE, batch)
+    n, t = tokens.shape
+    pairs = distinct_pairs(tokens, langs)
+    monkeypatch.setattr(model, "_affine", spy)
+    loss_and_grad(init_params(PAPER_SCALE, 1), batch, Head.LBS)
+    assert first_rows[0] <= -(-pairs // t) * t < n * t
 
 
 def test_embedding_gradient_matches_add_at_scatter(tiny_params, monkeypatch):
