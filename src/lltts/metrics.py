@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .model import Head, _forward_padded, _pad_batch, _Weights
+from .model import Head, _predict
 from .samplers import Batch, Provenance
 
 MCD_CONST = 10.0 / math.log(10.0)
@@ -43,15 +43,12 @@ def sample_mcds(params, samples) -> np.ndarray:
     `samples` is a Batch, or a list of samples, which is packed into one.
     """
     batch = samples if isinstance(samples, Batch) else Batch(samples, Provenance.LBS)
-    topology = params.topology
-    tokens, targets, _, langs = _pad_batch(topology, batch)
-    w = _Weights(topology, params.values)
-    *_, y_post = _forward_padded(w, topology, tokens, langs, Head.LBS)
-    per_frame = np.sqrt(2.0 * np.sum((targets - y_post) ** 2, axis=-1))
-    # a mean over each sample's own frames sums them as `mcd` does; a masked
-    # sum over the padded row, or np.add.reduceat, groups them differently
-    lengths = batch.store.lengths[batch.rows].tolist()
-    means = np.array([row[:t].mean() for row, t in zip(per_frame, lengths)])
+    _, y_post, idx, targets, lengths = _predict(params, batch, Head.LBS)
+    per_frame = np.sqrt(2.0 * np.sum((targets - y_post.take(idx, axis=0)) ** 2, axis=-1))
+    # a mean over each sample's own frames sums them as `mcd` does; np.add.reduceat
+    # groups them differently
+    ends = np.cumsum(lengths).tolist()
+    means = np.array([per_frame[a:b].mean() for a, b in zip([0, *ends], ends)])
     return MCD_CONST * means
 
 

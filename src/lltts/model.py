@@ -6,12 +6,10 @@ heads -> residual post net. The trunk and post net are shared between
 heads; only the selected head receives gradient.
 
 A position's activations depend only on its (token, language) pair, so the
-forward runs once per distinct pair of a batch (at most 40 of a one-language
-paper-scale batch's 1,008 positions) and gathers each activation back to the
-positions. The pairs are computed in blocks of the batch's padded length T:
-each product then has the shape of one sample's, (T, K) @ (K, N), and rounds
-as it does. A product over more rows rounds differently at the paper shapes
-(K = 32 and 36). The backward runs over every position.
+forward, the backward and evaluation run over a table of the batch's
+distinct pairs (at most 40 rows for a one-language paper-scale batch of
+about 800 positions) and never over padded positions. The loss still sums
+each position's own residual.
 """
 from __future__ import annotations
 
@@ -138,20 +136,31 @@ def _check_rows(topology: ModelTopology, store, rows) -> None:
             )
 
 
-def _pad_batch(topology: ModelTopology, batch):
-    """The batch's rows as padded arrays plus a mask: one gather from its store."""
+def _gather_pairs(topology: ModelTopology, batch):
+    """The batch's valid positions, flat in batch order, as rows of a table of
+    its distinct (token, language) pairs.
+
+    Returns each pair's token id and language id (the table, in key order),
+    each position's row of the table, each position's target frame and each
+    sample's length.
+    """
     store, rows = batch.store, batch.rows
     _check_rows(topology, store, rows)
     lengths = store.lengths[rows]
-    valid = np.arange(lengths.max()) < lengths[:, None]
-    # each row's token positions; those past the sample's end are zeroed
-    pos = store.starts[rows, None] + np.arange(valid.shape[1])
-    invalid = ~valid
-    tokens = store.tokens.take(pos, mode="clip")
-    tokens[invalid] = 0
-    targets = store.frames.take(pos, axis=0, mode="clip")
-    targets[invalid] = 0.0
-    return tokens, targets, valid.astype(np.float64), store.langs[rows]
+    ends = np.cumsum(lengths)
+    # each position's index into the store
+    pos = np.repeat(store.starts[rows] - (ends - lengths), lengths)
+    pos += np.arange(ends[-1])
+    n_lang = topology.num_languages
+    keys = np.multiply(store.tokens[pos], n_lang, dtype=np.intp)
+    keys += np.repeat(store.langs[rows], lengths)
+    # slot[key] is 1 for each pair present, then the pair's row in the table
+    slot = np.zeros(topology.vocab_size * n_lang, dtype=np.intp)
+    slot[keys] = 1
+    pairs = np.flatnonzero(slot)
+    slot[pairs] = np.arange(len(pairs))
+    pair_tokens, pair_langs = np.divmod(pairs, n_lang)
+    return pair_tokens, pair_langs, slot[keys], store.frames.take(pos, axis=0), lengths
 
 
 def _affine(x, weight, bias, tanh: bool):
@@ -161,56 +170,36 @@ def _affine(x, weight, bias, tanh: bool):
     return np.tanh(out, out=out) if tanh else out
 
 
-def _forward_padded(w: _Weights, topology: ModelTopology, tokens, langs, head: Head):
-    """Every activation of the padded batch, each (n, T, ·), gathered from a
-    (blocks, T, ·) table of its distinct (token, language) pairs."""
-    n_lang = topology.num_languages
-    keys = np.multiply(tokens, n_lang, dtype=np.intp)
-    keys += langs[:, None]
-    # slot[key] is 1 for each pair present, then the pair's row in the table
-    slot = np.zeros(topology.vocab_size * n_lang, dtype=np.intp)
-    slot[keys] = 1
-    pairs = np.flatnonzero(slot)
-    slot[pairs] = np.arange(len(pairs))
-    rows = slot[keys]
-    t = tokens.shape[1]
-    # rows past the last pair repeat the first pairs
-    pair_tokens, pair_langs = np.divmod(np.resize(pairs, (-(-len(pairs) // t), t)), n_lang)
-
-    def gather(table):
-        return table.reshape(-1, table.shape[2]).take(rows, axis=0)
-
-    # each table is dropped once the next is made from it
-    e = w.emb[tokens]
-    table = _affine(w.emb[pair_tokens], w.w_enc, w.b_enc, tanh=True)
-    h = gather(table)
-    table = np.concatenate([table, np.eye(n_lang)[pair_langs]], axis=2)
-    z = gather(table)
-    table = _affine(table, w.w_trunk, w.b_trunk, tanh=True)
-    u = gather(table)
+def _forward_pairs(w: _Weights, topology: ModelTopology, pair_tokens, pair_langs, head: Head):
+    """Every activation of the pair table, each (pairs, ·)."""
+    e = w.emb[pair_tokens]
+    h = _affine(e, w.w_enc, w.b_enc, tanh=True)
+    z = np.concatenate([h, np.eye(topology.num_languages)[pair_langs]], axis=1)
+    u = _affine(z, w.w_trunk, w.b_trunk, tanh=True)
     w_h, b_h = w.heads[head]
-    pre = _affine(table, w_h, b_h, tanh=False)
-    y_pre = gather(pre)
-    table = _affine(pre, w.w_p1, w.b_p1, tanh=True)
-    q = gather(table)
-    # pre + q @ w_p2.T + b_p2, with the first sum's operands swapped
-    table = table @ w.w_p2.T
-    table += pre
-    table += w.b_p2
-    return e, h, z, u, y_pre, q, gather(table)
+    y_pre = _affine(u, w_h, b_h, tanh=False)
+    q = _affine(y_pre, w.w_p1, w.b_p1, tanh=True)
+    y_post = q @ w.w_p2.T
+    y_post += y_pre
+    y_post += w.b_p2
+    return e, h, z, u, y_pre, q, y_post
+
+
+def _predict(params: ParameterSet, batch, head: Head):
+    """The pair table's pre- and post-net frames, with each position's row of
+    the table, each position's target frame and each sample's length."""
+    topology = params.topology
+    pair_tokens, pair_langs, idx, targets, lengths = _gather_pairs(topology, batch)
+    w = _Weights(topology, params.values)
+    *_, y_pre, _, y_post = _forward_pairs(w, topology, pair_tokens, pair_langs, head)
+    return y_pre, y_post, idx, targets, lengths
 
 
 def forward(params: ParameterSet, batch, head: Head):
     """Predicted frames per sample: (pre-postnet list, post-postnet list)."""
-    topology = params.topology
-    tokens, _, _, langs = _pad_batch(topology, batch)
-    w = _Weights(topology, params.values)
-    *_, y_pre, _, y_post = _forward_padded(w, topology, tokens, langs, head)
-    pre, post = [], []
-    for i, ti in enumerate(batch.store.lengths[batch.rows].tolist()):
-        pre.append(y_pre[i, :ti].copy())
-        post.append(y_post[i, :ti].copy())
-    return pre, post
+    y_pre, y_post, idx, _, lengths = _predict(params, batch, head)
+    bounds = np.cumsum(lengths[:-1])
+    return np.split(y_pre.take(idx, axis=0), bounds), np.split(y_post.take(idx, axis=0), bounds)
 
 
 @dataclass
@@ -223,16 +212,11 @@ class LossBreakdown:
         return self.pre_postnet_mse + self.post_postnet_mse
 
 
-def _weight_grad(upstream, inputs):
-    """Gradient of a per-position linear map, sum_{b,t} upstream[b,t] x inputs[b,t].
-
-    One small GEMM per sample, summed over the batch axis. Each product is far
-    below the size at which OpenBLAS starts worker threads, so the rounding,
-    and hence every result, is the same for any BLAS thread count; a single
-    GEMM over the flattened batch is threaded at the larger topologies and
-    rounds differently with the thread count.
-    """
-    return np.matmul(upstream.transpose(0, 2, 1), inputs).sum(axis=0)
+def _scatter_rows(rows, values, n_rows: int):
+    """An (n_rows, K) array whose row r is the sum of the values[i] with rows[i] == r."""
+    k = values.shape[1]
+    slots = (rows[:, None] * k + np.arange(k)).reshape(-1)
+    return np.bincount(slots, weights=values.reshape(-1), minlength=n_rows * k).reshape(n_rows, k)
 
 
 def loss_and_grad(params: ParameterSet, batch, head: Head):
@@ -241,72 +225,47 @@ def loss_and_grad(params: ParameterSet, batch, head: Head):
     Per-sample loss averages over positions and frame coefficients; the
     batch loss averages over samples. The unselected head's gradient
     segment stays zero.
+
+    The loss is a sum of each position's weighted squared residual, so the
+    gradient at a pair's output y is 2 (W y - S), with W the summed loss
+    weights of the pair's positions and S their weighted targets, and the
+    backward runs over the pair table.
     """
     topology = params.topology
-    # d_pre is the targets' buffer and d_post is y_post's, until each becomes its residual
-    tokens, d_pre, mask, langs = _pad_batch(topology, batch)
+    pair_tokens, pair_langs, idx, targets, lengths = _gather_pairs(topology, batch)
     w = _Weights(topology, params.values)
-    e, h, z, u, y_pre, q, d_post = _forward_padded(w, topology, tokens, langs, head)
+    e, h, z, u, y_pre, q, y_post = _forward_pairs(w, topology, pair_tokens, pair_langs, head)
 
-    n, _, f_dim = d_pre.shape
-    lengths = mask.sum(axis=1)
-    # per-element averaging weight: 1 / (n_samples * T_i * frame_dim)
-    weight = (mask / (n * lengths[:, None] * f_dim))[:, :, None]
-    del mask, langs
-
-    # A backward quantity takes over the buffer of an array at its last use, and
-    # what no later step reads is dropped before the next weight gradient. Each
-    # step is the out-of-place operation, the operands of a + or * at most
-    # swapped, so the bits are the same.
-    d_post -= d_pre
-    np.subtract(y_pre, d_pre, out=d_pre)
-    pre_mse = float(np.sum(weight * d_pre**2))
-    post_mse = float(np.sum(weight * d_post**2))
-    loss = LossBreakdown(pre_mse, post_mse)
+    n_pairs, f_dim = y_pre.shape
+    # each position's loss weight, 1 / (n_samples * T_i * frame_dim)
+    weight = np.repeat(1.0 / (lengths * float(len(lengths) * f_dim)), lengths)
+    loss = LossBreakdown(
+        float(np.sum(weight[:, None] * (y_pre.take(idx, axis=0) - targets) ** 2)),
+        float(np.sum(weight[:, None] * (y_post.take(idx, axis=0) - targets) ** 2)),
+    )
+    w_sum = np.bincount(idx, weights=weight, minlength=n_pairs)[:, None]
+    s_sum = _scatter_rows(idx, weight[:, None] * targets, n_pairs)
 
     grad = np.zeros_like(params.values)
     g = _Weights(topology, grad)
-
-    g_post = np.multiply(2.0 * weight, d_post, out=d_post)
-    g.b_p2[...] = g_post.sum(axis=(0, 1))
-    g.w_p2[...] = _weight_grad(g_post, q)
-    ds1 = g_post @ w.w_p2  # dq, then dq * (1 - q**2)
-    ds1 *= np.subtract(1.0, np.square(q, out=q), out=q)
-    del q
-    g.b_p1[...] = ds1.sum(axis=(0, 1))
-    g.w_p1[...] = _weight_grad(ds1, y_pre)
-    del y_pre
-
-    dy_pre = np.multiply(2.0 * weight, d_pre, out=d_pre)
-    dy_pre += g_post
-    dy_pre += ds1 @ w.w_p1
-    del weight, d_post, g_post, ds1
+    g_post = 2.0 * (w_sum * y_post - s_sum)
+    g.b_p2[...] = g_post.sum(axis=0)
+    g.w_p2[...] = g_post.T @ q
+    ds1 = (g_post @ w.w_p2) * (1.0 - q**2)
+    g.b_p1[...] = ds1.sum(axis=0)
+    g.w_p1[...] = ds1.T @ y_pre
+    dy_pre = 2.0 * (w_sum * y_pre - s_sum) + g_post + ds1 @ w.w_p1
     w_h, _ = w.heads[head]
     gw_h, gb_h = g.heads[head]
-    gb_h[...] = dy_pre.sum(axis=(0, 1))
-    gw_h[...] = _weight_grad(dy_pre, u)
-
-    da_tr = dy_pre @ w_h  # du, then du * (1 - u**2)
-    da_tr *= np.subtract(1.0, np.square(u, out=u), out=u)
-    del d_pre, dy_pre, u
-    g.b_trunk[...] = da_tr.sum(axis=(0, 1))
-    g.w_trunk[...] = _weight_grad(da_tr, z)
-    dh = (da_tr @ w.w_trunk)[:, :, : topology.encoder_hidden]
-    del da_tr, z
-    da_enc = np.multiply(dh, np.subtract(1.0, np.square(h, out=h), out=h), out=h)
-    del dh
-    g.b_enc[...] = da_enc.sum(axis=(0, 1))
-    g.w_enc[...] = _weight_grad(da_enc, e)
-    de = da_enc @ w.w_enc
-    del e, da_enc, h
-    # bincount adds the rows in input order onto 0.0, as np.add.at would, so
-    # the sums are bitwise the same; padded positions carry zero upstream
-    # gradient and add exact zeros, so no masking is needed
-    d_emb = topology.embed_dim
-    slots = (tokens.reshape(-1, 1) * d_emb + np.arange(d_emb)).reshape(-1)
-    g.emb[...] = np.bincount(
-        slots, weights=de.reshape(-1), minlength=topology.vocab_size * d_emb
-    ).reshape(topology.vocab_size, d_emb)
+    gb_h[...] = dy_pre.sum(axis=0)
+    gw_h[...] = dy_pre.T @ u
+    da_tr = (dy_pre @ w_h) * (1.0 - u**2)
+    g.b_trunk[...] = da_tr.sum(axis=0)
+    g.w_trunk[...] = da_tr.T @ z
+    da_enc = (da_tr @ w.w_trunk[:, : topology.encoder_hidden]) * (1.0 - h**2)
+    g.b_enc[...] = da_enc.sum(axis=0)
+    g.w_enc[...] = da_enc.T @ e
+    g.emb[...] = _scatter_rows(pair_tokens, da_enc @ w.w_enc, topology.vocab_size)
     return loss, grad
 
 

@@ -28,6 +28,20 @@ def store_nbytes(store):
                                   store.langs))
 
 
+def plain_padding(samples, frame_dim):
+    """Padded tokens, targets, mask and languages, one sample at a time."""
+    t_max = max(len(s.tokens) for s in samples)
+    tokens = np.zeros((len(samples), t_max), dtype=np.int64)
+    targets = np.zeros((len(samples), t_max, frame_dim))
+    mask = np.zeros((len(samples), t_max))
+    for i, s in enumerate(samples):
+        t = len(s.tokens)
+        tokens[i, :t] = s.tokens
+        targets[i, :t] = s.target_frames
+        mask[i, :t] = 1.0
+    return tokens, targets, mask, np.array([s.language_id for s in samples])
+
+
 def random_sample(rng, topology=TINY, t=None):
     t = t if t is not None else int(rng.integers(2, 6))
     tokens = rng.integers(0, topology.vocab_size, size=t)

@@ -1,5 +1,4 @@
 import hashlib
-import math
 import os
 import subprocess
 import sys
@@ -7,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lltts import model
 from lltts.data import Sample
@@ -16,7 +17,6 @@ from lltts.model import (
     Head,
     ModelTopology,
     _Weights,
-    _pad_batch,
     adam_step,
     finite_diff_check,
     forward,
@@ -26,7 +26,7 @@ from lltts.model import (
 )
 from lltts.samplers import Batch, Provenance
 
-from conftest import TINY, random_batch, random_sample
+from conftest import TINY, plain_padding, random_batch, random_sample
 
 # the topology of configs/paper_scale.ini
 PAPER_SCALE = ModelTopology(vocab_size=40, embed_dim=16, encoder_hidden=32, trunk_dim=32,
@@ -193,17 +193,23 @@ class TestLossAndGrad:
             assert finite_diff_check(tiny_params, batch, head, 1e-5) < 1e-4, head
 
     @pytest.mark.parametrize("head", [Head.LBS, Head.RRS])
-    def test_weight_gradients_match_einsum(self, tiny_params, rng, monkeypatch, head):
+    def test_weight_gradients_match_einsum(self, tiny_params, rng, head):
+        # each weight gradient is one (N, pairs) @ (pairs, K) product; the
+        # reference sums upstream x input over every padded position with einsum
         samples = [random_sample(rng, t=t) for t in (7, 2, 5, 1, 4)]
         for i, s in enumerate(samples):
             s.language_id = i % TINY.num_languages
         batch = Batch(samples, Provenance.LBS)
         tiny_params.values[:] += 0.1 * rng.standard_normal(len(tiny_params.values))
         loss, grad = loss_and_grad(tiny_params, batch, head)
-        monkeypatch.setattr(model, "_weight_grad", lambda a, b: np.einsum("bti,btj->ij", a, b))
-        ref_loss, ref_grad = loss_and_grad(tiny_params, batch, head)
-        assert loss.total == ref_loss.total
-        assert grad == pytest.approx(ref_grad, rel=1e-12, abs=0)
+        ref_loss, ref_grad = reference_loss_and_grad(tiny_params, batch, head)
+        assert loss.total == pytest.approx(ref_loss.total, rel=REL_TOL, abs=0)
+        g, ref = _Weights(TINY, grad), _Weights(TINY, ref_grad)
+        w_h, _ = g.heads[head]
+        ref_h, _ = ref.heads[head]
+        for got, want in ((g.w_enc, ref.w_enc), (g.w_trunk, ref.w_trunk), (w_h, ref_h),
+                          (g.w_p1, ref.w_p1), (g.w_p2, ref.w_p2)):
+            assert np.max(np.abs(got - want)) <= REL_TOL * np.max(np.abs(want))
 
     def test_unselected_head_grad_zero(self, tiny_params, rng):
         batch = random_batch(rng)
@@ -251,11 +257,21 @@ class TestLossAndGrad:
         assert np.array_equal(g1, g2)
 
 
+# The pair table sums each pair's positions before the backward, so the loss
+# and gradient round differently from the per-position arithmetic: they are
+# compared with it at this relative tolerance, of the largest entry. Over 400
+# random batches of the tiny, desk and paper topologies, max |difference| /
+# max |entry| was at most 1.7e-15 for the gradient, 4.0e-16 for the loss and
+# 4.1e-15 for a sample's forward outputs.
+REL_TOL = 1e-13
+
+
 def reference_loss_and_grad(params, batch, head):
-    """The out-of-place arithmetic of loss_and_grad, every activation and
-    backward temporary a fresh array kept until the return."""
+    """The loss and its gradient at every padded position of the batch, out of
+    place: padding of its own, einsum weight gradients and an np.add.at
+    embedding scatter."""
     topology = params.topology
-    tokens, targets, mask, langs = _pad_batch(topology, batch)
+    tokens, targets, mask, langs = plain_padding(batch.samples, topology.frame_dim)
     w = _Weights(topology, params.values)
     e = w.emb[tokens]
     h = np.tanh(e @ w.w_enc.T + w.b_enc)
@@ -274,75 +290,33 @@ def reference_loss_and_grad(params, batch, head):
     d_post = y_post - targets
     loss = model.LossBreakdown(float(np.sum(weight * d_pre**2)), float(np.sum(weight * d_post**2)))
 
+    def outer(a, b):
+        return np.einsum("bti,btj->ij", a, b)
+
     grad = np.zeros_like(params.values)
     g = _Weights(topology, grad)
     g_post = 2.0 * weight * d_post
     g.b_p2[...] = g_post.sum(axis=(0, 1))
-    g.w_p2[...] = model._weight_grad(g_post, q)
+    g.w_p2[...] = outer(g_post, q)
     dq = g_post @ w.w_p2
     ds1 = dq * (1.0 - q**2)
     g.b_p1[...] = ds1.sum(axis=(0, 1))
-    g.w_p1[...] = model._weight_grad(ds1, y_pre)
+    g.w_p1[...] = outer(ds1, y_pre)
     dy_pre = 2.0 * weight * d_pre + g_post + ds1 @ w.w_p1
     gw_h, gb_h = g.heads[head]
     gb_h[...] = dy_pre.sum(axis=(0, 1))
-    gw_h[...] = model._weight_grad(dy_pre, u)
+    gw_h[...] = outer(dy_pre, u)
     du = dy_pre @ w_h
     da_tr = du * (1.0 - u**2)
     g.b_trunk[...] = da_tr.sum(axis=(0, 1))
-    g.w_trunk[...] = model._weight_grad(da_tr, z)
+    g.w_trunk[...] = outer(da_tr, z)
     dh = (da_tr @ w.w_trunk)[:, :, : topology.encoder_hidden]
     da_enc = dh * (1.0 - h**2)
     g.b_enc[...] = da_enc.sum(axis=(0, 1))
-    g.w_enc[...] = model._weight_grad(da_enc, e)
+    g.w_enc[...] = outer(da_enc, e)
     de = da_enc @ w.w_enc
-    d_emb = topology.embed_dim
-    slots = (tokens.reshape(-1, 1) * d_emb + np.arange(d_emb)).reshape(-1)
-    g.emb[...] = np.bincount(
-        slots, weights=de.reshape(-1), minlength=topology.vocab_size * d_emb
-    ).reshape(topology.vocab_size, d_emb)
+    np.add.at(g.emb, tokens.reshape(-1), de.reshape(-1, topology.embed_dim))
     return loss, grad
-
-
-@pytest.mark.parametrize("topology", [TINY, PAPER_SCALE], ids=["tiny", "paper_scale"])
-@pytest.mark.parametrize("head", [Head.LBS, Head.RRS])
-def test_loss_and_grad_bits_match_out_of_place_reference(rng, topology, head):
-    # the in-place buffers must not change a bit of the loss or the gradient
-    samples = [random_sample(rng, topology, t=t) for t in (7, 2, 5, 1, 4, 7)]
-    for i, s in enumerate(samples):
-        s.language_id = i % topology.num_languages
-    batch = Batch(samples, Provenance.LBS)
-    params = init_params(topology, 2)
-    params.values[:] += 0.1 * rng.standard_normal(len(params.values))
-    loss, grad = loss_and_grad(params, batch, head)
-    ref_loss, ref_grad = reference_loss_and_grad(params, batch, head)
-    assert loss == ref_loss
-    assert np.array_equal(grad.view(np.uint64), ref_grad.view(np.uint64))
-
-
-def reference_forward_padded(w, topology, tokens, langs, head):
-    """The per-position forward: each product runs over every padded position
-    of the batch, one (T, K) @ (K, N) product per sample."""
-    e = w.emb[tokens]
-    h = model._affine(e, w.w_enc, w.b_enc, tanh=True)
-    onehot = np.eye(topology.num_languages)[langs]
-    z = np.concatenate([h, np.broadcast_to(onehot[:, None, :], h.shape[:2] + (topology.num_languages,))], axis=2)
-    u = model._affine(z, w.w_trunk, w.b_trunk, tanh=True)
-    w_h, b_h = w.heads[head]
-    y_pre = model._affine(u, w_h, b_h, tanh=False)
-    q = model._affine(y_pre, w.w_p1, w.b_p1, tanh=True)
-    y_post = q @ w.w_p2.T
-    y_post += y_pre
-    y_post += w.b_p2
-    return e, h, z, u, y_pre, q, y_post
-
-
-# the topology of configs/desk.ini
-DESK = ModelTopology(vocab_size=40, embed_dim=8, encoder_hidden=12, trunk_dim=8,
-                     frame_dim=8, postnet_hidden=8, num_languages=3)
-# more (token, language) pairs than a 7-sample batch has positions
-WIDE_VOCAB = ModelTopology(vocab_size=300, embed_dim=16, encoder_hidden=32, trunk_dim=32,
-                           frame_dim=8, postnet_hidden=16, num_languages=4)
 
 
 def forward_batch(topology, n, lengths, multi_language, seed=7):
@@ -358,6 +332,38 @@ def forward_batch(topology, n, lengths, multi_language, seed=7):
     return Batch(samples, Provenance.LBS)
 
 
+# The test names below say "bits" because they pinned the padded arithmetic
+# bit for bit; they keep their names so that their history stays one test.
+@pytest.mark.parametrize("topology", [TINY, PAPER_SCALE], ids=["tiny", "paper_scale"])
+@pytest.mark.parametrize("head", [Head.LBS, Head.RRS])
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 84),
+    max_len=st.integers(1, 12),
+    multi_language=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_loss_and_grad_bits_match_out_of_place_reference(topology, head, n, max_len, multi_language, seed):
+    # the pair table's loss and gradient are those of every position's own
+    # arithmetic, to REL_TOL of the largest entry
+    batch = forward_batch(topology, n, (1, max_len + 1), multi_language, seed)
+    params = init_params(topology, 2)
+    params.values[:] += 0.1 * np.random.default_rng(seed).standard_normal(len(params.values))
+    loss, grad = loss_and_grad(params, batch, head)
+    ref_loss, ref_grad = reference_loss_and_grad(params, batch, head)
+    assert loss.pre_postnet_mse == pytest.approx(ref_loss.pre_postnet_mse, rel=REL_TOL, abs=0)
+    assert loss.post_postnet_mse == pytest.approx(ref_loss.post_postnet_mse, rel=REL_TOL, abs=0)
+    assert np.max(np.abs(grad - ref_grad)) <= REL_TOL * np.max(np.abs(ref_grad))
+
+
+# the topology of configs/desk.ini
+DESK = ModelTopology(vocab_size=40, embed_dim=8, encoder_hidden=12, trunk_dim=8,
+                     frame_dim=8, postnet_hidden=8, num_languages=3)
+# more (token, language) pairs than a 7-sample batch has positions
+WIDE_VOCAB = ModelTopology(vocab_size=300, embed_dim=16, encoder_hidden=32, trunk_dim=32,
+                           frame_dim=8, postnet_hidden=16, num_languages=4)
+
+
 # (topology, samples, [lo, hi) of the lengths, multi-language)
 FORWARD_CASES = {
     **{f"{name}_{n}": (topology, n, (6, 13), False)
@@ -365,82 +371,83 @@ FORWARD_CASES = {
     "short": (PAPER_SCALE, 32, (2, 6), False),
     "multi_language": (PAPER_SCALE, 84, (6, 13), True),
     "wide_vocab": (WIDE_VOCAB, 7, (6, 13), True),
+    "one_pair": (PAPER_SCALE, 1, (1, 2), False),
 }
 
 
-def distinct_pairs(tokens, langs):
-    return len({(int(k), int(lang)) for row, lang in zip(tokens, langs) for k in row})
+def distinct_pairs(batch):
+    return len({(int(k), s.language_id) for s in batch.samples for k in s.tokens})
 
 
 @pytest.mark.parametrize("head", [Head.LBS, Head.RRS])
 @pytest.mark.parametrize("case", FORWARD_CASES)
-def test_forward_bits_match_per_position_reference(case, head):
-    # running the chain once per distinct (token, language) pair and gathering
-    # must give every activation of every position bit for bit
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_forward_bits_match_per_position_reference(case, head, seed):
+    # the outputs gathered from the pair table are every position's own
+    # arithmetic, to REL_TOL of the sample's largest entry
     topology, n, lengths, multi_language = FORWARD_CASES[case]
-    batch = forward_batch(topology, n, lengths, multi_language)
+    batch = forward_batch(topology, n, lengths, multi_language, seed)
     params = init_params(topology, 4)
-    params.values[:] += 0.1 * np.random.default_rng(8).standard_normal(len(params.values))
-    w = _Weights(topology, params.values)
-    tokens, _, _, langs = _pad_batch(topology, batch)
-    got = model._forward_padded(w, topology, tokens, langs, head)
-    want = reference_forward_padded(w, topology, tokens, langs, head)
-    for a, b in zip(got, want, strict=True):
-        assert a.shape == b.shape
-        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    params.values[:] += 0.1 * np.random.default_rng(seed).standard_normal(len(params.values))
+    pre, post = forward(params, batch, head)
+    for s, got_pre, got_post in zip(batch.samples, pre, post, strict=True):
+        for got, want in zip((got_pre, got_post), reference_forward(params, s, head)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= REL_TOL * np.max(np.abs(want))
 
 
 def test_forward_cases_cover_edge_shapes():
-    # a padded length below 12, pair counts that fill a whole number of T-row
-    # blocks and that do not, more possible pairs than positions, several languages
+    # a one-pair table (numpy's matrix-vector path), tables of fewer pairs
+    # than positions and of more possible pairs than positions, several languages
     shape = {}
     for case, (topology, n, lengths, multi_language) in FORWARD_CASES.items():
-        tokens, _, _, langs = _pad_batch(topology, forward_batch(topology, n, lengths, multi_language))
-        shape[case] = tokens.shape[1], distinct_pairs(tokens, langs), tokens.size, len(set(langs.tolist()))
-    assert shape["short"][0] < 12
-    assert {pairs % t == 0 for t, pairs, _, _ in shape.values()} == {True, False}
-    assert WIDE_VOCAB.vocab_size * WIDE_VOCAB.num_languages > shape["wide_vocab"][2]
-    assert shape["multi_language"][3] == shape["wide_vocab"][3] == 4
+        pair_tokens, pair_langs, idx, *_ = model._gather_pairs(
+            topology, forward_batch(topology, n, lengths, multi_language))
+        shape[case] = len(pair_tokens), len(idx), len(set(pair_langs.tolist()))
+    assert shape["one_pair"][0] == 1
+    assert shape["paper_scale_84"][0] < shape["paper_scale_84"][1]
+    assert WIDE_VOCAB.vocab_size * WIDE_VOCAB.num_languages > shape["wide_vocab"][1]
+    assert shape["multi_language"][2] == shape["wide_vocab"][2] == 4
 
 
 def test_forward_runs_once_per_distinct_pair(monkeypatch):
-    # a one-language paper-scale batch has 84·T padded positions but at most
-    # 40 distinct pairs: the first product must see the pairs, in T-row blocks
+    # a one-language paper-scale batch has about 760 positions but at most 40
+    # distinct pairs: the first product must see exactly the pairs
     first_rows = []
     affine = model._affine
 
     def spy(x, *args, **kwargs):
-        first_rows.append(math.prod(x.shape[:-1]))
+        first_rows.append(x.shape[0])
         return affine(x, *args, **kwargs)
 
     batch = forward_batch(PAPER_SCALE, 84, (6, 13), multi_language=False)
-    tokens, _, _, langs = _pad_batch(PAPER_SCALE, batch)
-    n, t = tokens.shape
-    pairs = distinct_pairs(tokens, langs)
     monkeypatch.setattr(model, "_affine", spy)
     loss_and_grad(init_params(PAPER_SCALE, 1), batch, Head.LBS)
-    assert first_rows[0] <= -(-pairs // t) * t < n * t
+    assert first_rows[0] == distinct_pairs(batch) <= 40
 
 
 def test_embedding_gradient_matches_add_at_scatter(tiny_params, monkeypatch):
-    # the bincount scatter must add in np.add.at's order: compare the bits on
-    # a batch with repeated tokens and unequal lengths
+    # the bincount scatter of the pair rows must add in np.add.at's order:
+    # compare the bits on a batch whose pairs repeat tokens across languages
     rng = np.random.default_rng(5)
     samples = [random_sample(rng, t=t) for t in (7, 2, 5, 7, 1)]
+    for i, s in enumerate(samples):
+        s.language_id = i % TINY.num_languages
     samples[1].tokens[:] = samples[0].tokens[0]
-    upstream = []
-    bincount = np.bincount
+    calls = []
+    scatter_rows = model._scatter_rows
 
-    def spy(x, weights=None, minlength=0):
-        upstream.append(weights)
-        return bincount(x, weights=weights, minlength=minlength)
+    def spy(rows, values, n_rows):
+        calls.append((rows, values))
+        return scatter_rows(rows, values, n_rows)
 
-    monkeypatch.setattr(np, "bincount", spy)
+    monkeypatch.setattr(model, "_scatter_rows", spy)
     _, grad = loss_and_grad(tiny_params, Batch(samples, Provenance.LBS), Head.LBS)
-    (de,) = upstream
-    tokens, *_ = _pad_batch(TINY, Batch(samples, Provenance.LBS))
+    pair_tokens, de = calls[-1]
+    assert len(pair_tokens) == distinct_pairs(Batch(samples, Provenance.LBS)) > len(set(pair_tokens.tolist()))
     expected = np.zeros((TINY.vocab_size, TINY.embed_dim))
-    np.add.at(expected, tokens.reshape(-1), de.reshape(-1, TINY.embed_dim))
+    np.add.at(expected, pair_tokens, de)
     g_emb = _Weights(TINY, grad).emb
     assert np.array_equal(g_emb.view(np.uint64), expected.view(np.uint64))
 
@@ -480,9 +487,9 @@ def paper_scale_batch():
 
 
 def test_loss_and_grad_peak_memory():
-    # the heap a training step adds to the sample store: each activation and
-    # backward temporary is freed at its last use. Keeping them all until the
-    # return peaks at 3.30 MB here
+    # the heap a training step adds to the sample store: the activations and
+    # backward quantities are (pairs, ·) tables, and only the residuals and
+    # targets are per position. Per-position activations peaked at 1.76 MB here
     params, batch = init_params(PAPER_SCALE, 1), paper_scale_batch()
     loss_and_grad(params, batch, Head.LBS)  # the first call checks the store's ids
     tracemalloc.start()
@@ -491,7 +498,7 @@ def test_loss_and_grad_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2_200_000
+    assert peak <= 1_000_000
 
 
 def test_gradient_independent_of_blas_threads():

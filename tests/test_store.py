@@ -4,40 +4,34 @@ import dataclasses
 import numpy as np
 import pytest
 
-import lltts.metrics as metrics
+import lltts.model as model
 import lltts.strategies as strategies
 from lltts.buffer import MemoryBuffer
 from lltts.config import ExperimentConfig
 from lltts.data import TaskSpec, generate_task, generate_tasks, merge_replay
 from lltts.errors import InputDomainError
-from lltts.model import _pad_batch
+from lltts.model import _gather_pairs
 from lltts.samplers import Batch, Provenance
 from lltts.store import ReplayDataset, SampleStore, join_pools
 from lltts.strategies import StrategyConfig, StrategyKind, run_sequence
 
-from conftest import TINY, random_sample
+from conftest import TINY, plain_padding, random_sample
 
 
-def plain_padding(samples, frame_dim):
-    """Padded tokens, targets, mask and languages, one sample at a time."""
-    t_max = max(len(s.tokens) for s in samples)
-    tokens = np.zeros((len(samples), t_max), dtype=np.int64)
-    targets = np.zeros((len(samples), t_max, frame_dim))
-    mask = np.zeros((len(samples), t_max))
-    for i, s in enumerate(samples):
-        t = len(s.tokens)
-        tokens[i, :t] = s.tokens
-        targets[i, :t] = s.target_frames
-        mask[i, :t] = 1.0
-    return tokens, targets, mask, np.array([s.language_id for s in samples])
-
-
-def assert_same_padding(got, want):
-    for g, w in zip(got, want):
-        assert g.shape == w.shape
-        assert np.array_equal(g, w)
-    # bitwise: padded targets are +0.0, as np.zeros gives
-    assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
+def assert_gathers_padding(topology, got, want):
+    """The gather holds the valid positions of the padding `want`, in batch
+    order, as rows of a table of its distinct (token, language) pairs."""
+    pair_tokens, pair_langs, idx, targets, lengths = got
+    tokens, want_targets, mask, langs = want
+    valid = mask.astype(bool)
+    assert np.array_equal(lengths, valid.sum(axis=1))
+    assert np.array_equal(pair_tokens[idx], tokens[valid])
+    assert np.array_equal(pair_langs[idx], np.broadcast_to(langs[:, None], tokens.shape)[valid])
+    assert np.array_equal(targets.view(np.uint64), want_targets[valid].view(np.uint64))
+    # one row per distinct pair, in key order, each used
+    keys = pair_tokens * topology.num_languages + pair_langs
+    assert np.all(np.diff(keys) > 0)
+    assert np.array_equal(np.unique(idx), np.arange(len(keys)))
 
 
 def tiny_specs(n_tasks=3, **kw):
@@ -62,7 +56,7 @@ class TestGather:
             rows[-1] = rows[0]
             batch = Batch.of_rows(store, rows, Provenance.LBS)
             want = plain_padding([samples[r] for r in rows], TINY.frame_dim)
-            assert_same_padding(_pad_batch(topology, batch), want)
+            assert_gathers_padding(topology, _gather_pairs(topology, batch), want)
         assert any(store.lengths == 1)
 
     def test_api_batch_matches_plain_padding(self, rng):
@@ -70,7 +64,7 @@ class TestGather:
             samples = [random_sample(rng, t=int(rng.integers(1, 6))) for _ in range(n)]
             samples.append(samples[0])
             want = plain_padding(samples, TINY.frame_dim)
-            assert_same_padding(_pad_batch(TINY, Batch(samples, Provenance.LBS)), want)
+            assert_gathers_padding(TINY, _gather_pairs(TINY, Batch(samples, Provenance.LBS)), want)
 
     @pytest.mark.parametrize("position", [0, 2])
     def test_bad_sample_of_api_batch_is_named(self, rng, position):
@@ -86,24 +80,24 @@ class TestGather:
             s.language_id = -1
 
         with pytest.raises(InputDomainError, match=f"sample {position}: token id"):
-            _pad_batch(TINY, batch_with(bad_token))
+            _gather_pairs(TINY, batch_with(bad_token))
         with pytest.raises(InputDomainError, match=f"sample {position}: language id -1"):
-            _pad_batch(TINY, batch_with(bad_language))
+            _gather_pairs(TINY, batch_with(bad_language))
         with pytest.raises(InputDomainError, match=f"sample {position}: target frames"):
             samples = [random_sample(rng, t=t) for t in (3, 1, 4)]
             samples[position].target_frames = np.zeros((len(samples[position].tokens), 2))
             # the first sample's frame dim is wrong for the topology, or
             # another sample's disagrees with it
-            _pad_batch(TINY, Batch(samples, Provenance.LBS))
+            _gather_pairs(TINY, Batch(samples, Provenance.LBS))
 
     def test_bad_row_of_store_is_named_by_its_batch_position(self):
         tasks = generate_tasks(tiny_specs(n_tasks=1))
         store = tasks[0].store
         store.tokens[store.starts[5]] = -1
         with pytest.raises(InputDomainError, match="sample 1: token id"):
-            _pad_batch(TINY, Batch.of_rows(store, np.array([3, 5, 7]), Provenance.LBS))
+            _gather_pairs(TINY, Batch.of_rows(store, np.array([3, 5, 7]), Provenance.LBS))
         # rows that fit still gather; the store is not marked as checked
-        _pad_batch(TINY, Batch.of_rows(store, np.array([3, 7]), Provenance.LBS))
+        _gather_pairs(TINY, Batch.of_rows(store, np.array([3, 7]), Provenance.LBS))
         assert TINY not in store.checked
 
 
@@ -175,11 +169,11 @@ class TestOneStore:
         monkeypatch.setattr(SampleStore, "pack", staticmethod(no_copy))
         monkeypatch.setattr(SampleStore, "samples", no_sample)
         stores, stages = [], []
-        pad_batch = metrics._pad_batch
+        gather_pairs = model._gather_pairs
 
-        def spy_pad(topology, batch):
+        def spy_gather(topology, batch):
             stores.append(batch.store)
-            return pad_batch(topology, batch)
+            return gather_pairs(topology, batch)
 
         loss_terms = strategies._loss_terms
 
@@ -199,7 +193,7 @@ class TestOneStore:
             stores.append(batch.store)
             return loss_and_grad(params, batch, head)
 
-        monkeypatch.setattr(metrics, "_pad_batch", spy_pad)
+        monkeypatch.setattr(model, "_gather_pairs", spy_gather)
         monkeypatch.setattr(strategies, "loss_and_grad", spy_loss)
         monkeypatch.setattr(strategies, "_loss_terms", spy_terms)
         monkeypatch.setattr(strategies, "train_stage", spy_stage)
