@@ -43,7 +43,8 @@ def sample_mcds(params, samples) -> np.ndarray:
     `samples` is a Batch, or a list of samples, which is packed into one.
     """
     batch = samples if isinstance(samples, Batch) else Batch(samples, Provenance.LBS)
-    _, y_post, idx, targets, lengths = _predict(params, batch, Head.LBS)
+    _, y_post, idx, pos, lengths = _predict(params, batch, Head.LBS)
+    targets = batch.store.frames.take(pos, axis=0)
     per_frame = np.sqrt(2.0 * np.sum((targets - y_post.take(idx, axis=0)) ** 2, axis=-1))
     # a mean over each sample's own frames sums them as `mcd` does; np.add.reduceat
     # groups them differently

@@ -9,11 +9,14 @@ A position's activations depend only on its (token, language) pair, so the
 forward, the backward and evaluation run over a table of the batch's
 distinct pairs (at most 40 rows for a one-language paper-scale batch of
 about 800 positions) and never over padded positions. The loss still sums
-each position's own residual.
+each position's own residual. Several batches can share one pass as groups
+of one table, each with its own loss and gradient (a GEM step's batch and
+its reference batches).
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -78,15 +81,25 @@ class ParameterSet:
         return ParameterSet(self.values.copy(), self.topology)
 
 
+@functools.cache
+def _spans(topology: ModelTopology) -> tuple:
+    """(name, slice of the flat vector, shape) of every weight and bias."""
+    spans, start = [], 0
+    for name, shape in _layout(topology):
+        size = math.prod(shape)
+        spans.append((name, slice(start, start + size), shape))
+        start += size
+    return tuple(spans)
+
+
 class _Weights:
-    """Named matrix views over one flat parameter (or gradient) vector."""
+    """Named matrix views over the last axis of a (..., n_params) array of
+    parameter or gradient vectors."""
 
     def __init__(self, topology: ModelTopology, flat: np.ndarray):
-        start = 0
-        for name, shape in _layout(topology):
-            size = math.prod(shape)
-            setattr(self, name, flat[start : start + size].reshape(shape))
-            start += size
+        lead = flat.shape[:-1]
+        for name, span, shape in _spans(topology):
+            setattr(self, name, flat[..., span].reshape(lead + shape))
         self.heads = {
             Head.LBS: (self.w_lbs, self.b_lbs),
             Head.RRS: (self.w_rrs, self.b_rrs),
@@ -136,13 +149,16 @@ def _check_rows(topology: ModelTopology, store, rows) -> None:
             )
 
 
-def _gather_pairs(topology: ModelTopology, batch):
+def _gather_pairs(topology: ModelTopology, batch, sizes=None):
     """The batch's valid positions, flat in batch order, as rows of a table of
-    its distinct (token, language) pairs.
+    the distinct (token, language) pairs of each group of `sizes` consecutive
+    batch rows (one group when None).
 
-    Returns each pair's token id and language id (the table, in key order),
-    each position's row of the table, each position's target frame and each
-    sample's length.
+    A pair's key is (group * vocab_size + token) * num_languages + language,
+    so each group's pairs are one block of the table, as its rows alone would
+    give it. Returns each pair's token and language, each position's row of
+    the table and index into the store, each sample's length and each pair's
+    key.
     """
     store, rows = batch.store, batch.rows
     _check_rows(topology, store, rows)
@@ -152,15 +168,20 @@ def _gather_pairs(topology: ModelTopology, batch):
     pos = np.repeat(store.starts[rows] - (ends - lengths), lengths)
     pos += np.arange(ends[-1])
     n_lang = topology.num_languages
+    span = topology.vocab_size * n_lang  # the keys of one group
+    n_groups = 1 if sizes is None else len(sizes)
+    offsets = store.langs[rows]
+    if n_groups > 1:
+        offsets = offsets + np.repeat(np.arange(0, n_groups * span, span), sizes)
     keys = np.multiply(store.tokens[pos], n_lang, dtype=np.intp)
-    keys += np.repeat(store.langs[rows], lengths)
-    # slot[key] is 1 for each pair present, then the pair's row in the table
-    slot = np.zeros(topology.vocab_size * n_lang, dtype=np.intp)
+    keys += np.repeat(offsets, lengths)
+    # slot[key] is 1 for each key present, then the key's row in the table
+    slot = np.zeros(n_groups * span, dtype=np.intp)
     slot[keys] = 1
     pairs = np.flatnonzero(slot)
     slot[pairs] = np.arange(len(pairs))
-    pair_tokens, pair_langs = np.divmod(pairs, n_lang)
-    return pair_tokens, pair_langs, slot[keys], store.frames.take(pos, axis=0), lengths
+    pair_tokens, pair_langs = np.divmod(pairs % span if n_groups > 1 else pairs, n_lang)
+    return pair_tokens, pair_langs, slot[keys], pos, lengths, pairs
 
 
 def _affine(x, weight, bias, tanh: bool):
@@ -174,7 +195,11 @@ def _forward_pairs(w: _Weights, topology: ModelTopology, pair_tokens, pair_langs
     """Every activation of the pair table, each (pairs, ·)."""
     e = w.emb[pair_tokens]
     h = _affine(e, w.w_enc, w.b_enc, tanh=True)
-    z = np.concatenate([h, np.eye(topology.num_languages)[pair_langs]], axis=1)
+    # the trunk's input: h, then the language one-hot
+    n_pairs, n_h = h.shape
+    z = np.zeros((n_pairs, n_h + topology.num_languages))
+    z[:, :n_h] = h
+    z[np.arange(n_pairs), n_h + pair_langs] = 1.0
     u = _affine(z, w.w_trunk, w.b_trunk, tanh=True)
     w_h, b_h = w.heads[head]
     y_pre = _affine(u, w_h, b_h, tanh=False)
@@ -187,12 +212,12 @@ def _forward_pairs(w: _Weights, topology: ModelTopology, pair_tokens, pair_langs
 
 def _predict(params: ParameterSet, batch, head: Head):
     """The pair table's pre- and post-net frames, with each position's row of
-    the table, each position's target frame and each sample's length."""
+    the table and index into the store, and each sample's length."""
     topology = params.topology
-    pair_tokens, pair_langs, idx, targets, lengths = _gather_pairs(topology, batch)
+    pair_tokens, pair_langs, idx, pos, lengths, _ = _gather_pairs(topology, batch)
     w = _Weights(topology, params.values)
     *_, y_pre, _, y_post = _forward_pairs(w, topology, pair_tokens, pair_langs, head)
-    return y_pre, y_post, idx, targets, lengths
+    return y_pre, y_post, idx, pos, lengths
 
 
 def forward(params: ParameterSet, batch, head: Head):
@@ -219,54 +244,90 @@ def _scatter_rows(rows, values, n_rows: int):
     return np.bincount(slots, weights=values.reshape(-1), minlength=n_rows * k).reshape(n_rows, k)
 
 
+def _position_sums(batch, pos, idx, weight, ends, y_pre, y_post):
+    """Each group's LossBreakdown, over its positions up to `ends`, and each
+    pair's weighted target sum S."""
+    targets = batch.store.frames.take(pos, axis=0)
+    mse = []
+    for y in (y_pre, y_post):
+        sq = y.take(idx, axis=0)
+        sq -= targets
+        sq *= sq
+        sq *= weight[:, None]
+        mse.append([float(sq[a:b].sum()) for a, b in zip([0, *ends], ends)])
+        del sq  # before the next residuals
+    targets *= weight[:, None]
+    return [LossBreakdown(*m) for m in zip(*mse)], _scatter_rows(idx, targets, len(y_pre))
+
+
+def _block_grads(g_weight, g_bias, d, x, blocks):
+    """Each group's weight and bias gradient, d.T @ x and the sum of d over
+    the group's block of table rows."""
+    for i, (a, b) in enumerate(blocks):
+        g_bias[i] = d[a:b].sum(axis=0)
+        g_weight[i] = d[a:b].T @ x[a:b]
+
+
 def loss_and_grad(params: ParameterSet, batch, head: Head):
     """MSE(pre) + MSE(post) vs targets, with the exact analytic gradient.
 
     Per-sample loss averages over positions and frame coefficients; the
     batch loss averages over samples. The unselected head's gradient
     segment stays zero.
+    """
+    losses, grads = group_loss_and_grads(params, batch, head)
+    return losses[0], grads[0]
 
-    The loss is a sum of each position's weighted squared residual, so the
-    gradient at a pair's output y is 2 (W y - S), with W the summed loss
-    weights of the pair's positions and S their weighted targets, and the
-    backward runs over the pair table.
+
+def group_loss_and_grads(params: ParameterSet, batch, head: Head, sizes=None):
+    """`loss_and_grad` of each group of `sizes` consecutive batch rows (one
+    group when None) from one model pass: a LossBreakdown per group and a
+    (groups, n_params) array of their gradients.
+
+    The gradient at a pair's output y is 2 (W y - S), with W the summed loss
+    weights of the pair's positions and S their weighted targets. The
+    backward runs once over the table; each group's weight and bias gradients
+    are products over its block of rows, its embedding's a scatter of them.
     """
     topology = params.topology
-    pair_tokens, pair_langs, idx, targets, lengths = _gather_pairs(topology, batch)
+    pair_tokens, pair_langs, idx, pos, lengths, pairs = _gather_pairs(topology, batch, sizes)
     w = _Weights(topology, params.values)
     e, h, z, u, y_pre, q, y_post = _forward_pairs(w, topology, pair_tokens, pair_langs, head)
 
     n_pairs, f_dim = y_pre.shape
-    # each position's loss weight, 1 / (n_samples * T_i * frame_dim)
-    weight = np.repeat(1.0 / (lengths * float(len(lengths) * f_dim)), lengths)
-    loss = LossBreakdown(
-        float(np.sum(weight[:, None] * (y_pre.take(idx, axis=0) - targets) ** 2)),
-        float(np.sum(weight[:, None] * (y_post.take(idx, axis=0) - targets) ** 2)),
-    )
+    # each group's samples times frame_dim, the ends of its positions and of
+    # its block of rows, and each row's embedding row, group * vocab_size + token
+    if sizes is None:
+        n_g, ends = float(len(lengths) * f_dim), [len(idx)]
+        row_ends, emb_rows = [n_pairs], pair_tokens
+    else:
+        n_g = np.repeat(np.multiply(sizes, f_dim), sizes)
+        ends = np.cumsum(lengths)[np.cumsum(sizes) - 1].tolist()
+        span = topology.vocab_size * topology.num_languages
+        row_ends = np.searchsorted(pairs, np.arange(span, len(sizes) * span + 1, span)).tolist()
+        emb_rows = pairs // topology.num_languages
+    # each position's loss weight, 1 / (n_g * T_i * frame_dim)
+    weight = np.repeat(1.0 / (lengths * n_g), lengths)
+    losses, s_sum = _position_sums(batch, pos, idx, weight, ends, y_pre, y_post)
     w_sum = np.bincount(idx, weights=weight, minlength=n_pairs)[:, None]
-    s_sum = _scatter_rows(idx, weight[:, None] * targets, n_pairs)
 
-    grad = np.zeros_like(params.values)
-    g = _Weights(topology, grad)
+    grads = np.zeros((len(ends), len(params.values)))
+    g = _Weights(topology, grads)
+    blocks = list(zip([0, *row_ends], row_ends))
     g_post = 2.0 * (w_sum * y_post - s_sum)
-    g.b_p2[...] = g_post.sum(axis=0)
-    g.w_p2[...] = g_post.T @ q
+    _block_grads(g.w_p2, g.b_p2, g_post, q, blocks)
     ds1 = (g_post @ w.w_p2) * (1.0 - q**2)
-    g.b_p1[...] = ds1.sum(axis=0)
-    g.w_p1[...] = ds1.T @ y_pre
+    _block_grads(g.w_p1, g.b_p1, ds1, y_pre, blocks)
     dy_pre = 2.0 * (w_sum * y_pre - s_sum) + g_post + ds1 @ w.w_p1
     w_h, _ = w.heads[head]
-    gw_h, gb_h = g.heads[head]
-    gb_h[...] = dy_pre.sum(axis=0)
-    gw_h[...] = dy_pre.T @ u
+    _block_grads(*g.heads[head], dy_pre, u, blocks)
     da_tr = (dy_pre @ w_h) * (1.0 - u**2)
-    g.b_trunk[...] = da_tr.sum(axis=0)
-    g.w_trunk[...] = da_tr.T @ z
+    _block_grads(g.w_trunk, g.b_trunk, da_tr, z, blocks)
     da_enc = (da_tr @ w.w_trunk[:, : topology.encoder_hidden]) * (1.0 - h**2)
-    g.b_enc[...] = da_enc.sum(axis=0)
-    g.w_enc[...] = da_enc.T @ e
-    g.emb[...] = _scatter_rows(pair_tokens, da_enc @ w.w_enc, topology.vocab_size)
-    return loss, grad
+    _block_grads(g.w_enc, g.b_enc, da_enc, e, blocks)
+    de = _scatter_rows(emb_rows, da_enc @ w.w_enc, len(grads) * topology.vocab_size)
+    g.emb[...] = de.reshape(g.emb.shape)
+    return losses, grads
 
 
 # Adam's moment decay rates and denominator offset

@@ -163,14 +163,20 @@ class ReplayDataset:
         return self._groups
 
 
-def join_pools(parts) -> ReplayDataset:
-    """One pool of the (store, rows) parts, in order.
+def join_rows(parts):
+    """The store and rows of the (store, rows) parts, in order.
 
     Parts of one store are joined by their rows, which copies no sample
     data; the samples of several stores are packed into a new one.
     """
     stores = {id(store): store for store, rows in parts if len(rows)}
     if len(stores) != 1:
-        return ReplayDataset([s for store, rows in parts for s in store.samples(rows)])
+        samples = [s for store, rows in parts for s in store.samples(rows)]
+        return SampleStore.pack(samples), np.arange(len(samples))
     (store,) = stores.values()
-    return ReplayDataset.of_rows(store, np.concatenate([rows for _, rows in parts]))
+    return store, np.concatenate([rows for _, rows in parts])
+
+
+def join_pools(parts) -> ReplayDataset:
+    """One pool of the (store, rows) parts, in order, joined as `join_rows` does."""
+    return ReplayDataset.of_rows(*join_rows(parts))

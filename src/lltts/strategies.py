@@ -15,7 +15,15 @@ from .buffer import MemoryBuffer
 from .data import TaskDataset, generate_tasks, merge_replay
 from .errors import ConfigError, NumericError, UsageError
 from .metrics import split_mcd, stage_eval
-from .model import AdamState, Head, ParameterSet, adam_step, init_params, loss_and_grad
+from .model import (
+    AdamState,
+    Head,
+    ParameterSet,
+    adam_step,
+    group_loss_and_grads,
+    init_params,
+    loss_and_grad,
+)
 from .samplers import (
     Batch,
     Provenance,
@@ -24,7 +32,7 @@ from .samplers import (
     draw_random,
     draw_weighted,
 )
-from .store import join_pools
+from .store import join_pools, join_rows
 
 
 class StrategyKind(enum.Enum):
@@ -146,23 +154,29 @@ def ewc_penalty(params: ParameterSet, fstate: FisherState, lam: float):
 
 
 def gem_reference_grads(
-    params: ParameterSet, buffer: MemoryBuffer, batch_size: int, rng
-) -> GemState:
+    params: ParameterSet, buffer: MemoryBuffer, batch_size: int, rng, step_batch=None
+):
     """One LBS-loss gradient per past language that has buffered samples,
-    on up to batch_size of them."""
+    on up to batch_size of them.
+
+    With `step_batch`, the same model pass also gives that batch's LBS loss
+    and gradient, and the result is (loss, grad, state).
+    """
     if buffer.total() == 0:
         raise UsageError("buffer is empty")
-    grads = []
+    parts = [] if step_batch is None else [(step_batch.store, step_batch.rows)]
     langs = []
     for lang, rows in buffer.rows.items():
         if not len(rows):
             continue  # its quota is 0: fewer buffer slots than past languages
         idx = rng.choice(len(rows), size=min(batch_size, len(rows)), replace=False)
-        batch = Batch.of_rows(buffer.stores[lang], rows[idx], Provenance.LBS)
-        _, grad = loss_and_grad(params, batch, Head.LBS)
-        grads.append(grad)
+        parts.append((buffer.stores[lang], rows[idx]))
         langs.append(lang)
-    return GemState(np.stack(grads), langs)
+    batch = Batch.of_rows(*join_rows(parts), Provenance.LBS)
+    losses, grads = group_loss_and_grads(params, batch, Head.LBS, [len(rows) for _, rows in parts])
+    if step_batch is None:
+        return GemState(grads, langs)
+    return losses[0], grads[0], GemState(grads[1:], langs)
 
 
 def gem_project(g: np.ndarray, gstate: GemState) -> np.ndarray:
@@ -279,7 +293,13 @@ def train_stage(
             grad = np.zeros_like(params.values)
             loss_total = 0.0
             for weight, draw, head in terms:
-                loss, term_grad = loss_and_grad(params, draw(), head)
+                if use_gem:
+                    # one model pass gives the step's and every reference gradient
+                    loss, term_grad, gstate = gem_reference_grads(
+                        params, buffer, strategy.gem_memory_batch, rng, draw()
+                    )
+                else:
+                    loss, term_grad = loss_and_grad(params, draw(), head)
                 grad += weight * term_grad
                 loss_total += weight * loss.total
             if use_ewc:
@@ -287,7 +307,6 @@ def train_stage(
                 loss_total += penalty
                 grad += pgrad
             if use_gem:
-                gstate = gem_reference_grads(params, buffer, strategy.gem_memory_batch, rng)
                 grad = gem_project(grad, gstate)
             if not np.isfinite(loss_total):
                 raise NumericError(

@@ -501,18 +501,138 @@ def test_loss_and_grad_peak_memory():
     assert peak <= 1_000_000
 
 
-def test_gradient_independent_of_blas_threads():
-    # a single GEMM over the flattened batch is large enough at this shape
-    # for OpenBLAS to split it across threads, which changes its rounding
+def child_digests(child):
+    """What the script `child` prints under 1 and 2 BLAS threads."""
     src = os.path.dirname(os.path.dirname(model.__file__))
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        out = subprocess.run([sys.executable, "-c", _THREADS_CHILD], env=env,
+        out = subprocess.run([sys.executable, "-c", child], env=env,
                              capture_output=True, text=True, check=True, timeout=120)
         digests.append(out.stdout.strip())
+    return digests
+
+
+def test_gradient_independent_of_blas_threads():
+    # a single GEMM over the flattened batch is large enough at this shape
+    # for OpenBLAS to split it across threads, which changes its rounding
+    digests = child_digests(_THREADS_CHILD)
     assert digests[0] == digests[1]
+
+
+def group_batch(topology, n_groups, seed):
+    """A batch of n_groups groups, each of 1-32 samples of one language drawn
+    at random (two groups may share one), and each group's own batch."""
+    rng = np.random.default_rng(seed)
+    groups = []
+    for _ in range(n_groups):
+        lang = int(rng.integers(0, topology.num_languages))
+        groups.append([
+            Sample(lang, rng.integers(0, topology.vocab_size, size=t),
+                   rng.standard_normal((t, topology.frame_dim)))
+            for t in rng.integers(1, 13, size=int(rng.integers(1, 33))).tolist()
+        ])
+    batch = Batch([s for group in groups for s in group], Provenance.LBS)
+    return batch, [len(group) for group in groups], [Batch(g, Provenance.LBS) for g in groups]
+
+
+@pytest.mark.parametrize("topology", [TINY, DESK, PAPER_SCALE], ids=["tiny", "desk", "paper_scale"])
+@settings(max_examples=20, deadline=None)
+@given(n_groups=st.integers(1, 4), head=st.sampled_from(Head), seed=st.integers(0, 2**32 - 1))
+def test_group_rows_equal_separate_passes(topology, n_groups, head, seed):
+    # each group's loss and gradient row from one pass are those of a
+    # loss_and_grad on its own rows, to REL_TOL of the largest entry. A
+    # product rounds a row the same at any number of rows only while its inner
+    # dimension is at most 16 (the tiny and desk shapes) and it has 2 rows or
+    # more: OpenBLAS takes another kernel for one row (GEMV) and, at the paper
+    # shapes, above about 38 x 36 x 32 multiply-adds (the trunk: 38 rows;
+    # the heads: 151). Within those limits the rows must agree bit for bit.
+    batch, sizes, alone = group_batch(topology, n_groups, seed)
+    params = init_params(topology, 3)
+    params.values[:] += 0.1 * np.random.default_rng(seed).standard_normal(len(params.values))
+    losses, grads = model.group_loss_and_grads(params, batch, head, sizes)
+    assert grads.shape == (n_groups, topology.num_params()) and len(losses) == n_groups
+    exact = topology is not PAPER_SCALE and all(distinct_pairs(group) > 1 for group in alone)
+    for loss, grad, group in zip(losses, grads, alone, strict=True):
+        want_loss, want = loss_and_grad(params, group, head)
+        if exact:
+            assert grad.tobytes() == want.tobytes()
+            assert loss == want_loss
+        else:
+            assert np.max(np.abs(grad - want)) <= REL_TOL * np.max(np.abs(want))
+            assert loss.total == pytest.approx(want_loss.total, rel=REL_TOL, abs=0)
+
+
+def test_group_table_is_each_groups_table_in_turn():
+    # each group's block of the table is the table of its own rows, also
+    # where two groups are of one language
+    batch, sizes, alone = group_batch(PAPER_SCALE, 3, seed=10)  # languages 3, 0, 3
+    got = model._gather_pairs(PAPER_SCALE, batch, sizes)
+    start = 0
+    for group in alone:
+        pair_tokens, pair_langs, *_ = model._gather_pairs(PAPER_SCALE, group)
+        stop = start + len(pair_tokens)
+        assert np.array_equal(got[0][start:stop], pair_tokens)
+        assert np.array_equal(got[1][start:stop], pair_langs)
+        start = stop
+    assert start == len(got[0])
+
+
+_GROUP_THREADS_CHILD = """
+import hashlib
+import numpy as np
+from lltts.data import Sample
+from lltts.model import Head, ModelTopology, _gather_pairs, group_loss_and_grads, init_params
+from lltts.samplers import Batch, Provenance
+
+# a paper-scale GEM step at stage 3: a step batch of 84 samples and three
+# reference batches of 32, each holding every token of its language
+topo = ModelTopology(vocab_size=40, embed_dim=16, encoder_hidden=32, trunk_dim=32,
+                     frame_dim=8, postnet_hidden=16, num_languages=4)
+rng = np.random.default_rng(3)
+samples, sizes = [], [84, 32, 32, 32]
+for lang, n in zip((3, 2, 0, 1), sizes):
+    for i in range(n):
+        tokens = np.arange(10 * i, 10 * i + 10) if i < 4 else rng.integers(0, 40, size=int(rng.integers(6, 13)))
+        samples.append(Sample(lang, tokens, rng.standard_normal((len(tokens), 8))))
+batch = Batch(samples, Provenance.LBS)
+assert len(_gather_pairs(topo, batch, sizes)[0]) == 160
+digest = hashlib.sha256()
+for head in (Head.LBS, Head.RRS):
+    losses, grads = group_loss_and_grads(init_params(topo, 1), batch, head, sizes)
+    digest.update(np.array([loss.total for loss in losses]).tobytes() + grads.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_group_pass_independent_of_blas_threads():
+    # the largest table a paper-scale run makes, 160 rows in four groups
+    digests = child_digests(_GROUP_THREADS_CHILD)
+    assert digests[0] == digests[1]
+
+
+def test_trunk_input_is_h_then_language_one_hot(tiny_params):
+    # the trunk input is copied, not computed: the bytes of the concatenation
+    pair_tokens, pair_langs = np.array([0, 1, 1, 4]), np.array([1, 0, 1, 0])
+    w = _Weights(TINY, tiny_params.values)
+    _, h, z, *_ = model._forward_pairs(w, TINY, pair_tokens, pair_langs, Head.LBS)
+    want = np.concatenate([h, np.eye(TINY.num_languages)[pair_langs]], axis=1)
+    assert z.tobytes() == want.tobytes()
+
+
+def test_forward_reads_no_target_frames(tiny_params, rng):
+    batch = random_batch(rng)
+    want = forward(tiny_params, batch, Head.LBS)
+
+    class NoFrames:
+        # the shape _check_rows reads; any read of a value fails
+        shape = batch.store.frames.shape
+
+    batch.store.frames = NoFrames()
+    got = forward(tiny_params, batch, Head.LBS)
+    for got_list, want_list in zip(got, want, strict=True):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got_list, want_list, strict=True))
 
 
 class TestFiniteDiffCheck:

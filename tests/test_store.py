@@ -18,18 +18,20 @@ from lltts.strategies import StrategyConfig, StrategyKind, run_sequence
 from conftest import TINY, plain_padding, random_sample
 
 
-def assert_gathers_padding(topology, got, want):
+def assert_gathers_padding(topology, batch, want):
     """The gather holds the valid positions of the padding `want`, in batch
     order, as rows of a table of its distinct (token, language) pairs."""
-    pair_tokens, pair_langs, idx, targets, lengths = got
+    pair_tokens, pair_langs, idx, pos, lengths, pairs = _gather_pairs(topology, batch)
     tokens, want_targets, mask, langs = want
     valid = mask.astype(bool)
     assert np.array_equal(lengths, valid.sum(axis=1))
     assert np.array_equal(pair_tokens[idx], tokens[valid])
     assert np.array_equal(pair_langs[idx], np.broadcast_to(langs[:, None], tokens.shape)[valid])
+    targets = batch.store.frames[pos]
     assert np.array_equal(targets.view(np.uint64), want_targets[valid].view(np.uint64))
     # one row per distinct pair, in key order, each used
     keys = pair_tokens * topology.num_languages + pair_langs
+    assert np.array_equal(pairs, keys)
     assert np.all(np.diff(keys) > 0)
     assert np.array_equal(np.unique(idx), np.arange(len(keys)))
 
@@ -56,7 +58,7 @@ class TestGather:
             rows[-1] = rows[0]
             batch = Batch.of_rows(store, rows, Provenance.LBS)
             want = plain_padding([samples[r] for r in rows], TINY.frame_dim)
-            assert_gathers_padding(topology, _gather_pairs(topology, batch), want)
+            assert_gathers_padding(topology, batch, want)
         assert any(store.lengths == 1)
 
     def test_api_batch_matches_plain_padding(self, rng):
@@ -64,7 +66,7 @@ class TestGather:
             samples = [random_sample(rng, t=int(rng.integers(1, 6))) for _ in range(n)]
             samples.append(samples[0])
             want = plain_padding(samples, TINY.frame_dim)
-            assert_gathers_padding(TINY, _gather_pairs(TINY, Batch(samples, Provenance.LBS)), want)
+            assert_gathers_padding(TINY, Batch(samples, Provenance.LBS), want)
 
     @pytest.mark.parametrize("position", [0, 2])
     def test_bad_sample_of_api_batch_is_named(self, rng, position):
@@ -171,9 +173,9 @@ class TestOneStore:
         stores, stages = [], []
         gather_pairs = model._gather_pairs
 
-        def spy_gather(topology, batch):
+        def spy_gather(topology, batch, *groups):
             stores.append(batch.store)
-            return gather_pairs(topology, batch)
+            return gather_pairs(topology, batch, *groups)
 
         loss_terms = strategies._loss_terms
 

@@ -9,8 +9,10 @@ from lltts.buffer import MemoryBuffer
 from lltts.config import parse_config
 from lltts.data import TaskSpec, generate_task, generate_tasks
 from lltts.errors import NumericError, UsageError
-from lltts.model import Head, LossBreakdown, init_params, loss_and_grad
-from lltts.samplers import Batch, Provenance
+from lltts import strategies
+from lltts.model import AdamState, Head, LossBreakdown, adam_step, init_params, loss_and_grad
+from lltts.samplers import Batch, Provenance, draw_random
+from lltts.store import join_pools
 from lltts.strategies import (
     GemState,
     StageConfig,
@@ -203,6 +205,97 @@ class TestGemReferenceGrads:
             gem_reference_grads(
                 params, MemoryBuffer(5, 0), 4, np.random.default_rng(0)
             )
+
+
+def separate_gem_stage(params, ds_k, buffer, cfg, rng, memory_batch):
+    """A GEM stage with one loss_and_grad per batch: the step's batch, then one
+    reference batch per buffered language in integration order. Returns the
+    final parameters and each step's (gradient, reference rows, languages)."""
+    pool = join_pools([ds_k.part("train")])
+    opt = AdamState.fresh(len(params.values), lr=cfg.lr)
+    steps = []
+    for epoch in range(cfg.epochs):
+        opt.lr = lr_for_epoch(cfg.lr, epoch, cfg.epochs, cfg.lr_decay_epoch_fraction)
+        for _ in range(max(1, len(pool) // cfg.batch_size)):
+            _, grad = loss_and_grad(params, draw_random(pool, cfg.batch_size, rng), Head.LBS)
+            refs, langs = [], []
+            for lang, rows in buffer.rows.items():
+                if len(rows):
+                    idx = rng.choice(len(rows), size=min(memory_batch, len(rows)), replace=False)
+                    batch = Batch.of_rows(buffer.stores[lang], rows[idx], Provenance.LBS)
+                    refs.append(loss_and_grad(params, batch, Head.LBS)[1])
+                    langs.append(lang)
+            steps.append((grad, np.stack(refs), langs))
+            opt, params = adam_step(opt, params, gem_project(grad, GemState(np.stack(refs), langs)))
+    return params, steps
+
+
+class TestGemStage:
+    def test_one_pass_equals_separate_passes(self, monkeypatch):
+        # languages integrated in the order 2, 0, then a stage of language 1,
+        # each task in a store of its own: every step's gradient, its reference
+        # rows and their languages (in integration order), the final
+        # parameters and the rng stream are those of one pass per batch
+        topology = dataclasses.replace(TINY, num_languages=3)
+        tasks = {lang: small_task(language_id=lang, seed=5 + lang) for lang in (2, 0, 1)}
+        buffer = MemoryBuffer(capacity=12, rng_seed=0)
+        buffer.integrate_task(tasks[2])
+        buffer.integrate_task(tasks[0])
+        cfg = StageConfig(epochs=2, batch_size=8, lr=0.01)
+        params = init_params(topology, 0)
+        seen = []
+        project = strategies.gem_project
+
+        def spy_project(g, gstate):
+            seen.append((g.copy(), gstate.reference_grads.copy(), list(gstate.languages)))
+            return project(g, gstate)
+
+        monkeypatch.setattr(strategies, "gem_project", spy_project)
+        rng = np.random.default_rng(3)
+        strategy = StrategyConfig(StrategyKind.GEM, gem_memory_batch=4)
+        result = train_stage(strategy, params, tasks[1], buffer, None, cfg, rng)
+        monkeypatch.undo()
+
+        want_rng = np.random.default_rng(3)
+        want_params, want_steps = separate_gem_stage(params, tasks[1], buffer, cfg, want_rng, 4)
+        assert len(seen) == len(want_steps) == 2 * (60 // 8)
+        for (g, refs, langs), (want_g, want_refs, want_langs) in zip(seen, want_steps):
+            assert langs == want_langs == [2, 0]
+            assert np.array_equal(g, want_g)  # the loop adds the step's gradient to zeros
+            assert refs.tobytes() == want_refs.tobytes()
+        assert result.final_params.values.tobytes() == want_params.values.tobytes()
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("profile, bound", [("desk", 450_000), ("paper_scale", 800_000)])
+def test_gem_step_peak_memory(profile, bound):
+    # the heap of one GEM step at the last stage (desk: 3 languages, paper
+    # scale: 4): its draw, the one model pass over the step's batch and every
+    # reference batch, the projection and Adam. Measured 331 and 606 kB;
+    # the 1-3 reference passes of their own peaked at 150 and 330 kB
+    text = (CONFIGS / f"{profile}.ini").read_text()
+    cfg = parse_config(text.replace("kind = replay_dual", "kind = gem"))
+    tasks = generate_tasks(cfg.task_specs)
+    buffer = MemoryBuffer(cfg.buffer_capacity, rng_seed=0)
+    for task in tasks[:-1]:
+        buffer.integrate_task(task)
+    pool = join_pools([tasks[-1].part("train")])
+    rng = np.random.default_rng(0)
+
+    def step(opt, params):
+        batch = draw_random(pool, cfg.batch_size, rng)
+        _, grad, gstate = gem_reference_grads(params, buffer, cfg.strategy.gem_memory_batch, rng, batch)
+        return adam_step(opt, params, gem_project(grad, gstate))
+
+    params = init_params(cfg.topology, 0)
+    opt, params = step(AdamState.fresh(len(params.values)), params)  # checks the store's ids
+    tracemalloc.start()
+    try:
+        step(opt, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def active_set_oracle(g, g_mat, tol=1e-9):
