@@ -543,11 +543,11 @@ def group_batch(topology, n_groups, seed):
 def test_group_rows_equal_separate_passes(topology, n_groups, head, seed):
     # each group's loss and gradient row from one pass are those of a
     # loss_and_grad on its own rows, to REL_TOL of the largest entry. A
-    # product rounds a row the same at any number of rows only while its inner
-    # dimension is at most 16 (the tiny and desk shapes) and it has 2 rows or
-    # more: OpenBLAS takes another kernel for one row (GEMV) and, at the paper
-    # shapes, above about 38 x 36 x 32 multiply-adds (the trunk: 38 rows;
-    # the heads: 151). Within those limits the rows must agree bit for bit.
+    # product rounds a row alike at any number of rows only within one BLAS
+    # kernel. scipy-openblas 0.3.31 takes GEMV for one row and, at the paper
+    # shapes, another GEMM kernel from 38 rows (the trunk) and from 151 rows
+    # (the heads); at the tiny and desk shapes it showed no other switch. So
+    # there, with no group of a one-row table, the rows agree bit for bit.
     batch, sizes, alone = group_batch(topology, n_groups, seed)
     params = init_params(topology, 3)
     params.values[:] += 0.1 * np.random.default_rng(seed).standard_normal(len(params.values))
