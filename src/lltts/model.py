@@ -287,7 +287,8 @@ def group_loss_and_grads(params: ParameterSet, batch, head: Head, sizes=None):
     The gradient at a pair's output y is 2 (W y - S), with W the summed loss
     weights of the pair's positions and S their weighted targets. The
     backward runs once over the table; each group's weight and bias gradients
-    are products over its block of rows, its embedding's a scatter of them.
+    are products over its block of rows, and the embedding gradient is
+    scattered by (group, token).
     """
     topology = params.topology
     pair_tokens, pair_langs, idx, pos, lengths, pairs = _gather_pairs(topology, batch, sizes)
