@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -149,10 +150,10 @@ def _check_rows(topology: ModelTopology, store, rows) -> None:
             )
 
 
-def _gather_pairs(topology: ModelTopology, batch, sizes=None):
+def _gather_pairs(topology: ModelTopology, batch, sizes):
     """The batch's valid positions, flat in batch order, as rows of a table of
     the distinct (token, language) pairs of each group of `sizes` consecutive
-    batch rows (one group when None).
+    batch rows.
 
     A pair's key is (group * vocab_size + token) * num_languages + language,
     so each group's pairs are one block of the table, as its rows alone would
@@ -168,19 +169,18 @@ def _gather_pairs(topology: ModelTopology, batch, sizes=None):
     pos = np.repeat(store.starts[rows] - (ends - lengths), lengths)
     pos += np.arange(ends[-1])
     n_lang = topology.num_languages
-    span = topology.vocab_size * n_lang  # the keys of one group
-    n_groups = 1 if sizes is None else len(sizes)
-    offsets = store.langs[rows]
-    if n_groups > 1:
-        offsets = offsets + np.repeat(np.arange(0, n_groups * span, span), sizes)
     keys = np.multiply(store.tokens[pos], n_lang, dtype=np.intp)
-    keys += np.repeat(offsets, lengths)
+    keys += np.repeat(store.langs[rows], lengths)
+    # each group's keys follow those of the groups before it
+    span = topology.vocab_size * n_lang
+    for row in itertools.accumulate(sizes[:-1]):
+        keys[ends[row - 1] :] += span
     # slot[key] is 1 for each key present, then the key's row in the table
-    slot = np.zeros(n_groups * span, dtype=np.intp)
+    slot = np.zeros(len(sizes) * span, dtype=np.intp)
     slot[keys] = 1
     pairs = np.flatnonzero(slot)
     slot[pairs] = np.arange(len(pairs))
-    pair_tokens, pair_langs = np.divmod(pairs % span if n_groups > 1 else pairs, n_lang)
+    pair_tokens, pair_langs = np.divmod(pairs % span, n_lang)
     return pair_tokens, pair_langs, slot[keys], pos, lengths, pairs
 
 
@@ -214,7 +214,7 @@ def _predict(params: ParameterSet, batch, head: Head):
     """The pair table's pre- and post-net frames, with each position's row of
     the table and index into the store, and each sample's length."""
     topology = params.topology
-    pair_tokens, pair_langs, idx, pos, lengths, _ = _gather_pairs(topology, batch)
+    pair_tokens, pair_langs, idx, pos, lengths, _ = _gather_pairs(topology, batch, [len(batch.rows)])
     w = _Weights(topology, params.values)
     *_, y_pre, _, y_post = _forward_pairs(w, topology, pair_tokens, pair_langs, head)
     return y_pre, y_post, idx, pos, lengths
@@ -275,14 +275,14 @@ def loss_and_grad(params: ParameterSet, batch, head: Head):
     batch loss averages over samples. The unselected head's gradient
     segment stays zero.
     """
-    losses, grads = group_loss_and_grads(params, batch, head)
+    losses, grads = group_loss_and_grads(params, batch, head, [len(batch.rows)])
     return losses[0], grads[0]
 
 
-def group_loss_and_grads(params: ParameterSet, batch, head: Head, sizes=None):
-    """`loss_and_grad` of each group of `sizes` consecutive batch rows (one
-    group when None) from one model pass: a LossBreakdown per group and a
-    (groups, n_params) array of their gradients.
+def group_loss_and_grads(params: ParameterSet, batch, head: Head, sizes):
+    """`loss_and_grad` of each group of `sizes` consecutive batch rows, from
+    one model pass: a LossBreakdown per group and a (groups, n_params) array
+    of their gradients.
 
     The gradient at a pair's output y is 2 (W y - S), with W the summed loss
     weights of the pair's positions and S their weighted targets. The
@@ -296,25 +296,22 @@ def group_loss_and_grads(params: ParameterSet, batch, head: Head, sizes=None):
     e, h, z, u, y_pre, q, y_post = _forward_pairs(w, topology, pair_tokens, pair_langs, head)
 
     n_pairs, f_dim = y_pre.shape
-    # each group's samples times frame_dim, the ends of its positions and of
-    # its block of rows, and each row's embedding row, group * vocab_size + token
-    if sizes is None:
-        n_g, ends = float(len(lengths) * f_dim), [len(idx)]
-        row_ends, emb_rows = [n_pairs], pair_tokens
-    else:
-        n_g = np.repeat(np.multiply(sizes, f_dim), sizes)
-        ends = np.cumsum(lengths)[np.cumsum(sizes) - 1].tolist()
-        span = topology.vocab_size * topology.num_languages
-        row_ends = np.searchsorted(pairs, np.arange(span, len(sizes) * span + 1, span)).tolist()
-        emb_rows = pairs // topology.num_languages
-    # each position's loss weight, 1 / (n_g * T_i * frame_dim)
-    weight = np.repeat(1.0 / (lengths * n_g), lengths)
+    # each group's end in the batch's rows, in its positions and in the table
+    row_ends = list(itertools.accumulate(sizes))
+    ends = [int(lengths[:r].sum()) for r in row_ends[:-1]] + [len(idx)]
+    span = topology.vocab_size * topology.num_languages
+    table_ends = [int(pairs.searchsorted(g * span)) for g in range(1, len(sizes))] + [n_pairs]
+    # each position's loss weight, 1 / (n_g * T_i * frame_dim), n_g its group's size
+    scale = lengths * float(sizes[0] * f_dim)
+    for a, b in itertools.pairwise(row_ends):
+        scale[a:b] = lengths[a:b] * float((b - a) * f_dim)
+    weight = np.repeat(1.0 / scale, lengths)
     losses, s_sum = _position_sums(batch, pos, idx, weight, ends, y_pre, y_post)
     w_sum = np.bincount(idx, weights=weight, minlength=n_pairs)[:, None]
 
     grads = np.zeros((len(ends), len(params.values)))
     g = _Weights(topology, grads)
-    blocks = list(zip([0, *row_ends], row_ends))
+    blocks = list(zip([0, *table_ends], table_ends))
     g_post = 2.0 * (w_sum * y_post - s_sum)
     _block_grads(g.w_p2, g.b_p2, g_post, q, blocks)
     ds1 = (g_post @ w.w_p2) * (1.0 - q**2)
@@ -326,6 +323,8 @@ def group_loss_and_grads(params: ParameterSet, batch, head: Head, sizes=None):
     _block_grads(g.w_trunk, g.b_trunk, da_tr, z, blocks)
     da_enc = (da_tr @ w.w_trunk[:, : topology.encoder_hidden]) * (1.0 - h**2)
     _block_grads(g.w_enc, g.b_enc, da_enc, e, blocks)
+    # each pair's embedding row is group * vocab_size + token
+    emb_rows = pairs // topology.num_languages
     de = _scatter_rows(emb_rows, da_enc @ w.w_enc, len(grads) * topology.vocab_size)
     g.emb[...] = de.reshape(g.emb.shape)
     return losses, grads

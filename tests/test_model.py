@@ -402,8 +402,8 @@ def test_forward_cases_cover_edge_shapes():
     # than positions and of more possible pairs than positions, several languages
     shape = {}
     for case, (topology, n, lengths, multi_language) in FORWARD_CASES.items():
-        pair_tokens, pair_langs, idx, *_ = model._gather_pairs(
-            topology, forward_batch(topology, n, lengths, multi_language))
+        batch = forward_batch(topology, n, lengths, multi_language)
+        pair_tokens, pair_langs, idx, *_ = model._gather_pairs(topology, batch, [n])
         shape[case] = len(pair_tokens), len(idx), len(set(pair_langs.tolist()))
     assert shape["one_pair"][0] == 1
     assert shape["paper_scale_84"][0] < shape["paper_scale_84"][1]
@@ -571,7 +571,7 @@ def test_group_table_is_each_groups_table_in_turn():
     got = model._gather_pairs(PAPER_SCALE, batch, sizes)
     start = 0
     for group in alone:
-        pair_tokens, pair_langs, *_ = model._gather_pairs(PAPER_SCALE, group)
+        pair_tokens, pair_langs, *_ = model._gather_pairs(PAPER_SCALE, group, [len(group.rows)])
         stop = start + len(pair_tokens)
         assert np.array_equal(got[0][start:stop], pair_tokens)
         assert np.array_equal(got[1][start:stop], pair_langs)

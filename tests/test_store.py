@@ -18,10 +18,14 @@ from lltts.strategies import StrategyConfig, StrategyKind, run_sequence
 from conftest import TINY, plain_padding, random_sample
 
 
+def gather_one_group(topology, batch):
+    return _gather_pairs(topology, batch, [len(batch.rows)])
+
+
 def assert_gathers_padding(topology, batch, want):
     """The gather holds the valid positions of the padding `want`, in batch
     order, as rows of a table of its distinct (token, language) pairs."""
-    pair_tokens, pair_langs, idx, pos, lengths, pairs = _gather_pairs(topology, batch)
+    pair_tokens, pair_langs, idx, pos, lengths, pairs = gather_one_group(topology, batch)
     tokens, want_targets, mask, langs = want
     valid = mask.astype(bool)
     assert np.array_equal(lengths, valid.sum(axis=1))
@@ -82,24 +86,24 @@ class TestGather:
             s.language_id = -1
 
         with pytest.raises(InputDomainError, match=f"sample {position}: token id"):
-            _gather_pairs(TINY, batch_with(bad_token))
+            gather_one_group(TINY, batch_with(bad_token))
         with pytest.raises(InputDomainError, match=f"sample {position}: language id -1"):
-            _gather_pairs(TINY, batch_with(bad_language))
+            gather_one_group(TINY, batch_with(bad_language))
         with pytest.raises(InputDomainError, match=f"sample {position}: target frames"):
             samples = [random_sample(rng, t=t) for t in (3, 1, 4)]
             samples[position].target_frames = np.zeros((len(samples[position].tokens), 2))
             # the first sample's frame dim is wrong for the topology, or
             # another sample's disagrees with it
-            _gather_pairs(TINY, Batch(samples, Provenance.LBS))
+            gather_one_group(TINY, Batch(samples, Provenance.LBS))
 
     def test_bad_row_of_store_is_named_by_its_batch_position(self):
         tasks = generate_tasks(tiny_specs(n_tasks=1))
         store = tasks[0].store
         store.tokens[store.starts[5]] = -1
         with pytest.raises(InputDomainError, match="sample 1: token id"):
-            _gather_pairs(TINY, Batch.of_rows(store, np.array([3, 5, 7]), Provenance.LBS))
+            gather_one_group(TINY, Batch.of_rows(store, np.array([3, 5, 7]), Provenance.LBS))
         # rows that fit still gather; the store is not marked as checked
-        _gather_pairs(TINY, Batch.of_rows(store, np.array([3, 7]), Provenance.LBS))
+        gather_one_group(TINY, Batch.of_rows(store, np.array([3, 7]), Provenance.LBS))
         assert TINY not in store.checked
 
 
