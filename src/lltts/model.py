@@ -3,15 +3,15 @@
 Per-position feed-forward pipeline: token embedding -> tanh encoder ->
 language one-hot concat -> tanh trunk -> one of two linear projection
 heads -> residual post net. The trunk and post net are shared between
-heads; only the selected head receives gradient.
+heads; a batch trains the trunk, the post net and its own head only.
 
 A position's activations depend only on its (token, language) pair, so the
 forward, the backward and evaluation run over a table of the batch's
 distinct pairs (at most 40 rows for a one-language paper-scale batch of
 about 800 positions) and never over padded positions. The loss still sums
 each position's own residual. Several batches can share one pass as groups
-of one table, each with its own loss and gradient (a GEM step's batch and
-its reference batches).
+of one table, each with its own head, loss and gradient: a dual step's LBS
+and RRS batches, or a GEM step's batch and its reference batches.
 """
 from __future__ import annotations
 
@@ -191,8 +191,14 @@ def _affine(x, weight, bias, tanh: bool):
     return np.tanh(out, out=out) if tanh else out
 
 
-def _forward_pairs(w: _Weights, topology: ModelTopology, pair_tokens, pair_langs, head: Head):
-    """Every activation of the pair table, each (pairs, ·)."""
+def _stack_runs(parts):
+    """The head runs' blocks of rows as one array; a single run's block as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _forward_pairs(w: _Weights, topology: ModelTopology, pair_tokens, pair_langs, runs):
+    """Every activation of the pair table, each (pairs, ·), with the table
+    rows of each (head, groups, rows) of `runs` through that head."""
     e = w.emb[pair_tokens]
     h = _affine(e, w.w_enc, w.b_enc, tanh=True)
     # the trunk's input: h, then the language one-hot
@@ -201,8 +207,7 @@ def _forward_pairs(w: _Weights, topology: ModelTopology, pair_tokens, pair_langs
     z[:, :n_h] = h
     z[np.arange(n_pairs), n_h + pair_langs] = 1.0
     u = _affine(z, w.w_trunk, w.b_trunk, tanh=True)
-    w_h, b_h = w.heads[head]
-    y_pre = _affine(u, w_h, b_h, tanh=False)
+    y_pre = _stack_runs([_affine(u[rows], *w.heads[head], tanh=False) for head, _, rows in runs])
     q = _affine(y_pre, w.w_p1, w.b_p1, tanh=True)
     y_post = q @ w.w_p2.T
     y_post += y_pre
@@ -216,7 +221,8 @@ def _predict(params: ParameterSet, batch, head: Head):
     topology = params.topology
     pair_tokens, pair_langs, idx, pos, lengths, _ = _gather_pairs(topology, batch, [len(batch.rows)])
     w = _Weights(topology, params.values)
-    *_, y_pre, _, y_post = _forward_pairs(w, topology, pair_tokens, pair_langs, head)
+    runs = [(head, slice(0, 1), slice(None))]
+    *_, y_pre, _, y_post = _forward_pairs(w, topology, pair_tokens, pair_langs, runs)
     return y_pre, y_post, idx, pos, lengths
 
 
@@ -273,34 +279,39 @@ def loss_and_grad(params: ParameterSet, batch, head: Head):
 
     Per-sample loss averages over positions and frame coefficients; the
     batch loss averages over samples. The unselected head's gradient
-    segment stays zero.
+    segment stays zero. `group_loss_and_grads` with one group.
     """
-    losses, grads = group_loss_and_grads(params, batch, head, [len(batch.rows)])
+    losses, grads = group_loss_and_grads(params, batch, [head], [len(batch.rows)])
     return losses[0], grads[0]
 
 
-def group_loss_and_grads(params: ParameterSet, batch, head: Head, sizes):
-    """`loss_and_grad` of each group of `sizes` consecutive batch rows, from
-    one model pass: a LossBreakdown per group and a (groups, n_params) array
-    of their gradients.
+def group_loss_and_grads(params: ParameterSet, batch, heads, sizes):
+    """`loss_and_grad` of each group of `sizes` consecutive batch rows on its
+    head of `heads`, from one model pass: a LossBreakdown per group and a
+    (groups, n_params) array of their gradients.
 
     The gradient at a pair's output y is 2 (W y - S), with W the summed loss
     weights of the pair's positions and S their weighted targets. The
     backward runs once over the table; each group's weight and bias gradients
     are products over its block of rows, and the embedding gradient is
-    scattered by (group, token).
+    scattered by (group, token). Each run of consecutive groups on one head
+    takes one head product each way.
     """
     topology = params.topology
     pair_tokens, pair_langs, idx, pos, lengths, pairs = _gather_pairs(topology, batch, sizes)
-    w = _Weights(topology, params.values)
-    e, h, z, u, y_pre, q, y_post = _forward_pairs(w, topology, pair_tokens, pair_langs, head)
-
-    n_pairs, f_dim = y_pre.shape
+    n_pairs, f_dim = len(pairs), topology.frame_dim
     # each group's end in the batch's rows, in its positions and in the table
     row_ends = list(itertools.accumulate(sizes))
     ends = [int(lengths[:r].sum()) for r in row_ends[:-1]] + [len(idx)]
     span = topology.vocab_size * topology.num_languages
-    table_ends = [int(pairs.searchsorted(g * span)) for g in range(1, len(sizes))] + [n_pairs]
+    bounds = [0] + [int(pairs.searchsorted(g * span)) for g in range(1, len(sizes))] + [n_pairs]
+    blocks = list(itertools.pairwise(bounds))
+    # each run of consecutive groups on one head: its head, groups and table rows
+    cuts = [0, *(g for g in range(1, len(heads)) if heads[g] is not heads[g - 1]), len(heads)]
+    runs = [(heads[a], slice(a, b), slice(bounds[a], bounds[b])) for a, b in itertools.pairwise(cuts)]
+    w = _Weights(topology, params.values)
+    e, h, z, u, y_pre, q, y_post = _forward_pairs(w, topology, pair_tokens, pair_langs, runs)
+
     # each position's loss weight, 1 / (n_g * T_i * frame_dim), n_g its group's size
     scale = lengths * float(sizes[0] * f_dim)
     for a, b in itertools.pairwise(row_ends):
@@ -311,15 +322,15 @@ def group_loss_and_grads(params: ParameterSet, batch, head: Head, sizes):
 
     grads = np.zeros((len(ends), len(params.values)))
     g = _Weights(topology, grads)
-    blocks = list(zip([0, *table_ends], table_ends))
     g_post = 2.0 * (w_sum * y_post - s_sum)
     _block_grads(g.w_p2, g.b_p2, g_post, q, blocks)
     ds1 = (g_post @ w.w_p2) * (1.0 - q**2)
     _block_grads(g.w_p1, g.b_p1, ds1, y_pre, blocks)
     dy_pre = 2.0 * (w_sum * y_pre - s_sum) + g_post + ds1 @ w.w_p1
-    w_h, _ = w.heads[head]
-    _block_grads(*g.heads[head], dy_pre, u, blocks)
-    da_tr = (dy_pre @ w_h) * (1.0 - u**2)
+    for head, groups, _ in runs:
+        g_w, g_b = g.heads[head]
+        _block_grads(g_w[groups], g_b[groups], dy_pre, u, blocks[groups])
+    da_tr = _stack_runs([dy_pre[rows] @ w.heads[head][0] for head, _, rows in runs]) * (1.0 - u**2)
     _block_grads(g.w_trunk, g.b_trunk, da_tr, z, blocks)
     da_enc = (da_tr @ w.w_trunk[:, : topology.encoder_hidden]) * (1.0 - h**2)
     _block_grads(g.w_enc, g.b_enc, da_enc, e, blocks)

@@ -153,6 +153,12 @@ def ewc_penalty(params: ParameterSet, fstate: FisherState, lam: float):
     return penalty, grad
 
 
+def _grouped_pass(params: ParameterSet, batches, heads):
+    """Each batch's loss and gradient on its head of `heads`, from one model pass."""
+    batch = Batch.of_rows(*join_rows([(b.store, b.rows) for b in batches]), Provenance.LBS)
+    return group_loss_and_grads(params, batch, heads, [len(b) for b in batches])
+
+
 def gem_reference_grads(
     params: ParameterSet, buffer: MemoryBuffer, batch_size: int, rng, step_batch=None
 ):
@@ -164,16 +170,15 @@ def gem_reference_grads(
     """
     if buffer.total() == 0:
         raise UsageError("buffer is empty")
-    parts = [] if step_batch is None else [(step_batch.store, step_batch.rows)]
+    batches = [] if step_batch is None else [step_batch]
     langs = []
     for lang, rows in buffer.rows.items():
         if not len(rows):
             continue  # its quota is 0: fewer buffer slots than past languages
         idx = rng.choice(len(rows), size=min(batch_size, len(rows)), replace=False)
-        parts.append((buffer.stores[lang], rows[idx]))
+        batches.append(Batch.of_rows(buffer.stores[lang], rows[idx], Provenance.LBS))
         langs.append(lang)
-    batch = Batch.of_rows(*join_rows(parts), Provenance.LBS)
-    losses, grads = group_loss_and_grads(params, batch, Head.LBS, [len(rows) for _, rows in parts])
+    losses, grads = _grouped_pass(params, batches, [Head.LBS] * len(batches))
     if step_batch is None:
         return GemState(grads, langs)
     return losses[0], grads[0], GemState(grads[1:], langs)
@@ -226,7 +231,8 @@ def _dev_mcd(params: ParameterSet, ds: TaskDataset) -> float:
 
 
 def _loss_terms(strategy: StrategyConfig, pool, batch_size: int, rng) -> list:
-    """The (weight, draw, head) terms whose weighted loss sum is one step's loss.
+    """The (weight, draw, head) terms whose weighted loss sum is one step's
+    loss, in the order a step draws their batches.
 
     REPLAY_DUAL sums gamma * L_lbs + beta * L_rrs; every other strategy has
     a single unit-weight term on the LBS head.
@@ -262,10 +268,11 @@ def train_stage(
 ) -> StageResult:
     """One task's training phase; returns final parameters and dev curves.
 
-    Each step sums the strategy's weighted loss terms (`_loss_terms`), then
-    adds the EWC penalty or applies the GEM projection. `seen_tasks` lists
-    every task seen so far (current included); their dev splits feed the
-    per-epoch MCD curves. For JOINT it also defines the training pool.
+    Each step takes the gradients of the strategy's loss terms (`_loss_terms`)
+    in one model pass (GEM's with its reference gradients) and sums them,
+    then adds the EWC penalty or applies the GEM projection. `seen_tasks`
+    lists every task seen so far (current included); their dev splits feed
+    the per-epoch MCD curves. For JOINT it also defines the training pool.
     """
     kind = strategy.kind
     seen_tasks = seen_tasks if seen_tasks is not None else [ds_k]
@@ -289,17 +296,20 @@ def train_stage(
     for epoch in range(cfg.epochs):
         opt.lr = lr_for_epoch(cfg.lr, epoch, cfg.epochs, cfg.lr_decay_epoch_fraction)
         for step in range(steps_per_epoch):
+            batches = [draw() for _, draw, _ in terms]
+            losses, grads = [], []  # gamma = beta = 0 leaves a dual step no batch
+            if use_gem:
+                # one model pass gives the step's and every reference gradient
+                loss, step_grad, gstate = gem_reference_grads(
+                    params, buffer, strategy.gem_memory_batch, rng, batches[0]
+                )
+                losses, grads = [loss], [step_grad]
+            elif batches:
+                losses, grads = _grouped_pass(params, batches, [head for *_, head in terms])
             # accumulating into zeros keeps gamma = beta = 0 a valid no-op step
             grad = np.zeros_like(params.values)
             loss_total = 0.0
-            for weight, draw, head in terms:
-                if use_gem:
-                    # one model pass gives the step's and every reference gradient
-                    loss, term_grad, gstate = gem_reference_grads(
-                        params, buffer, strategy.gem_memory_batch, rng, draw()
-                    )
-                else:
-                    loss, term_grad = loss_and_grad(params, draw(), head)
+            for (weight, _, _), loss, term_grad in zip(terms, losses, grads):
                 grad += weight * term_grad
                 loss_total += weight * loss.total
             if use_ewc:

@@ -539,22 +539,22 @@ def group_batch(topology, n_groups, seed):
 
 @pytest.mark.parametrize("topology", [TINY, DESK, PAPER_SCALE], ids=["tiny", "desk", "paper_scale"])
 @settings(max_examples=20, deadline=None)
-@given(n_groups=st.integers(1, 4), head=st.sampled_from(Head), seed=st.integers(0, 2**32 - 1))
-def test_group_rows_equal_separate_passes(topology, n_groups, head, seed):
+@given(heads=st.lists(st.sampled_from(Head), min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
+def test_group_rows_equal_separate_passes(topology, heads, seed):
     # each group's loss and gradient row from one pass are those of a
-    # loss_and_grad on its own rows, to REL_TOL of the largest entry. A
+    # loss_and_grad on its own rows and head, to REL_TOL of the largest entry. A
     # product rounds a row alike at any number of rows only within one BLAS
     # kernel. scipy-openblas 0.3.31 takes GEMV for one row and, at the paper
     # shapes, another GEMM kernel from 38 rows (the trunk) and from 151 rows
     # (the heads); at the tiny and desk shapes it showed no other switch. So
     # there, with no group of a one-row table, the rows agree bit for bit.
-    batch, sizes, alone = group_batch(topology, n_groups, seed)
+    batch, sizes, alone = group_batch(topology, len(heads), seed)
     params = init_params(topology, 3)
     params.values[:] += 0.1 * np.random.default_rng(seed).standard_normal(len(params.values))
-    losses, grads = model.group_loss_and_grads(params, batch, head, sizes)
-    assert grads.shape == (n_groups, topology.num_params()) and len(losses) == n_groups
+    losses, grads = model.group_loss_and_grads(params, batch, heads, sizes)
+    assert grads.shape == (len(heads), topology.num_params()) and len(losses) == len(heads)
     exact = topology is not PAPER_SCALE and all(distinct_pairs(group) > 1 for group in alone)
-    for loss, grad, group in zip(losses, grads, alone, strict=True):
+    for loss, grad, group, head in zip(losses, grads, alone, heads, strict=True):
         want_loss, want = loss_and_grad(params, group, head)
         if exact:
             assert grad.tobytes() == want.tobytes()
@@ -587,7 +587,8 @@ from lltts.model import Head, ModelTopology, _gather_pairs, group_loss_and_grads
 from lltts.samplers import Batch, Provenance
 
 # a paper-scale GEM step at stage 3: a step batch of 84 samples and three
-# reference batches of 32, each holding every token of its language
+# reference batches of 32, each holding every token of its language; then
+# the same rows as the LBS and RRS batches of a dual step
 topo = ModelTopology(vocab_size=40, embed_dim=16, encoder_hidden=32, trunk_dim=32,
                      frame_dim=8, postnet_hidden=16, num_languages=4)
 rng = np.random.default_rng(3)
@@ -599,15 +600,16 @@ for lang, n in zip((3, 2, 0, 1), sizes):
 batch = Batch(samples, Provenance.LBS)
 assert len(_gather_pairs(topo, batch, sizes)[0]) == 160
 digest = hashlib.sha256()
-for head in (Head.LBS, Head.RRS):
-    losses, grads = group_loss_and_grads(init_params(topo, 1), batch, head, sizes)
+for heads, groups in [([Head.LBS] * 4, sizes), ([Head.RRS] * 4, sizes), ([Head.LBS, Head.RRS], [84, 96])]:
+    losses, grads = group_loss_and_grads(init_params(topo, 1), batch, heads, groups)
     digest.update(np.array([loss.total for loss in losses]).tobytes() + grads.tobytes())
 print(digest.hexdigest())
 """
 
 
 def test_group_pass_independent_of_blas_threads():
-    # the largest table a paper-scale run makes, 160 rows in four groups
+    # the largest table a paper-scale run makes, 160 rows in four groups, on
+    # one head and on a run of each head
     digests = child_digests(_GROUP_THREADS_CHILD)
     assert digests[0] == digests[1]
 
@@ -616,7 +618,8 @@ def test_trunk_input_is_h_then_language_one_hot(tiny_params):
     # the trunk input is copied, not computed: the bytes of the concatenation
     pair_tokens, pair_langs = np.array([0, 1, 1, 4]), np.array([1, 0, 1, 0])
     w = _Weights(TINY, tiny_params.values)
-    _, h, z, *_ = model._forward_pairs(w, TINY, pair_tokens, pair_langs, Head.LBS)
+    runs = [(Head.LBS, slice(0, 1), slice(None))]
+    _, h, z, *_ = model._forward_pairs(w, TINY, pair_tokens, pair_langs, runs)
     want = np.concatenate([h, np.eye(TINY.num_languages)[pair_langs]], axis=1)
     assert z.tobytes() == want.tobytes()
 

@@ -11,7 +11,8 @@ from lltts.data import TaskSpec, generate_task, generate_tasks
 from lltts.errors import NumericError, UsageError
 from lltts import strategies
 from lltts.model import AdamState, Head, LossBreakdown, adam_step, init_params, loss_and_grad
-from lltts.samplers import Batch, Provenance, draw_random
+from lltts.data import merge_replay
+from lltts.samplers import Batch, Provenance, draw_balanced, draw_random
 from lltts.store import join_pools
 from lltts.strategies import (
     GemState,
@@ -267,18 +268,125 @@ class TestGemStage:
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def separate_dual_stage(params, ds_k, buffer, cfg, rng, gamma, beta):
+    """A dual stage with one loss_and_grad per batch: the LBS batch, then the
+    RRS batch. Returns the final parameters."""
+    pool = merge_replay(ds_k, buffer)
+    opt = AdamState.fresh(len(params.values), lr=cfg.lr)
+    for epoch in range(cfg.epochs):
+        opt.lr = lr_for_epoch(cfg.lr, epoch, cfg.epochs, cfg.lr_decay_epoch_fraction)
+        for _ in range(max(1, len(pool) // cfg.batch_size)):
+            _, g_lbs = loss_and_grad(params, draw_balanced(pool, cfg.batch_size, rng), Head.LBS)
+            _, g_rrs = loss_and_grad(params, draw_random(pool, cfg.batch_size, rng, Provenance.RRS), Head.RRS)
+            grad = np.zeros_like(params.values)
+            grad += gamma * g_lbs
+            grad += beta * g_rrs
+            opt, params = adam_step(opt, params, grad)
+    return params
+
+
+class TestDualStage:
+    def _stage(self):
+        # languages 2 and 0 buffered, then a stage of language 1, each task in
+        # a store of its own, so the pool packs a store of its own
+        topology = dataclasses.replace(TINY, num_languages=3)
+        tasks = {lang: small_task(language_id=lang, seed=5 + lang) for lang in (2, 0, 1)}
+        buffer = MemoryBuffer(capacity=12, rng_seed=0)
+        buffer.integrate_task(tasks[2])
+        buffer.integrate_task(tasks[0])
+        return init_params(topology, 0), tasks[1], buffer, StageConfig(epochs=2, batch_size=8, lr=0.01)
+
+    def test_one_pass_equals_separate_passes(self, monkeypatch):
+        # one model pass a step, over the LBS and RRS batches as two groups;
+        # the final parameters and the rng stream are those of one pass per batch
+        params, ds_k, buffer, cfg = self._stage()
+        passes = []
+        group_loss_and_grads = strategies.group_loss_and_grads
+
+        def spy_pass(params, batch, heads, sizes):
+            passes.append((list(heads), list(sizes)))
+            return group_loss_and_grads(params, batch, heads, sizes)
+
+        def no_call(*args):
+            raise AssertionError("a dual step called loss_and_grad")
+
+        monkeypatch.setattr(strategies, "group_loss_and_grads", spy_pass)
+        monkeypatch.setattr(strategies, "loss_and_grad", no_call)
+        rng = np.random.default_rng(3)
+        strategy = StrategyConfig(StrategyKind.REPLAY_DUAL, gamma=0.5, beta=1.0)
+        result = train_stage(strategy, params, ds_k, buffer, None, cfg, rng)
+        monkeypatch.undo()
+
+        want_rng = np.random.default_rng(3)
+        want_params = separate_dual_stage(params, ds_k, buffer, cfg, want_rng, 0.5, 1.0)
+        steps = 2 * ((60 + 12) // 8)
+        assert passes == [([Head.LBS, Head.RRS], [8, 8])] * steps
+        assert result.final_params.values.tobytes() == want_params.values.tobytes()
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_zero_weights_are_a_no_op_step(self):
+        # gamma = beta = 0 leaves a step no loss term: it draws nothing and
+        # the zero gradient leaves every parameter where it was
+        params, ds_k, buffer, cfg = self._stage()
+        rng = np.random.default_rng(3)
+        strategy = StrategyConfig(StrategyKind.REPLAY_DUAL, gamma=0.0, beta=0.0)
+        result = train_stage(strategy, params, ds_k, buffer, None, cfg, rng)
+        assert result.final_params.values.tobytes() == params.values.tobytes()
+        assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
+
+def last_stage(profile, kind):
+    """The profile's config with strategy `kind`, its tasks and a buffer
+    holding every task but the last."""
+    text = (CONFIGS / f"{profile}.ini").read_text()
+    cfg = parse_config(text.replace("kind = replay_dual", f"kind = {kind}"))
+    tasks = generate_tasks(cfg.task_specs)
+    buffer = MemoryBuffer(cfg.buffer_capacity, rng_seed=0)
+    for task in tasks[:-1]:
+        buffer.integrate_task(task)
+    return cfg, tasks, buffer
+
+
+def step_peak(step, topology):
+    """The tracemalloc peak of the second `step(opt, params)`."""
+    params = init_params(topology, 0)
+    opt, params = step(AdamState.fresh(len(params.values)), params)  # checks the store's ids
+    tracemalloc.start()
+    try:
+        step(opt, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("profile, bound", [("desk", 400_000), ("paper_scale", 1_000_000)])
+def test_dual_step_peak_memory(profile, bound):
+    # the heap of one dual step at the last stage: its two draws, the one
+    # model pass over the LBS and RRS batches and Adam. Measured 266-274 and
+    # 689-738 kB; two separate passes peaked at 154-160 and 455-462 kB, and
+    # a paper-scale pass over padded positions at 3.44 MB
+    cfg, tasks, buffer = last_stage(profile, "replay_dual")
+    pool = merge_replay(tasks[-1], buffer)
+    rng = np.random.default_rng(0)
+    gamma, beta = cfg.strategy.gamma, cfg.strategy.beta
+
+    def step(opt, params):
+        batches = [draw_balanced(pool, cfg.batch_size, rng),
+                   draw_random(pool, cfg.batch_size, rng, Provenance.RRS)]
+        _, grads = strategies._grouped_pass(params, batches, [Head.LBS, Head.RRS])
+        return adam_step(opt, params, gamma * grads[0] + beta * grads[1])
+
+    assert step_peak(step, cfg.topology) <= bound
+
+
 @pytest.mark.parametrize("profile, bound", [("desk", 450_000), ("paper_scale", 800_000)])
 def test_gem_step_peak_memory(profile, bound):
     # the heap of one GEM step at the last stage (desk: 3 languages, paper
     # scale: 4): its draw, the one model pass over the step's batch and every
     # reference batch, the projection and Adam. Measured 331 and 606 kB;
     # the 1-3 reference passes of their own peaked at 150 and 330 kB
-    text = (CONFIGS / f"{profile}.ini").read_text()
-    cfg = parse_config(text.replace("kind = replay_dual", "kind = gem"))
-    tasks = generate_tasks(cfg.task_specs)
-    buffer = MemoryBuffer(cfg.buffer_capacity, rng_seed=0)
-    for task in tasks[:-1]:
-        buffer.integrate_task(task)
+    cfg, tasks, buffer = last_stage(profile, "gem")
     pool = join_pools([tasks[-1].part("train")])
     rng = np.random.default_rng(0)
 
@@ -287,15 +395,7 @@ def test_gem_step_peak_memory(profile, bound):
         _, grad, gstate = gem_reference_grads(params, buffer, cfg.strategy.gem_memory_batch, rng, batch)
         return adam_step(opt, params, gem_project(grad, gstate))
 
-    params = init_params(cfg.topology, 0)
-    opt, params = step(AdamState.fresh(len(params.values)), params)  # checks the store's ids
-    tracemalloc.start()
-    try:
-        step(opt, params)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound
+    assert step_peak(step, cfg.topology) <= bound
 
 
 def active_set_oracle(g, g_mat, tol=1e-9):
@@ -468,14 +568,16 @@ class TestTrainStage:
 
         calls = []
 
-        def nan_at_step_3(params, batch, head):
-            calls.append(None)
-            loss, grad = loss_and_grad(params, batch, head)
-            if len(calls) == 4:
-                grad[0] = np.nan
-            return loss, grad
+        group_loss_and_grads = strategies.group_loss_and_grads
 
-        monkeypatch.setattr(strategies, "loss_and_grad", nan_at_step_3)
+        def nan_at_step_3(params, batch, heads, sizes):
+            calls.append(None)
+            losses, grads = group_loss_and_grads(params, batch, heads, sizes)
+            if len(calls) == 4:
+                grads[0, 0] = np.nan
+            return losses, grads
+
+        monkeypatch.setattr(strategies, "group_loss_and_grads", nan_at_step_3)
         ds = small_task(language_id=1)
         # 60 samples at batch 8: 7 steps an epoch, so step 3 is in epoch 0
         with pytest.raises(NumericError, match="non-finite gradient") as exc:
@@ -491,14 +593,16 @@ class TestTrainStage:
 
         calls = []
 
-        def nan_loss_in_epoch_1(params, batch, head):
-            calls.append(None)
-            loss, grad = loss_and_grad(params, batch, head)
-            if len(calls) == 9:
-                loss = LossBreakdown(np.nan, 0.0)
-            return loss, grad
+        group_loss_and_grads = strategies.group_loss_and_grads
 
-        monkeypatch.setattr(strategies, "loss_and_grad", nan_loss_in_epoch_1)
+        def nan_loss_in_epoch_1(params, batch, heads, sizes):
+            calls.append(None)
+            losses, grads = group_loss_and_grads(params, batch, heads, sizes)
+            if len(calls) == 9:
+                losses[0] = LossBreakdown(np.nan, 0.0)
+            return losses, grads
+
+        monkeypatch.setattr(strategies, "group_loss_and_grads", nan_loss_in_epoch_1)
         message = "non-finite loss in the stage of language 1 at epoch 1 step 1"
         with pytest.raises(NumericError, match=message):
             train_stage(
