@@ -153,10 +153,11 @@ def ewc_penalty(params: ParameterSet, fstate: FisherState, lam: float):
     return penalty, grad
 
 
-def _grouped_pass(params: ParameterSet, batches, heads):
-    """Each batch's loss and gradient on its head of `heads`, from one model pass."""
-    batch = Batch.of_rows(*join_rows([(b.store, b.rows) for b in batches]), Provenance.LBS)
-    return group_loss_and_grads(params, batch, heads, [len(b) for b in batches])
+def _grouped_pass(params: ParameterSet, parts, heads):
+    """The loss and gradient of each (store, rows) part on its head of
+    `heads`, from one model pass over the parts as groups of one batch."""
+    batch = Batch.of_rows(*join_rows(parts), Provenance.LBS)
+    return group_loss_and_grads(params, batch, heads, [len(rows) for _, rows in parts])
 
 
 def gem_reference_grads(
@@ -170,15 +171,15 @@ def gem_reference_grads(
     """
     if buffer.total() == 0:
         raise UsageError("buffer is empty")
-    batches = [] if step_batch is None else [step_batch]
+    parts = [] if step_batch is None else [(step_batch.store, step_batch.rows)]
     langs = []
     for lang, rows in buffer.rows.items():
         if not len(rows):
             continue  # its quota is 0: fewer buffer slots than past languages
         idx = rng.choice(len(rows), size=min(batch_size, len(rows)), replace=False)
-        batches.append(Batch.of_rows(buffer.stores[lang], rows[idx], Provenance.LBS))
+        parts.append((buffer.stores[lang], rows[idx]))
         langs.append(lang)
-    losses, grads = _grouped_pass(params, batches, [Head.LBS] * len(batches))
+    losses, grads = _grouped_pass(params, parts, [Head.LBS] * len(parts))
     if step_batch is None:
         return GemState(grads, langs)
     return losses[0], grads[0], GemState(grads[1:], langs)
@@ -305,7 +306,8 @@ def train_stage(
                 )
                 losses, grads = [loss], [step_grad]
             elif batches:
-                losses, grads = _grouped_pass(params, batches, [head for *_, head in terms])
+                parts = [(batch.store, batch.rows) for batch in batches]
+                losses, grads = _grouped_pass(params, parts, [head for *_, head in terms])
             # accumulating into zeros keeps gamma = beta = 0 a valid no-op step
             grad = np.zeros_like(params.values)
             loss_total = 0.0

@@ -374,7 +374,8 @@ def test_dual_step_peak_memory(profile, bound):
     def step(opt, params):
         batches = [draw_balanced(pool, cfg.batch_size, rng),
                    draw_random(pool, cfg.batch_size, rng, Provenance.RRS)]
-        _, grads = strategies._grouped_pass(params, batches, [Head.LBS, Head.RRS])
+        parts = [(batch.store, batch.rows) for batch in batches]
+        _, grads = strategies._grouped_pass(params, parts, [Head.LBS, Head.RRS])
         return adam_step(opt, params, gamma * grads[0] + beta * grads[1])
 
     assert step_peak(step, cfg.topology) <= bound
