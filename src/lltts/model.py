@@ -3,7 +3,7 @@
 Per-position feed-forward pipeline: token embedding -> tanh encoder ->
 language one-hot concat -> tanh trunk -> one of two linear projection
 heads -> residual post net. The trunk and post net are shared between
-heads; a batch trains the trunk, the post net and its own head only.
+heads; a batch's gradient is zero on the head it does not use.
 
 A position's activations depend only on its (token, language) pair, so the
 forward, the backward and evaluation run over a table of the batch's

@@ -193,14 +193,14 @@ class TestOneStore:
             stages.append((seen_tasks, buffer))
             return train_stage(strategy, params, ds_k, buffer, fstate, cfg, rng, seen_tasks)
 
-        loss_and_grad = strategies.loss_and_grad
+        group_loss_and_grads = strategies.group_loss_and_grads
 
-        def spy_loss(params, batch, head):
+        def spy_pass(params, batch, heads, sizes):
             stores.append(batch.store)
-            return loss_and_grad(params, batch, head)
+            return group_loss_and_grads(params, batch, heads, sizes)
 
         monkeypatch.setattr(model, "_gather_pairs", spy_gather)
-        monkeypatch.setattr(strategies, "loss_and_grad", spy_loss)
+        monkeypatch.setattr(strategies, "group_loss_and_grads", spy_pass)
         monkeypatch.setattr(strategies, "_loss_terms", spy_terms)
         monkeypatch.setattr(strategies, "train_stage", spy_stage)
         run_sequence(config)

@@ -7,11 +7,10 @@ import pytest
 
 from lltts.buffer import MemoryBuffer
 from lltts.config import parse_config
-from lltts.data import TaskSpec, generate_task, generate_tasks
+from lltts.data import TaskSpec, generate_task, generate_tasks, merge_replay
 from lltts.errors import NumericError, UsageError
 from lltts import strategies
 from lltts.model import AdamState, Head, LossBreakdown, adam_step, init_params, loss_and_grad
-from lltts.data import merge_replay
 from lltts.samplers import Batch, Provenance, draw_balanced, draw_random
 from lltts.store import join_pools
 from lltts.strategies import (
