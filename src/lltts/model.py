@@ -198,7 +198,7 @@ def _stack_runs(parts):
 
 def _forward_pairs(w: _Weights, topology: ModelTopology, pair_tokens, pair_langs, runs):
     """Every activation of the pair table, each (pairs, ·), with the table
-    rows of each (head, groups, rows) of `runs` through that head."""
+    rows of each (head, rows) of `runs` through that head."""
     e = w.emb[pair_tokens]
     h = _affine(e, w.w_enc, w.b_enc, tanh=True)
     # the trunk's input: h, then the language one-hot
@@ -207,7 +207,7 @@ def _forward_pairs(w: _Weights, topology: ModelTopology, pair_tokens, pair_langs
     z[:, :n_h] = h
     z[np.arange(n_pairs), n_h + pair_langs] = 1.0
     u = _affine(z, w.w_trunk, w.b_trunk, tanh=True)
-    y_pre = _stack_runs([_affine(u[rows], *w.heads[head], tanh=False) for head, _, rows in runs])
+    y_pre = _stack_runs([_affine(u[rows], *w.heads[head], tanh=False) for head, rows in runs])
     q = _affine(y_pre, w.w_p1, w.b_p1, tanh=True)
     y_post = q @ w.w_p2.T
     y_post += y_pre
@@ -221,8 +221,7 @@ def _predict(params: ParameterSet, batch, head: Head):
     topology = params.topology
     pair_tokens, pair_langs, idx, pos, lengths, _ = _gather_pairs(topology, batch, [len(batch.rows)])
     w = _Weights(topology, params.values)
-    runs = [(head, slice(0, 1), slice(None))]
-    *_, y_pre, _, y_post = _forward_pairs(w, topology, pair_tokens, pair_langs, runs)
+    *_, y_pre, _, y_post = _forward_pairs(w, topology, pair_tokens, pair_langs, [(head, slice(None))])
     return y_pre, y_post, idx, pos, lengths
 
 
@@ -306,9 +305,10 @@ def group_loss_and_grads(params: ParameterSet, batch, heads, sizes):
     span = topology.vocab_size * topology.num_languages
     bounds = [0] + [int(pairs.searchsorted(g * span)) for g in range(1, len(sizes))] + [n_pairs]
     blocks = list(itertools.pairwise(bounds))
-    # each run of consecutive groups on one head: its head, groups and table rows
-    cuts = [0, *(g for g in range(1, len(heads)) if heads[g] is not heads[g - 1]), len(heads)]
-    runs = [(heads[a], slice(a, b), slice(bounds[a], bounds[b])) for a, b in itertools.pairwise(cuts)]
+    # each run of consecutive groups on one head: its groups a:b, and its head and table rows
+    cuts = [0] + [g for g in range(1, len(heads)) if heads[g] is not heads[g - 1]] + [len(heads)]
+    run_groups = list(itertools.pairwise(cuts))
+    runs = [(heads[a], slice(bounds[a], bounds[b])) for a, b in run_groups]
     w = _Weights(topology, params.values)
     e, h, z, u, y_pre, q, y_post = _forward_pairs(w, topology, pair_tokens, pair_langs, runs)
 
@@ -327,10 +327,10 @@ def group_loss_and_grads(params: ParameterSet, batch, heads, sizes):
     ds1 = (g_post @ w.w_p2) * (1.0 - q**2)
     _block_grads(g.w_p1, g.b_p1, ds1, y_pre, blocks)
     dy_pre = 2.0 * (w_sum * y_pre - s_sum) + g_post + ds1 @ w.w_p1
-    for head, groups, _ in runs:
+    for (a, b), (head, _) in zip(run_groups, runs):
         g_w, g_b = g.heads[head]
-        _block_grads(g_w[groups], g_b[groups], dy_pre, u, blocks[groups])
-    da_tr = _stack_runs([dy_pre[rows] @ w.heads[head][0] for head, _, rows in runs]) * (1.0 - u**2)
+        _block_grads(g_w[a:b], g_b[a:b], dy_pre, u, blocks[a:b])
+    da_tr = _stack_runs([dy_pre[rows] @ w.heads[head][0] for head, rows in runs]) * (1.0 - u**2)
     _block_grads(g.w_trunk, g.b_trunk, da_tr, z, blocks)
     da_enc = (da_tr @ w.w_trunk[:, : topology.encoder_hidden]) * (1.0 - h**2)
     _block_grads(g.w_enc, g.b_enc, da_enc, e, blocks)

@@ -156,8 +156,7 @@ def ewc_penalty(params: ParameterSet, fstate: FisherState, lam: float):
 def _grouped_pass(params: ParameterSet, parts, heads):
     """The loss and gradient of each (store, rows) part on its head of
     `heads`, from one model pass over the parts as groups of one batch."""
-    # a single part needs no join, which would copy its rows
-    batch = Batch.of_rows(*(join_rows(parts) if len(parts) > 1 else parts[0]), Provenance.LBS)
+    batch = Batch.of_rows(*join_rows(parts), Provenance.LBS)
     return group_loss_and_grads(params, batch, heads, [len(rows) for _, rows in parts])
 
 

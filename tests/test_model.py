@@ -587,8 +587,7 @@ from lltts.model import Head, ModelTopology, _gather_pairs, group_loss_and_grads
 from lltts.samplers import Batch, Provenance
 
 # a paper-scale GEM step at stage 3: a step batch of 84 samples and three
-# reference batches of 32, each holding every token of its language; then
-# the same rows as the LBS and RRS batches of a dual step
+# reference batches of 32, each holding every token of its language
 topo = ModelTopology(vocab_size=40, embed_dim=16, encoder_hidden=32, trunk_dim=32,
                      frame_dim=8, postnet_hidden=16, num_languages=4)
 rng = np.random.default_rng(3)
@@ -599,17 +598,30 @@ for lang, n in zip((3, 2, 0, 1), sizes):
         samples.append(Sample(lang, tokens, rng.standard_normal((len(tokens), 8))))
 batch = Batch(samples, Provenance.LBS)
 assert len(_gather_pairs(topo, batch, sizes)[0]) == 160
+# a paper-scale dual step at stage 3: LBS and RRS batches of 84 samples, 21
+# of each language, each batch holding every token of every language
+dual = []
+for group in range(2):
+    for lang in range(4):
+        for i in range(21):
+            tokens = np.arange(10 * i, 10 * i + 10) if i < 4 else rng.integers(0, 40, size=int(rng.integers(6, 13)))
+            dual.append(Sample(lang, tokens, rng.standard_normal((len(tokens), 8))))
+dual = Batch(dual, Provenance.LBS)
+assert len(_gather_pairs(topo, dual, [84, 84])[0]) == 320
 digest = hashlib.sha256()
-for heads, groups in [([Head.LBS] * 4, sizes), ([Head.RRS] * 4, sizes), ([Head.LBS, Head.RRS], [84, 96])]:
-    losses, grads = group_loss_and_grads(init_params(topo, 1), batch, heads, groups)
+cases = [(batch, [Head.LBS] * 4, sizes), (batch, [Head.RRS] * 4, sizes), (dual, [Head.LBS, Head.RRS], [84, 84])]
+for rows, heads, groups in cases:
+    losses, grads = group_loss_and_grads(init_params(topo, 1), rows, heads, groups)
     digest.update(np.array([loss.total for loss in losses]).tobytes() + grads.tobytes())
 print(digest.hexdigest())
 """
 
 
 def test_group_pass_independent_of_blas_threads():
-    # the largest table a paper-scale run makes, 160 rows in four groups, on
-    # one head and on a run of each head
+    # the largest tables a paper-scale run makes: a GEM step's, 160 rows in
+    # four groups, and a dual step's, 320 rows in two groups of 160, one on
+    # each head. At 320 rows the trunk products are large enough for
+    # OpenBLAS to split them across threads
     digests = child_digests(_GROUP_THREADS_CHILD)
     assert digests[0] == digests[1]
 
@@ -618,8 +630,7 @@ def test_trunk_input_is_h_then_language_one_hot(tiny_params):
     # the trunk input is copied, not computed: the bytes of the concatenation
     pair_tokens, pair_langs = np.array([0, 1, 1, 4]), np.array([1, 0, 1, 0])
     w = _Weights(TINY, tiny_params.values)
-    runs = [(Head.LBS, slice(0, 1), slice(None))]
-    _, h, z, *_ = model._forward_pairs(w, TINY, pair_tokens, pair_langs, runs)
+    _, h, z, *_ = model._forward_pairs(w, TINY, pair_tokens, pair_langs, [(Head.LBS, slice(None))])
     want = np.concatenate([h, np.eye(TINY.num_languages)[pair_langs]], axis=1)
     assert z.tobytes() == want.tobytes()
 
