@@ -8,10 +8,17 @@ heads; a batch's gradient is zero on the head it does not use.
 A position's activations depend only on its (token, language) pair, so the
 forward, the backward and evaluation run over a table of the batch's
 distinct pairs (at most 40 rows for a one-language paper-scale batch of
-about 800 positions) and never over padded positions. The loss still sums
-each position's own residual. Several batches can share one pass as groups
-of one table, each with its own head, loss and gradient: a dual step's LBS
-and RRS batches, or a GEM step's batch and its reference batches.
+about 800 positions) and never over padded positions. Several batches can
+share one pass as groups of one table, each with its own head, loss and
+gradient: a dual step's LBS and RRS batches, or a GEM step's batch and its
+reference batches.
+
+Training plans the tables of a chunk of steps at once (`pairs.plan_steps`),
+with each pair's summed loss weights W and weighted targets S, and each
+group's sum of w·|t|². `run_step` runs one step over its block of pairs: the
+gradient at a pair's output y is 2 (W y − S), and a group's loss is
+Σ_p (W_p·|y_p|² − 2·y_p·S_p) + Σ_i w_i·|t_i|², so no step touches a
+per-position array.
 """
 from __future__ import annotations
 
@@ -23,7 +30,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InputDomainError, NumericError, UsageError
+from .errors import NumericError, UsageError
+from .pairs import PairPlan, StepGroups, _gather_pairs, plan_steps
 
 
 class Head(enum.Enum):
@@ -120,70 +128,6 @@ def init_params(topology: ModelTopology, seed: int) -> ParameterSet:
     return ParameterSet(values, topology)
 
 
-def _check_rows(topology: ModelTopology, store, rows) -> None:
-    """Raise InputDomainError naming the first of `rows` (by its position in
-    `rows`) whose token ids, language id or frame dim do not fit the topology.
-
-    A store all of whose samples fit is remembered, so it is checked once.
-    """
-    if topology in store.checked:
-        return
-    width = store.frames.shape[1:]
-    if width != (topology.frame_dim,):
-        t = int(store.lengths[rows[0]])
-        raise InputDomainError(
-            f"sample 0: target frames of shape {(t, *width)}, expected ({t}, {topology.frame_dim})"
-        )
-    tokens, langs = store.tokens, store.langs
-    vocab, num_languages = topology.vocab_size, topology.num_languages
-    if min(tokens.min(), langs.min()) >= 0 and tokens.max() < vocab and langs.max() < num_languages:
-        store.checked.add(topology)
-        return
-    for i, row in enumerate(rows.tolist()):
-        a = store.starts[row]
-        sample_tokens = tokens[a : a + store.lengths[row]]
-        if sample_tokens.min() < 0 or sample_tokens.max() >= vocab:
-            raise InputDomainError(f"sample {i}: token id out of range [0, {vocab})")
-        if not 0 <= langs[row] < num_languages:
-            raise InputDomainError(
-                f"sample {i}: language id {langs[row]} out of range [0, {num_languages})"
-            )
-
-
-def _gather_pairs(topology: ModelTopology, batch, sizes):
-    """The batch's valid positions, flat in batch order, as rows of a table of
-    the distinct (token, language) pairs of each group of `sizes` consecutive
-    batch rows.
-
-    A pair's key is (group * vocab_size + token) * num_languages + language,
-    so each group's pairs are one block of the table, as its rows alone would
-    give it. Returns each pair's token and language, each position's row of
-    the table and index into the store, each sample's length and each pair's
-    key.
-    """
-    store, rows = batch.store, batch.rows
-    _check_rows(topology, store, rows)
-    lengths = store.lengths[rows]
-    ends = np.cumsum(lengths)
-    # each position's index into the store
-    pos = np.repeat(store.starts[rows] - (ends - lengths), lengths)
-    pos += np.arange(ends[-1])
-    n_lang = topology.num_languages
-    keys = np.multiply(store.tokens[pos], n_lang, dtype=np.intp)
-    keys += np.repeat(store.langs[rows], lengths)
-    # each group's keys follow those of the groups before it
-    span = topology.vocab_size * n_lang
-    for row in itertools.accumulate(sizes[:-1]):
-        keys[ends[row - 1] :] += span
-    # slot[key] is 1 for each key present, then the key's row in the table
-    slot = np.zeros(len(sizes) * span, dtype=np.intp)
-    slot[keys] = 1
-    pairs = np.flatnonzero(slot)
-    slot[pairs] = np.arange(len(pairs))
-    pair_tokens, pair_langs = np.divmod(pairs % span, n_lang)
-    return pair_tokens, pair_langs, slot[keys], pos, lengths, pairs
-
-
 def _affine(x, weight, bias, tanh: bool):
     """x @ weight.T + bias, through tanh if asked, in the buffer the product returns."""
     out = x @ weight.T
@@ -200,11 +144,11 @@ def _forward_pairs(w: _Weights, topology: ModelTopology, pair_tokens, pair_langs
     """Every activation of the pair table, each (pairs, ·), with the table
     rows of each (head, rows) of `runs` through that head."""
     e = w.emb[pair_tokens]
-    h = _affine(e, w.w_enc, w.b_enc, tanh=True)
-    # the trunk's input: h, then the language one-hot
-    n_pairs, n_h = h.shape
+    # the trunk's input: h, then the language one-hot; h is a view of it
+    n_pairs, n_h = len(e), topology.encoder_hidden
     z = np.zeros((n_pairs, n_h + topology.num_languages))
-    z[:, :n_h] = h
+    z[:, :n_h] = _affine(e, w.w_enc, w.b_enc, tanh=True)
+    h = z[:, :n_h]
     z[np.arange(n_pairs), n_h + pair_langs] = 1.0
     u = _affine(z, w.w_trunk, w.b_trunk, tanh=True)
     y_pre = _stack_runs([_affine(u[rows], *w.heads[head], tanh=False) for head, rows in runs])
@@ -249,28 +193,64 @@ def _scatter_rows(rows, values, n_rows: int):
     return np.bincount(slots, weights=values.reshape(-1), minlength=n_rows * k).reshape(n_rows, k)
 
 
-def _position_sums(batch, pos, idx, weight, ends, y_pre, y_post):
-    """Each group's LossBreakdown, over its positions up to `ends`, and each
-    pair's weighted target sum S."""
-    targets = batch.store.frames.take(pos, axis=0)
-    mse = []
-    for y in (y_pre, y_post):
-        sq = y.take(idx, axis=0)
-        sq -= targets
-        sq *= sq
-        sq *= weight[:, None]
-        mse.append([float(sq[a:b].sum()) for a, b in zip([0, *ends], ends)])
-        del sq  # before the next residuals
-    targets *= weight[:, None]
-    return [LossBreakdown(*m) for m in zip(*mse)], _scatter_rows(idx, targets, len(y_pre))
-
-
 def _block_grads(g_weight, g_bias, d, x, blocks):
     """Each group's weight and bias gradient, d.T @ x and the sum of d over
     the group's block of table rows."""
     for i, (a, b) in enumerate(blocks):
         g_bias[i] = d[a:b].sum(axis=0)
         g_weight[i] = d[a:b].T @ x[a:b]
+
+
+def run_step(params: ParameterSet, plan: PairPlan, step: int):
+    """The loss and gradient of each group of step `step` of `plan` on its
+    head, from one model pass over the step's block of the table: a
+    LossBreakdown per group and a (groups, n_params) array of their gradients.
+
+    The backward runs once over the block; each group's weight and bias
+    gradients are products over its rows, and the embedding gradient is
+    scattered by (group, token). Each run of consecutive groups on one head
+    takes one head product each way.
+    """
+    topology, heads = params.topology, plan.groups.heads
+    first = step * len(heads)
+    # each group's first row of the step's block, then the block's length
+    bounds = plan.bounds[first : first + len(heads) + 1]
+    a, b = bounds[0], bounds[-1]
+    bounds = [x - a for x in bounds]
+    blocks = list(itertools.pairwise(bounds))
+    runs = [(heads[ga], slice(bounds[ga], bounds[gb])) for ga, gb in plan.groups.runs]
+    w = _Weights(topology, params.values)
+    e, h, z, u, y_pre, q, y_post = _forward_pairs(w, topology, plan.tokens[a:b], plan.langs[a:b], runs)
+    w_sum, s_sum = plan.w_sum[a:b], plan.s_sum[a:b]
+    # W y - S at the pairs' outputs, where the gradient is twice it
+    d_pre = w_sum * y_pre - s_sum
+    d_post = w_sum * y_post - s_sum
+    # each group's loss: its pairs' W |y|^2 - 2 y.S, plus its sum of w |t|^2
+    t_sq = plan.t_sq[first : first + len(heads)]
+    mse = [np.add.reduceat(np.einsum("ij,ij->i", y, d - s_sum), bounds[:-1]) + t_sq
+           for y, d in ((y_pre, d_pre), (y_post, d_post))]
+    losses = [LossBreakdown(*m) for m in zip(*(m.tolist() for m in mse))]
+
+    grads = np.zeros((len(heads), len(params.values)))
+    g = _Weights(topology, grads)
+    g_post = np.multiply(d_post, 2.0, out=d_post)
+    _block_grads(g.w_p2, g.b_p2, g_post, q, blocks)
+    ds1 = (g_post @ w.w_p2) * (1.0 - q**2)
+    _block_grads(g.w_p1, g.b_p1, ds1, y_pre, blocks)
+    # 2 (W y_pre - S) + g_post + ds1 @ w_p1, in d_pre's buffer
+    dy_pre = np.multiply(d_pre, 2.0, out=d_pre)
+    dy_pre += g_post
+    dy_pre += ds1 @ w.w_p1
+    for (head, _), (ga, gb) in zip(runs, plan.groups.runs):
+        g_w, g_b = g.heads[head]
+        _block_grads(g_w[ga:gb], g_b[ga:gb], dy_pre, u, blocks[ga:gb])
+    da_tr = _stack_runs([dy_pre[rows] @ w.heads[head][0] for head, rows in runs]) * (1.0 - u**2)
+    _block_grads(g.w_trunk, g.b_trunk, da_tr, z, blocks)
+    da_enc = (da_tr @ w.w_trunk[:, : topology.encoder_hidden]) * (1.0 - h**2)
+    _block_grads(g.w_enc, g.b_enc, da_enc, e, blocks)
+    de = _scatter_rows(plan.emb_rows[a:b], da_enc @ w.w_enc, len(grads) * topology.vocab_size)
+    g.emb[...] = de.reshape(g.emb.shape)
+    return losses, grads
 
 
 def loss_and_grad(params: ParameterSet, batch, head: Head):
@@ -287,58 +267,10 @@ def loss_and_grad(params: ParameterSet, batch, head: Head):
 def group_loss_and_grads(params: ParameterSet, batch, heads, sizes):
     """`loss_and_grad` of each group of `sizes` consecutive batch rows on its
     head of `heads`, from one model pass: a LossBreakdown per group and a
-    (groups, n_params) array of their gradients.
-
-    The gradient at a pair's output y is 2 (W y - S), with W the summed loss
-    weights of the pair's positions and S their weighted targets. The
-    backward runs once over the table; each group's weight and bias gradients
-    are products over its block of rows, and the embedding gradient is
-    scattered by (group, token). Each run of consecutive groups on one head
-    takes one head product each way.
+    (groups, n_params) array of their gradients. The plan of one step, run.
     """
-    topology = params.topology
-    pair_tokens, pair_langs, idx, pos, lengths, pairs = _gather_pairs(topology, batch, sizes)
-    n_pairs, f_dim = len(pairs), topology.frame_dim
-    # each group's end in the batch's rows, in its positions and in the table
-    row_ends = list(itertools.accumulate(sizes))
-    ends = [int(lengths[:r].sum()) for r in row_ends[:-1]] + [len(idx)]
-    span = topology.vocab_size * topology.num_languages
-    bounds = [0] + [int(pairs.searchsorted(g * span)) for g in range(1, len(sizes))] + [n_pairs]
-    blocks = list(itertools.pairwise(bounds))
-    # each run of consecutive groups on one head: its groups a:b, and its head and table rows
-    cuts = [0] + [g for g in range(1, len(heads)) if heads[g] is not heads[g - 1]] + [len(heads)]
-    run_groups = list(itertools.pairwise(cuts))
-    runs = [(heads[a], slice(bounds[a], bounds[b])) for a, b in run_groups]
-    w = _Weights(topology, params.values)
-    e, h, z, u, y_pre, q, y_post = _forward_pairs(w, topology, pair_tokens, pair_langs, runs)
-
-    # each position's loss weight, 1 / (n_g * T_i * frame_dim), n_g its group's size
-    scale = lengths * float(sizes[0] * f_dim)
-    for a, b in itertools.pairwise(row_ends):
-        scale[a:b] = lengths[a:b] * float((b - a) * f_dim)
-    weight = np.repeat(1.0 / scale, lengths)
-    losses, s_sum = _position_sums(batch, pos, idx, weight, ends, y_pre, y_post)
-    w_sum = np.bincount(idx, weights=weight, minlength=n_pairs)[:, None]
-
-    grads = np.zeros((len(ends), len(params.values)))
-    g = _Weights(topology, grads)
-    g_post = 2.0 * (w_sum * y_post - s_sum)
-    _block_grads(g.w_p2, g.b_p2, g_post, q, blocks)
-    ds1 = (g_post @ w.w_p2) * (1.0 - q**2)
-    _block_grads(g.w_p1, g.b_p1, ds1, y_pre, blocks)
-    dy_pre = 2.0 * (w_sum * y_pre - s_sum) + g_post + ds1 @ w.w_p1
-    for (a, b), (head, _) in zip(run_groups, runs):
-        g_w, g_b = g.heads[head]
-        _block_grads(g_w[a:b], g_b[a:b], dy_pre, u, blocks[a:b])
-    da_tr = _stack_runs([dy_pre[rows] @ w.heads[head][0] for head, rows in runs]) * (1.0 - u**2)
-    _block_grads(g.w_trunk, g.b_trunk, da_tr, z, blocks)
-    da_enc = (da_tr @ w.w_trunk[:, : topology.encoder_hidden]) * (1.0 - h**2)
-    _block_grads(g.w_enc, g.b_enc, da_enc, e, blocks)
-    # each pair's embedding row is group * vocab_size + token
-    emb_rows = pairs // topology.num_languages
-    de = _scatter_rows(emb_rows, da_enc @ w.w_enc, len(grads) * topology.vocab_size)
-    g.emb[...] = de.reshape(g.emb.shape)
-    return losses, grads
+    groups = StepGroups(heads, sizes, params.topology.frame_dim)
+    return run_step(params, plan_steps(params.topology, batch, groups, 1), 0)
 
 
 # Adam's moment decay rates and denominator offset

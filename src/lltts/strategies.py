@@ -15,15 +15,8 @@ from .buffer import MemoryBuffer
 from .data import TaskDataset, generate_tasks, merge_replay
 from .errors import ConfigError, NumericError, UsageError
 from .metrics import split_mcd, stage_eval
-from .model import (
-    AdamState,
-    Head,
-    ParameterSet,
-    adam_step,
-    group_loss_and_grads,
-    init_params,
-    loss_and_grad,
-)
+from .model import AdamState, Head, ParameterSet, adam_step, init_params, loss_and_grad, run_step
+from .pairs import StepGroups, plan_steps
 from .samplers import (
     Batch,
     Provenance,
@@ -153,36 +146,40 @@ def ewc_penalty(params: ParameterSet, fstate: FisherState, lam: float):
     return penalty, grad
 
 
-def _grouped_pass(params: ParameterSet, parts, heads):
-    """The loss and gradient of each (store, rows) part on its head of
-    `heads`, from one model pass over the parts as groups of one batch."""
-    batch = Batch.of_rows(*join_rows(parts), Provenance.LBS)
-    return group_loss_and_grads(params, batch, heads, [len(rows) for _, rows in parts])
+def _plan(topology, parts, groups: StepGroups, steps: int):
+    """The PairPlan of `steps` steps whose groups are the (store, rows) parts,
+    step after step."""
+    return plan_steps(topology, Batch.of_rows(*join_rows(parts), Provenance.LBS), groups, steps)
 
 
-def gem_reference_grads(
-    params: ParameterSet, buffer: MemoryBuffer, batch_size: int, rng, step_batch=None
-):
-    """One LBS-loss gradient per past language that has buffered samples,
-    on up to batch_size of them.
+def _buffered_languages(buffer: MemoryBuffer) -> list:
+    """The past languages that have buffered samples, in integration order."""
+    # a language's quota is 0 when there are fewer buffer slots than past languages
+    return [lang for lang, rows in buffer.rows.items() if len(rows)]
 
-    With `step_batch`, the same model pass also gives that batch's LBS loss
-    and gradient, and the result is (loss, grad, state).
-    """
+
+def gem_reference_rows(buffer: MemoryBuffer, batch_size: int, rng) -> list:
+    """(store, rows) of up to batch_size buffered samples, drawn without
+    replacement, of each of `_buffered_languages(buffer)` in turn."""
     if buffer.total() == 0:
         raise UsageError("buffer is empty")
-    parts = [] if step_batch is None else [(step_batch.store, step_batch.rows)]
-    langs = []
-    for lang, rows in buffer.rows.items():
-        if not len(rows):
-            continue  # its quota is 0: fewer buffer slots than past languages
+    parts = []
+    for lang in _buffered_languages(buffer):
+        rows = buffer.rows[lang]
         idx = rng.choice(len(rows), size=min(batch_size, len(rows)), replace=False)
         parts.append((buffer.stores[lang], rows[idx]))
-        langs.append(lang)
-    losses, grads = _grouped_pass(params, parts, [Head.LBS] * len(parts))
-    if step_batch is None:
-        return GemState(grads, langs)
-    return losses[0], grads[0], GemState(grads[1:], langs)
+    return parts
+
+
+def gem_reference_grads(params: ParameterSet, plan, step: int, languages: list):
+    """The losses and gradients of the groups of step `step` of `plan`, from
+    one model pass, and the GemState of its last groups: the LBS-loss
+    gradient of one reference batch per language of `languages`.
+
+    A GEM step's groups are its own batch, then its reference batches.
+    """
+    losses, grads = run_step(params, plan, step)
+    return losses, grads, GemState(grads[len(grads) - len(languages) :], languages)
 
 
 def gem_project(g: np.ndarray, gstate: GemState) -> np.ndarray:
@@ -257,6 +254,11 @@ def _loss_terms(strategy: StrategyConfig, pool, batch_size: int, rng) -> list:
     return [(1.0, lambda: draw_random(pool, batch_size, rng), Head.LBS)]
 
 
+# the positions of the steps planned at once, at most: making a plan takes
+# about 32 bytes a position, and it holds about 96 bytes a pair
+_CHUNK_POSITIONS = 8192
+
+
 def train_stage(
     strategy: StrategyConfig,
     params: ParameterSet,
@@ -269,9 +271,11 @@ def train_stage(
 ) -> StageResult:
     """One task's training phase; returns final parameters and dev curves.
 
-    Each step takes the gradients of the strategy's loss terms (`_loss_terms`)
-    in one model pass (GEM's with its reference gradients) and sums them,
-    then adds the EWC penalty or applies the GEM projection. `seen_tasks`
+    The batches of a chunk of steps are drawn, in the order a step at a time
+    draws them, and planned at once (`pairs.plan_steps`). Each step then
+    takes the gradients of the strategy's loss terms (`_loss_terms`) in one
+    model pass (GEM's with its reference gradients) and sums them, then adds
+    the EWC penalty or applies the GEM projection. `seen_tasks`
     lists every task seen so far (current included); their dev splits feed
     the per-epoch MCD curves. For JOINT it also defines the training pool.
     """
@@ -288,6 +292,18 @@ def train_stage(
     terms = _loss_terms(strategy, pool, cfg.batch_size, rng)
     use_ewc = kind is StrategyKind.EWC and fstate is not None
     use_gem = kind is StrategyKind.GEM and buffer is not None and buffer.total() > 0
+    # a step's groups: one batch per loss term, then GEM's reference batches
+    heads, sizes = [head for *_, head in terms], [cfg.batch_size] * len(terms)
+    stores = [pool.store]
+    if use_gem:
+        langs = _buffered_languages(buffer)
+        heads += [Head.LBS] * len(langs)
+        sizes += [min(strategy.gem_memory_batch, len(buffer.rows[lang])) for lang in langs]
+        stores += [buffer.stores[lang] for lang in langs]
+    groups = StepGroups(heads, sizes, params.topology.frame_dim)
+    # the steps planned at once: at most _CHUNK_POSITIONS positions, or one step
+    longest = max(int(store.lengths.max()) for store in stores)
+    chunk = max(1, _CHUNK_POSITIONS // max(1, longest * sum(sizes)))
 
     opt = AdamState.fresh(len(params.values), lr=cfg.lr)
     params = params.copy()
@@ -296,42 +312,47 @@ def train_stage(
 
     for epoch in range(cfg.epochs):
         opt.lr = lr_for_epoch(cfg.lr, epoch, cfg.epochs, cfg.lr_decay_epoch_fraction)
-        for step in range(steps_per_epoch):
-            batches = [draw() for _, draw, _ in terms]
-            losses, grads = [], []  # gamma = beta = 0 leaves a dual step no batch
-            if use_gem:
-                # one model pass gives the step's and every reference gradient
-                loss, step_grad, gstate = gem_reference_grads(
-                    params, buffer, strategy.gem_memory_batch, rng, batches[0]
-                )
-                losses, grads = [loss], [step_grad]
-            elif batches:
-                parts = [(batch.store, batch.rows) for batch in batches]
-                losses, grads = _grouped_pass(params, parts, [head for *_, head in terms])
-            # accumulating into zeros keeps gamma = beta = 0 a valid no-op step
-            grad = np.zeros_like(params.values)
-            loss_total = 0.0
-            for (weight, _, _), loss, term_grad in zip(terms, losses, grads):
-                grad += weight * term_grad
-                loss_total += weight * loss.total
-            if use_ewc:
-                penalty, pgrad = ewc_penalty(params, fstate, strategy.ewc_lambda)
-                loss_total += penalty
-                grad += pgrad
-            if use_gem:
-                grad = gem_project(grad, gstate)
-            if not np.isfinite(loss_total):
-                raise NumericError(
-                    f"non-finite loss in the stage of language {ds_k.language_id} "
-                    f"at epoch {epoch} step {step}: {loss_total}"
-                )
-            try:
-                opt, params = adam_step(opt, params, grad)
-            except NumericError as exc:
-                raise NumericError(
-                    f"{exc} in the stage of language {ds_k.language_id} "
-                    f"at epoch {epoch} step {step}"
-                ) from exc
+        for first in range(0, steps_per_epoch, chunk):
+            steps = range(first, min(first + chunk, steps_per_epoch))
+            # every batch of the chunk, in the order a step at a time draws them
+            parts = []
+            for _ in steps:
+                parts += [(batch.store, batch.rows) for batch in (draw() for _, draw, _ in terms)]
+                if use_gem:
+                    parts += gem_reference_rows(buffer, strategy.gem_memory_batch, rng)
+            # gamma = beta = 0 leaves a dual step no batch and no model pass
+            plan = _plan(params.topology, parts, groups, len(steps)) if parts else None
+            for k, step in enumerate(steps):
+                losses, grads = [], []
+                if use_gem:
+                    losses, grads, gstate = gem_reference_grads(params, plan, k, langs)
+                elif plan is not None:
+                    losses, grads = run_step(params, plan, k)
+                # accumulating into zeros keeps gamma = beta = 0 a valid no-op step
+                grad = np.zeros_like(params.values)
+                loss_total = 0.0
+                for (weight, _, _), loss, term_grad in zip(terms, losses, grads):
+                    grad += weight * term_grad
+                    loss_total += weight * loss.total
+                if use_ewc:
+                    penalty, pgrad = ewc_penalty(params, fstate, strategy.ewc_lambda)
+                    loss_total += penalty
+                    grad += pgrad
+                if use_gem:
+                    grad = gem_project(grad, gstate)
+                if not np.isfinite(loss_total):
+                    raise NumericError(
+                        f"non-finite loss in the stage of language {ds_k.language_id} "
+                        f"at epoch {epoch} step {step}: {loss_total}"
+                    )
+                try:
+                    opt, params = adam_step(opt, params, grad)
+                except NumericError as exc:
+                    raise NumericError(
+                        f"{exc} in the stage of language {ds_k.language_id} "
+                        f"at epoch {epoch} step {step}"
+                    ) from exc
+            del plan  # before the next chunk's plan is made
         for task in seen_tasks:
             curves[task.language_id].append(_dev_mcd(params, task))
     return StageResult(params, curves)

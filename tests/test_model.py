@@ -24,6 +24,7 @@ from lltts.model import (
     init_params,
     loss_and_grad,
 )
+from lltts.pairs import StepGroups, plan_steps
 from lltts.samplers import Batch, Provenance
 
 from conftest import TINY, plain_padding, random_batch, random_sample
@@ -409,6 +410,24 @@ def test_forward_cases_cover_edge_shapes():
     assert shape["paper_scale_84"][0] < shape["paper_scale_84"][1]
     assert WIDE_VOCAB.vocab_size * WIDE_VOCAB.num_languages > shape["wide_vocab"][1]
     assert shape["multi_language"][2] == shape["wide_vocab"][2] == 4
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("tokens", TINY.vocab_size, "sample 3: token id out of range"),
+    ("language_id", TINY.num_languages, "sample 3: language id 2 out of range"),
+])
+def test_plan_names_a_bad_sample_by_its_row_in_its_step(field, value, message):
+    # a chunk of three steps of two groups, of 3 and 2 rows: the chunk's row
+    # 13 is row 3 of its step's batch
+    rng = np.random.default_rng(0)
+    samples = [random_sample(rng) for _ in range(15)]
+    if field == "tokens":
+        samples[13].tokens[0] = value
+    else:
+        samples[13].language_id = value
+    groups = StepGroups([Head.LBS, Head.RRS], [3, 2], TINY.frame_dim)
+    with pytest.raises(InputDomainError, match=message):
+        plan_steps(TINY, Batch(samples, Provenance.LBS), groups, 3)
 
 
 def test_forward_runs_once_per_distinct_pair(monkeypatch):

@@ -193,14 +193,14 @@ class TestOneStore:
             stages.append((seen_tasks, buffer))
             return train_stage(strategy, params, ds_k, buffer, fstate, cfg, rng, seen_tasks)
 
-        group_loss_and_grads = strategies.group_loss_and_grads
+        plan_steps = strategies.plan_steps
 
-        def spy_pass(params, batch, heads, sizes):
+        def spy_plan(topology, batch, groups, steps):
             stores.append(batch.store)
-            return group_loss_and_grads(params, batch, heads, sizes)
+            return plan_steps(topology, batch, groups, steps)
 
         monkeypatch.setattr(model, "_gather_pairs", spy_gather)
-        monkeypatch.setattr(strategies, "group_loss_and_grads", spy_pass)
+        monkeypatch.setattr(strategies, "plan_steps", spy_plan)
         monkeypatch.setattr(strategies, "_loss_terms", spy_terms)
         monkeypatch.setattr(strategies, "train_stage", spy_stage)
         run_sequence(config)

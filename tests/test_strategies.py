@@ -11,6 +11,7 @@ from lltts.data import TaskSpec, generate_task, generate_tasks, merge_replay
 from lltts.errors import NumericError, UsageError
 from lltts import strategies
 from lltts.model import AdamState, Head, LossBreakdown, adam_step, init_params, loss_and_grad
+from lltts.pairs import StepGroups
 from lltts.samplers import Batch, Provenance, draw_balanced, draw_random
 from lltts.store import join_pools
 from lltts.strategies import (
@@ -154,6 +155,15 @@ class TestEwc:
             assert abs(grad[i] - fd) / max(1.0, abs(fd)) < 1e-6
 
 
+def reference_state(params, buffer, batch_size, rng):
+    """The GemState of one draw of reference batches, run as the groups of
+    one planned step."""
+    parts = strategies.gem_reference_rows(buffer, batch_size, rng)
+    groups = StepGroups([Head.LBS] * len(parts), [len(rows) for _, rows in parts], params.topology.frame_dim)
+    plan = strategies._plan(params.topology, parts, groups, 1)
+    return gem_reference_grads(params, plan, 0, strategies._buffered_languages(buffer))[2]
+
+
 class TestGemReferenceGrads:
     def _buffer(self, langs, rng_seed=0):
         buf = MemoryBuffer(capacity=12, rng_seed=rng_seed)
@@ -164,21 +174,21 @@ class TestGemReferenceGrads:
     def test_one_row_per_language(self):
         params = init_params(TINY, 0)
         buf = self._buffer([0])
-        state = gem_reference_grads(params, buf, 4, np.random.default_rng(0))
+        state = reference_state(params, buf, 4, np.random.default_rng(0))
         assert state.reference_grads.shape[0] == 1
         assert state.languages == [0]
 
     def test_rows_finite_nonzero(self):
         params = init_params(TINY, 0)
         buf = self._buffer([0, 1])
-        state = gem_reference_grads(params, buf, 4, np.random.default_rng(0))
+        state = reference_state(params, buf, 4, np.random.default_rng(0))
         assert np.all(np.isfinite(state.reference_grads))
         assert np.all(np.any(state.reference_grads != 0, axis=1))
 
     def test_row_equals_direct_recompute(self):
         params = init_params(TINY, 0)
         buf = self._buffer([0])
-        state = gem_reference_grads(params, buf, 4, np.random.default_rng(8))
+        state = reference_state(params, buf, 4, np.random.default_rng(8))
         check_rng = np.random.default_rng(8)
         pool = buf.slots[0]
         idx = check_rng.choice(len(pool), size=4, replace=False)
@@ -194,7 +204,7 @@ class TestGemReferenceGrads:
         for lang in (0, 1):
             buf.integrate_task(small_task(language_id=lang))
         assert buf.counts() == {0: 1, 1: 0}
-        state = gem_reference_grads(params, buf, 4, np.random.default_rng(0))
+        state = reference_state(params, buf, 4, np.random.default_rng(0))
         assert state.languages == [0]
         _, grad = loss_and_grad(params, Batch(buf.slots[0], Provenance.LBS), Head.LBS)
         np.testing.assert_array_equal(state.reference_grads, grad[None, :])
@@ -202,9 +212,13 @@ class TestGemReferenceGrads:
     def test_empty_buffer_rejected(self):
         params = init_params(TINY, 0)
         with pytest.raises(UsageError):
-            gem_reference_grads(
+            reference_state(
                 params, MemoryBuffer(5, 0), 4, np.random.default_rng(0)
             )
+
+
+def no_call(*args):
+    raise AssertionError("a training step called loss_and_grad")
 
 
 def separate_gem_stage(params, ds_k, buffer, cfg, rng, memory_batch):
@@ -243,14 +257,20 @@ class TestGemStage:
         buffer.integrate_task(tasks[0])
         cfg = StageConfig(epochs=2, batch_size=8, lr=0.01)
         params = init_params(topology, 0)
-        seen = []
-        project = strategies.gem_project
+        seen, passes = [], []
+        project, run_step = strategies.gem_project, strategies.run_step
 
         def spy_project(g, gstate):
             seen.append((g.copy(), gstate.reference_grads.copy(), list(gstate.languages)))
             return project(g, gstate)
 
+        def spy_pass(params, plan, step):
+            passes.append((list(plan.groups.heads), plan.groups.sizes.tolist()))
+            return run_step(params, plan, step)
+
         monkeypatch.setattr(strategies, "gem_project", spy_project)
+        monkeypatch.setattr(strategies, "run_step", spy_pass)
+        monkeypatch.setattr(strategies, "loss_and_grad", no_call)
         rng = np.random.default_rng(3)
         strategy = StrategyConfig(StrategyKind.GEM, gem_memory_batch=4)
         result = train_stage(strategy, params, tasks[1], buffer, None, cfg, rng)
@@ -259,6 +279,8 @@ class TestGemStage:
         want_rng = np.random.default_rng(3)
         want_params, want_steps = separate_gem_stage(params, tasks[1], buffer, cfg, want_rng, 4)
         assert len(seen) == len(want_steps) == 2 * (60 // 8)
+        # one model pass a step: the step's batch and a reference batch per language
+        assert passes == [([Head.LBS] * 3, [8, 4, 4])] * len(seen)
         for (g, refs, langs), (want_g, want_refs, want_langs) in zip(seen, want_steps):
             assert langs == want_langs == [2, 0]
             assert np.array_equal(g, want_g)  # the loop adds the step's gradient to zeros
@@ -284,32 +306,34 @@ def separate_dual_stage(params, ds_k, buffer, cfg, rng, gamma, beta):
     return params
 
 
+def three_language_stage():
+    """Languages 2 and 0 buffered, then a stage of language 1, each task in a
+    store of its own, so a replay pool packs a store of its own: parameters,
+    the stage's task, the buffer and a stage config of 2 epochs at batch 8."""
+    topology = dataclasses.replace(TINY, num_languages=3)
+    tasks = {lang: small_task(language_id=lang, seed=5 + lang) for lang in (2, 0, 1)}
+    buffer = MemoryBuffer(capacity=12, rng_seed=0)
+    buffer.integrate_task(tasks[2])
+    buffer.integrate_task(tasks[0])
+    return init_params(topology, 0), tasks[1], buffer, StageConfig(epochs=2, batch_size=8, lr=0.01)
+
+
 class TestDualStage:
     def _stage(self):
-        # languages 2 and 0 buffered, then a stage of language 1, each task in
-        # a store of its own, so the pool packs a store of its own
-        topology = dataclasses.replace(TINY, num_languages=3)
-        tasks = {lang: small_task(language_id=lang, seed=5 + lang) for lang in (2, 0, 1)}
-        buffer = MemoryBuffer(capacity=12, rng_seed=0)
-        buffer.integrate_task(tasks[2])
-        buffer.integrate_task(tasks[0])
-        return init_params(topology, 0), tasks[1], buffer, StageConfig(epochs=2, batch_size=8, lr=0.01)
+        return three_language_stage()
 
     def test_one_pass_equals_separate_passes(self, monkeypatch):
         # one model pass a step, over the LBS and RRS batches as two groups;
         # the final parameters and the rng stream are those of one pass per batch
         params, ds_k, buffer, cfg = self._stage()
         passes = []
-        group_loss_and_grads = strategies.group_loss_and_grads
+        run_step = strategies.run_step
 
-        def spy_pass(params, batch, heads, sizes):
-            passes.append((list(heads), list(sizes)))
-            return group_loss_and_grads(params, batch, heads, sizes)
+        def spy_pass(params, plan, step):
+            passes.append((list(plan.groups.heads), plan.groups.sizes.tolist()))
+            return run_step(params, plan, step)
 
-        def no_call(*args):
-            raise AssertionError("a dual step called loss_and_grad")
-
-        monkeypatch.setattr(strategies, "group_loss_and_grads", spy_pass)
+        monkeypatch.setattr(strategies, "run_step", spy_pass)
         monkeypatch.setattr(strategies, "loss_and_grad", no_call)
         rng = np.random.default_rng(3)
         strategy = StrategyConfig(StrategyKind.REPLAY_DUAL, gamma=0.5, beta=1.0)
@@ -332,6 +356,90 @@ class TestDualStage:
         result = train_stage(strategy, params, ds_k, buffer, None, cfg, rng)
         assert result.final_params.values.tobytes() == params.values.tobytes()
         assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
+
+# a chunk budget of 4 steps of 16 rows of at most 5 tokens (small_task's lengths)
+FOUR_STEPS = 4 * 16 * 5
+
+
+class TestChunkedPlans:
+    # a dual stage has 9 steps an epoch of two groups of 8 rows; a GEM stage 7
+    # steps of its batch of 8 and two reference batches of 4
+    CHUNKS = {
+        (StrategyKind.REPLAY_DUAL, 1): [1] * 18,
+        (StrategyKind.REPLAY_DUAL, FOUR_STEPS): [4, 4, 1] * 2,
+        (StrategyKind.REPLAY_DUAL, 10**6): [9] * 2,
+        (StrategyKind.GEM, 1): [1] * 14,
+        (StrategyKind.GEM, FOUR_STEPS): [4, 3] * 2,
+        (StrategyKind.GEM, 10**6): [7] * 2,
+    }
+
+    @pytest.mark.parametrize("kind, budget", list(CHUNKS))
+    def test_chunk_plan_equals_each_step_planned_alone(self, monkeypatch, kind, budget):
+        # chunks of one step, of several, and cut short by the end of an
+        # epoch: each step's block of its chunk's plan is the plan of its own
+        # batch, bit for bit, and gives the same losses and gradient bits
+        params, ds_k, buffer, cfg = three_language_stage()
+        chunks = []
+        plan_steps = strategies.plan_steps
+
+        def spy_plan(topology, batch, groups, steps):
+            chunks.append((batch, steps, plan_steps(topology, batch, groups, steps)))
+            return chunks[-1][2]
+
+        monkeypatch.setattr(strategies, "_CHUNK_POSITIONS", budget)
+        monkeypatch.setattr(strategies, "plan_steps", spy_plan)
+        strategy = StrategyConfig(kind, gem_memory_batch=4)
+        train_stage(strategy, params, ds_k, buffer, None, cfg, np.random.default_rng(3))
+        monkeypatch.undo()
+        assert [steps for _, steps, _ in chunks] == self.CHUNKS[kind, budget]
+
+        params.values[:] += 0.1 * np.random.default_rng(1).standard_normal(len(params.values))
+        for batch, steps, plan in chunks:
+            groups = plan.groups
+            n_rows, n_groups = int(groups.sizes.sum()), len(groups.heads)
+            for k in range(steps):
+                rows = batch.rows[k * n_rows : (k + 1) * n_rows]
+                alone = plan_steps(params.topology, Batch.of_rows(batch.store, rows, Provenance.LBS), groups, 1)
+                a, b = plan.bounds[k * n_groups], plan.bounds[(k + 1) * n_groups]
+                assert [x - a for x in plan.bounds[k * n_groups : (k + 1) * n_groups + 1]] == alone.bounds
+                for name in ("tokens", "langs", "w_sum", "s_sum", "emb_rows"):
+                    assert getattr(plan, name)[a:b].tobytes() == getattr(alone, name).tobytes()
+                assert plan.t_sq[k * n_groups : (k + 1) * n_groups].tobytes() == alone.t_sq.tobytes()
+                losses, grads = strategies.run_step(params, plan, k)
+                want_losses, want_grads = strategies.run_step(params, alone, 0)
+                assert losses == want_losses and grads.tobytes() == want_grads.tobytes()
+
+    @pytest.mark.parametrize("kind", [StrategyKind.REPLAY_DUAL, StrategyKind.GEM, StrategyKind.REPLAY_WEIGHTED])
+    @pytest.mark.parametrize("budget", [FOUR_STEPS, strategies._CHUNK_POSITIONS])
+    def test_stage_draws_are_step_by_step_draws(self, monkeypatch, kind, budget):
+        # a chunk draws its steps' batches, and GEM's reference rows, in the
+        # order a step at a time draws them: the same rows, and the stage's
+        # rng ends in the state the draws leave it in, made one step at a time
+        params, ds_k, buffer, cfg = three_language_stage()
+        drawn = []
+        plan = strategies._plan
+
+        def spy_plan(topology, parts, groups, steps):
+            drawn.extend(rows for _, rows in parts)
+            return plan(topology, parts, groups, steps)
+
+        monkeypatch.setattr(strategies, "_CHUNK_POSITIONS", budget)
+        monkeypatch.setattr(strategies, "_plan", spy_plan)
+        strategy = StrategyConfig(kind, gem_memory_batch=4)
+        rng = np.random.default_rng(3)
+        train_stage(strategy, params, ds_k, buffer, None, cfg, rng)
+
+        want_rng, want = np.random.default_rng(3), []
+        use_gem = kind is StrategyKind.GEM
+        pool = join_pools([ds_k.part("train")]) if use_gem else merge_replay(ds_k, buffer)
+        terms = strategies._loss_terms(strategy, pool, cfg.batch_size, want_rng)
+        for _ in range(cfg.epochs * (len(pool) // cfg.batch_size)):
+            want += [draw().rows for _, draw, _ in terms]
+            if use_gem:
+                want += [rows for _, rows in strategies.gem_reference_rows(buffer, 4, want_rng)]
+        assert len(drawn) == len(want) and all(map(np.array_equal, drawn, want))
+        assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def last_stage(profile, kind):
@@ -374,7 +482,8 @@ def test_dual_step_peak_memory(profile, bound):
         batches = [draw_balanced(pool, cfg.batch_size, rng),
                    draw_random(pool, cfg.batch_size, rng, Provenance.RRS)]
         parts = [(batch.store, batch.rows) for batch in batches]
-        _, grads = strategies._grouped_pass(params, parts, [Head.LBS, Head.RRS])
+        groups = StepGroups([Head.LBS, Head.RRS], [cfg.batch_size] * 2, cfg.topology.frame_dim)
+        _, grads = strategies.run_step(params, strategies._plan(cfg.topology, parts, groups, 1), 0)
         return adam_step(opt, params, gamma * grads[0] + beta * grads[1])
 
     assert step_peak(step, cfg.topology) <= bound
@@ -389,13 +498,44 @@ def test_gem_step_peak_memory(profile, bound):
     cfg, tasks, buffer = last_stage(profile, "gem")
     pool = join_pools([tasks[-1].part("train")])
     rng = np.random.default_rng(0)
+    langs = strategies._buffered_languages(buffer)
 
     def step(opt, params):
         batch = draw_random(pool, cfg.batch_size, rng)
-        _, grad, gstate = gem_reference_grads(params, buffer, cfg.strategy.gem_memory_batch, rng, batch)
-        return adam_step(opt, params, gem_project(grad, gstate))
+        parts = [(batch.store, batch.rows)]
+        parts += strategies.gem_reference_rows(buffer, cfg.strategy.gem_memory_batch, rng)
+        groups = StepGroups([Head.LBS] * len(parts), [len(rows) for _, rows in parts], cfg.topology.frame_dim)
+        plan = strategies._plan(cfg.topology, parts, groups, 1)
+        _, grads, gstate = gem_reference_grads(params, plan, 0, langs)
+        return adam_step(opt, params, gem_project(grads[0], gstate))
 
     assert step_peak(step, cfg.topology) <= bound
+
+
+def test_gem_chunk_plan_peak_memory():
+    # the heap of planning one chunk of paper-scale GEM steps at the last
+    # stage (4 languages): 3 steps of a batch of 84 and three reference
+    # batches of 32, at most 8,192 positions. Measured 216 kB
+    cfg, tasks, buffer = last_stage("paper_scale", "gem")
+    pool = join_pools([tasks[-1].part("train")])
+    rng = np.random.default_rng(0)
+    memory_batch = cfg.strategy.gem_memory_batch
+    sizes = [cfg.batch_size] + [min(memory_batch, len(rows)) for rows in buffer.rows.values()]
+    groups = StepGroups([Head.LBS] * len(sizes), sizes, cfg.topology.frame_dim)
+    steps = strategies._CHUNK_POSITIONS // (int(pool.store.lengths.max()) * sum(sizes))
+    assert steps == 3
+    parts = []
+    for _ in range(steps):
+        batch = draw_random(pool, cfg.batch_size, rng)
+        parts += [(batch.store, batch.rows)] + strategies.gem_reference_rows(buffer, memory_batch, rng)
+    strategies._plan(cfg.topology, parts, groups, steps)  # checks the store's ids
+    tracemalloc.start()
+    try:
+        strategies._plan(cfg.topology, parts, groups, steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 300_000
 
 
 def active_set_oracle(g, g_mat, tol=1e-9):
@@ -568,16 +708,16 @@ class TestTrainStage:
 
         calls = []
 
-        group_loss_and_grads = strategies.group_loss_and_grads
+        run_step = strategies.run_step
 
-        def nan_at_step_3(params, batch, heads, sizes):
+        def nan_at_step_3(params, plan, step):
             calls.append(None)
-            losses, grads = group_loss_and_grads(params, batch, heads, sizes)
+            losses, grads = run_step(params, plan, step)
             if len(calls) == 4:
                 grads[0, 0] = np.nan
             return losses, grads
 
-        monkeypatch.setattr(strategies, "group_loss_and_grads", nan_at_step_3)
+        monkeypatch.setattr(strategies, "run_step", nan_at_step_3)
         ds = small_task(language_id=1)
         # 60 samples at batch 8: 7 steps an epoch, so step 3 is in epoch 0
         with pytest.raises(NumericError, match="non-finite gradient") as exc:
@@ -593,16 +733,16 @@ class TestTrainStage:
 
         calls = []
 
-        group_loss_and_grads = strategies.group_loss_and_grads
+        run_step = strategies.run_step
 
-        def nan_loss_in_epoch_1(params, batch, heads, sizes):
+        def nan_loss_in_epoch_1(params, plan, step):
             calls.append(None)
-            losses, grads = group_loss_and_grads(params, batch, heads, sizes)
+            losses, grads = run_step(params, plan, step)
             if len(calls) == 9:
                 losses[0] = LossBreakdown(np.nan, 0.0)
             return losses, grads
 
-        monkeypatch.setattr(strategies, "group_loss_and_grads", nan_loss_in_epoch_1)
+        monkeypatch.setattr(strategies, "run_step", nan_loss_in_epoch_1)
         message = "non-finite loss in the stage of language 1 at epoch 1 step 1"
         with pytest.raises(NumericError, match=message):
             train_stage(
