@@ -256,7 +256,7 @@ def _loss_terms(strategy: StrategyConfig, pool, batch_size: int, rng) -> list:
 
 # the positions of the steps planned at once, at most: making a plan takes
 # about 32 bytes a position, and it holds about 96 bytes a pair
-_CHUNK_POSITIONS = 8192
+_CHUNK_POSITIONS = 6144
 
 
 def train_stage(
