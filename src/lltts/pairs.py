@@ -119,7 +119,7 @@ def plan_steps(topology: ModelTopology, batch, groups: StepGroups, steps: int) -
     loss weight is w = 1 / (n_g * T_i * frame_dim); W and S sum the pair's
     positions in batch order, as a step planned alone sums them.
     """
-    sizes = np.tile(groups.sizes, steps)
+    sizes = np.concatenate([groups.sizes] * steps)  # not np.tile: see model.run_step
     pair_tokens, pair_langs, idx, pos, lengths, pairs = _gather_pairs(
         topology, batch, sizes, int(groups.sizes.sum())
     )
@@ -129,7 +129,7 @@ def plan_steps(topology: ModelTopology, batch, groups: StepGroups, steps: int) -
     # a step's embedding gradient rows are group * vocab_size + token
     emb_rows = pairs // topology.num_languages % (len(groups.heads) * topology.vocab_size)
     del pairs
-    weight = np.repeat(1.0 / (lengths * np.tile(groups.row_scale, steps)), lengths)
+    weight = np.repeat(1.0 / (lengths * np.concatenate([groups.row_scale] * steps)), lengths)
     w_sum = np.bincount(idx, weights=weight, minlength=n_pairs)[:, None]
     # each group's first position: the first of its first row
     firsts = (np.cumsum(lengths) - lengths)[np.cumsum(sizes) - sizes]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import lltts.model as model
+import lltts.pairs as pairs
 import lltts.strategies as strategies
 from lltts.buffer import MemoryBuffer
 from lltts.config import ExperimentConfig
@@ -175,7 +176,7 @@ class TestOneStore:
         monkeypatch.setattr(SampleStore, "pack", staticmethod(no_copy))
         monkeypatch.setattr(SampleStore, "samples", no_sample)
         stores, stages = [], []
-        gather_pairs = model._gather_pairs
+        gather_pairs = pairs._gather_pairs
 
         def spy_gather(topology, batch, *groups):
             stores.append(batch.store)
@@ -193,14 +194,9 @@ class TestOneStore:
             stages.append((seen_tasks, buffer))
             return train_stage(strategy, params, ds_k, buffer, fstate, cfg, rng, seen_tasks)
 
-        plan_steps = strategies.plan_steps
-
-        def spy_plan(topology, batch, groups, steps):
-            stores.append(batch.store)
-            return plan_steps(topology, batch, groups, steps)
-
+        # training and EWC's Fisher batches gather in `pairs`, evaluation in `model`
+        monkeypatch.setattr(pairs, "_gather_pairs", spy_gather)
         monkeypatch.setattr(model, "_gather_pairs", spy_gather)
-        monkeypatch.setattr(strategies, "plan_steps", spy_plan)
         monkeypatch.setattr(strategies, "_loss_terms", spy_terms)
         monkeypatch.setattr(strategies, "train_stage", spy_stage)
         run_sequence(config)
