@@ -90,7 +90,9 @@ class StepGroups:
         self.heads, self.sizes = list(heads), np.asarray(sizes, dtype=np.intp)
         cuts = [0] + [g for g in range(1, len(heads)) if heads[g] is not heads[g - 1]]
         self.runs = list(itertools.pairwise(cuts + [len(heads)]))
-        self.row_scale = np.repeat(self.sizes * float(frame_dim), self.sizes)
+        # from Python floats: an intp array times a float runs numpy's
+        # int64-to-float64 cast, 64 kB of its code that no other step reads
+        self.row_scale = np.repeat([n * float(frame_dim) for n in sizes], self.sizes)
 
 
 @dataclass
