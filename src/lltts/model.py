@@ -227,8 +227,9 @@ def run_step(params: ParameterSet, plan: PairPlan, step: int):
     d_post = w_sum * y_post - s_sum
     # each group's loss: its pairs' W |y|^2 - 2 y.S, plus its sum of w |t|^2
     t_sq = plan.t_sq[first : first + len(heads)]
-    # (zip(*generator) would shrink a bigger tuple to its argument tuple and
-    # leave CPython's tuple free list one longer each call, as np.tile does)
+    # two lists, not zip(*generator): CPython makes that argument tuple by
+    # shrinking a longer one, which leaves its tuple free list one longer
+    # each call (np.tile does the same)
     pre, post = [(np.add.reduceat((y * (d - s_sum)).sum(axis=1), bounds[:-1]) + t_sq).tolist()
                  for y, d in ((y_pre, d_pre), (y_post, d_post))]
     losses = [LossBreakdown(*m) for m in zip(pre, post)]

@@ -91,7 +91,8 @@ class StepGroups:
         cuts = [0] + [g for g in range(1, len(heads)) if heads[g] is not heads[g - 1]]
         self.runs = list(itertools.pairwise(cuts + [len(heads)]))
         # from Python floats: an intp array times a float runs numpy's
-        # int64-to-float64 cast, 64 kB of its code that no other step reads
+        # int64-to-float64 cast, 64 kB of its code that nothing else in a
+        # run executes and that then counts in the peak RSS
         self.row_scale = np.repeat([n * float(frame_dim) for n in sizes], self.sizes)
 
 
