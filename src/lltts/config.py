@@ -189,9 +189,9 @@ def emit_config(config: ExperimentConfig) -> str:
     for key in _TOPOLOGY_KEYS:
         buf.write(f"{key} = {getattr(config.topology, key)}\n")
     buf.write("\n[strategy]\n")
-    buf.write(f"kind = {config.strategy.kind.value}\n")
-    for key in ("gamma", "beta", "ewc_lambda", "gem_memory_batch"):
-        buf.write(f"{key} = {getattr(config.strategy, key)}\n")
+    for key in _STRATEGY_KEYS:
+        value = getattr(config.strategy, key)
+        buf.write(f"{key} = {value.value if key == 'kind' else value}\n")
     for spec in config.task_specs:
         buf.write(f"\n[task {spec.language_id}]\n")
         buf.write(f"seed = {spec.seed}\n")

@@ -13,12 +13,12 @@ share one pass as groups of one table, each with its own head, loss and
 gradient: a dual step's LBS and RRS batches, or a GEM step's batch and its
 reference batches.
 
-Training plans the tables of a chunk of steps at once (`pairs.plan_steps`),
-with each pair's summed loss weights W and weighted targets S, and each
-group's sum of w·|t|². `run_step` runs one step over its block of pairs: the
-gradient at a pair's output y is 2 (W y − S), and a group's loss is
-Σ_p (W_p·|y_p|² − 2·y_p·S_p) + Σ_i w_i·|t_i|², so no step touches a
-per-position array.
+Every gradient is taken from a plan of the tables of a chunk of steps
+(`pairs.plan_steps`), with each pair's summed loss weights W and weighted
+targets S, and each group's sum of w·|t|². `run_step` runs one step over its
+block of pairs: the gradient at a pair's output y is 2 (W y − S), and a
+group's loss is Σ_p (W_p·|y_p|² − 2·y_p·S_p) + Σ_i w_i·|t_i|², so no step
+touches a per-position array.
 """
 from __future__ import annotations
 
@@ -31,7 +31,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .pairs import PairPlan, StepGroups, _gather_pairs, plan_steps
+from .pairs import PairPlan, _gather_pairs, plan_steps
+from .samplers import Batch, Provenance
 
 
 class Head(enum.Enum):
@@ -211,14 +212,14 @@ def run_step(params: ParameterSet, plan: PairPlan, step: int):
     scattered by (group, token). Each run of consecutive groups on one head
     takes one head product each way.
     """
-    topology, heads = params.topology, plan.groups.heads
+    topology, heads = params.topology, plan.heads
     first = step * len(heads)
     # each group's first row of the step's block, then the block's length
     bounds = plan.bounds[first : first + len(heads) + 1]
     a, b = bounds[0], bounds[-1]
     bounds = [x - a for x in bounds]
     blocks = list(itertools.pairwise(bounds))
-    runs = [(heads[ga], slice(bounds[ga], bounds[gb])) for ga, gb in plan.groups.runs]
+    runs = [(heads[ga], slice(bounds[ga], bounds[gb])) for ga, gb in plan.runs]
     w = _Weights(topology, params.values)
     e, h, z, u, y_pre, q, y_post = _forward_pairs(w, topology, plan.tokens[a:b], plan.langs[a:b], runs)
     w_sum, s_sum = plan.w_sum[a:b], plan.s_sum[a:b]
@@ -244,7 +245,7 @@ def run_step(params: ParameterSet, plan: PairPlan, step: int):
     dy_pre = np.multiply(d_pre, 2.0, out=d_pre)
     dy_pre += g_post
     dy_pre += ds1 @ w.w_p1
-    for (head, _), (ga, gb) in zip(runs, plan.groups.runs):
+    for (head, _), (ga, gb) in zip(runs, plan.runs):
         g_w, g_b = g.heads[head]
         _block_grads(g_w[ga:gb], g_b[ga:gb], dy_pre, u, blocks[ga:gb])
     da_tr = _stack_runs([dy_pre[rows] @ w.heads[head][0] for head, rows in runs]) * (1.0 - u**2)
@@ -261,19 +262,11 @@ def loss_and_grad(params: ParameterSet, batch, head: Head):
 
     Per-sample loss averages over positions and frame coefficients; the
     batch loss averages over samples. The unselected head's gradient
-    segment stays zero. `group_loss_and_grads` with one group.
+    segment stays zero. The plan of one step of one group, run.
     """
-    losses, grads = group_loss_and_grads(params, batch, [head], [len(batch.rows)])
+    plan = plan_steps(params.topology, [(batch.store, batch.rows)], [head])
+    losses, grads = run_step(params, plan, 0)
     return losses[0], grads[0]
-
-
-def group_loss_and_grads(params: ParameterSet, batch, heads, sizes):
-    """`loss_and_grad` of each group of `sizes` consecutive batch rows on its
-    head of `heads`, from one model pass: a LossBreakdown per group and a
-    (groups, n_params) array of their gradients. The plan of one step, run.
-    """
-    groups = StepGroups(heads, sizes, params.topology.frame_dim)
-    return run_step(params, plan_steps(params.topology, batch, groups, 1), 0)
 
 
 # Adam's moment decay rates and denominator offset
@@ -309,8 +302,6 @@ def adam_step(state: AdamState, params: ParameterSet, grad: np.ndarray):
 
 def infer(params: ParameterSet, sample) -> np.ndarray:
     """Post-postnet output of the LBS branch for a single sample."""
-    from .samplers import Batch, Provenance
-
     _, post = forward(params, Batch([sample], Provenance.LBS), Head.LBS)
     return post[0]
 

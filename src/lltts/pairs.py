@@ -2,8 +2,9 @@
 
 A position's activations depend only on its (token, language) pair, so a
 model pass runs over a table of its batch's distinct pairs. `plan_steps`
-builds the tables of a chunk of consecutive training steps at once, with all
-that their passes need of the targets; `model.run_step` runs one step.
+builds the tables of a chunk of consecutive steps at once (training steps,
+EWC's Fisher samples or `model.loss_and_grad`'s one batch), with all that
+their passes need of the targets; `model.run_step` runs one step.
 """
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputDomainError
+from .samplers import Batch, Provenance
+from .store import join_rows
 
 
 def _check_rows(topology: ModelTopology, store, rows, period: int) -> None:
@@ -81,29 +84,17 @@ def _gather_pairs(topology: ModelTopology, batch, sizes, period: int | None = No
     return pair_tokens, pair_langs, slot[keys], pos, lengths, pairs
 
 
-class StepGroups:
-    """The groups of every step of a stage: each group's head and number of
-    batch rows, the (first, end) groups of each run of consecutive groups on
-    one head, and each row's n_g * frame_dim, which its loss weight divides by."""
-
-    def __init__(self, heads, sizes, frame_dim: int):
-        self.heads, self.sizes = list(heads), np.asarray(sizes, dtype=np.intp)
-        cuts = [0] + [g for g in range(1, len(heads)) if heads[g] is not heads[g - 1]]
-        self.runs = list(itertools.pairwise(cuts + [len(heads)]))
-        # from Python floats: an intp array times a float runs numpy's
-        # int64-to-float64 cast, 64 kB of its code that nothing else in a
-        # run executes and that then counts in the peak RSS
-        self.row_scale = np.repeat([n * float(frame_dim) for n in sizes], self.sizes)
-
-
 @dataclass
 class PairPlan:
-    """What the passes of a chunk of steps need of their batches: per pair of
+    """What the passes of a chunk of steps need of their batches: a step's
+    group heads and (first, end) groups of each run on one head; per pair of
     the table, its token, language, summed loss weights W (pairs, 1),
     weighted targets S (pairs, frame_dim) and embedding row in its step; per
-    group, its sum of w * |t|^2 and first table row (`bounds` ends with P)."""
+    group, its rows, sum of w * |t|^2 and first table row (`bounds` ends with P)."""
 
-    groups: StepGroups
+    heads: list
+    runs: list
+    sizes: list
     tokens: np.ndarray
     langs: np.ndarray
     w_sum: np.ndarray
@@ -113,32 +104,40 @@ class PairPlan:
     bounds: list
 
 
-def plan_steps(topology: ModelTopology, batch, groups: StepGroups, steps: int) -> PairPlan:
-    """The PairPlan of `steps` consecutive steps whose groups' rows are the
-    batch's rows, step after step.
+def plan_steps(topology: ModelTopology, parts, heads) -> PairPlan:
+    """The PairPlan of the steps whose groups' batches are the (store, rows)
+    parts, step after step, group g of each step on heads[g].
 
     Its table is the grouped table of all the steps' groups, so each step's
-    pairs are one block, as its batch alone would give them. A position's
+    pairs are one block, as its parts alone would give them. A position's
     loss weight is w = 1 / (n_g * T_i * frame_dim); W and S sum the pair's
     positions in batch order, as a step planned alone sums them.
     """
-    sizes = np.concatenate([groups.sizes] * steps)  # not np.tile: see model.run_step
+    sizes = [len(rows) for _, rows in parts]
+    n_groups = len(heads)
+    cuts = [0] + [g for g in range(1, n_groups) if heads[g] is not heads[g - 1]]
+    runs = list(itertools.pairwise(cuts + [n_groups]))
+    store, rows = join_rows(parts)
     pair_tokens, pair_langs, idx, pos, lengths, pairs = _gather_pairs(
-        topology, batch, sizes, int(groups.sizes.sum())
+        topology, Batch.of_rows(store, rows, Provenance.LBS), sizes, sum(sizes[:n_groups])
     )
     n_pairs = len(pairs)
     span = topology.vocab_size * topology.num_languages
     bounds = pairs.searchsorted(np.arange(len(sizes) + 1) * span).tolist()
     # a step's embedding gradient rows are group * vocab_size + token
-    emb_rows = pairs // topology.num_languages % (len(groups.heads) * topology.vocab_size)
+    emb_rows = pairs // topology.num_languages % (n_groups * topology.vocab_size)
     del pairs
-    weight = np.repeat(1.0 / (lengths * np.concatenate([groups.row_scale] * steps)), lengths)
+    # each row's n_g * frame_dim, from Python floats: an intp array times a
+    # float runs numpy's int64-to-float64 cast, 64 kB of its code that
+    # nothing else in a run executes and that then counts in the peak RSS
+    row_scale = np.repeat([n * float(topology.frame_dim) for n in sizes], sizes)
+    weight = np.repeat(1.0 / (lengths * row_scale), lengths)
     w_sum = np.bincount(idx, weights=weight, minlength=n_pairs)[:, None]
     # each group's first position: the first of its first row
     firsts = (np.cumsum(lengths) - lengths)[np.cumsum(sizes) - sizes]
     # S and each group's sum of w |t|^2, one frame coefficient at a time, so
     # that no temporary holds every position's frame
-    frames = batch.store.frames.reshape(-1)
+    frames = store.frames.reshape(-1)
     pos *= topology.frame_dim
     wt = np.empty(len(pos))
     s_sum = np.empty((n_pairs, topology.frame_dim))
@@ -152,4 +151,4 @@ def plan_steps(topology: ModelTopology, batch, groups: StepGroups, steps: int) -
         wt /= weight
         t_sq += np.add.reduceat(wt, firsts)
         pos += 1
-    return PairPlan(groups, pair_tokens, pair_langs, w_sum, s_sum, emb_rows, t_sq, bounds)
+    return PairPlan(heads, runs, sizes, pair_tokens, pair_langs, w_sum, s_sum, emb_rows, t_sq, bounds)

@@ -15,8 +15,8 @@ from .buffer import MemoryBuffer
 from .data import TaskDataset, generate_tasks, merge_replay
 from .errors import ConfigError, NumericError, UsageError
 from .metrics import split_mcd, stage_eval
-from .model import AdamState, Head, ParameterSet, adam_step, init_params, loss_and_grad, run_step
-from .pairs import StepGroups, plan_steps
+from .model import AdamState, Head, ParameterSet, adam_step, init_params, run_step
+from .pairs import plan_steps
 from .samplers import (
     Batch,
     Provenance,
@@ -25,7 +25,7 @@ from .samplers import (
     draw_random,
     draw_weighted,
 )
-from .store import join_pools, join_rows
+from .store import join_pools
 
 
 class StrategyKind(enum.Enum):
@@ -126,12 +126,12 @@ def ewc_consolidate(
         raise UsageError("n_samples must be >= 1")
     train = ds.rows("train")
     idx = rng.choice(len(train), size=n_samples, replace=n_samples > len(train))
-    rows = train[idx]
+    draw = ([(ds.store, rows)] for rows in train[idx][:, None]).__next__  # one-row steps
     fisher = np.zeros_like(params.values)
-    for j in range(n_samples):
-        batch = Batch.of_rows(ds.store, rows[j : j + 1], Provenance.LBS)
-        _, grad = loss_and_grad(params, batch, Head.LBS)
-        fisher += grad**2
+    for plan, steps in _chunks(params.topology, [Head.LBS], n_samples, draw):
+        for k in range(len(steps)):
+            _, grads = run_step(params, plan, k)
+            fisher += grads[0] ** 2
     fisher /= n_samples
     if prior is not None:
         fisher += prior.fisher_diag
@@ -146,40 +146,18 @@ def ewc_penalty(params: ParameterSet, fstate: FisherState, lam: float):
     return penalty, grad
 
 
-def _plan(topology, parts, groups: StepGroups, steps: int):
-    """The PairPlan of `steps` steps whose groups are the (store, rows) parts,
-    step after step."""
-    return plan_steps(topology, Batch.of_rows(*join_rows(parts), Provenance.LBS), groups, steps)
-
-
-def _buffered_languages(buffer: MemoryBuffer) -> list:
-    """The past languages that have buffered samples, in integration order."""
-    # a language's quota is 0 when there are fewer buffer slots than past languages
-    return [lang for lang, rows in buffer.rows.items() if len(rows)]
-
-
-def gem_reference_rows(buffer: MemoryBuffer, batch_size: int, rng) -> list:
-    """(store, rows) of up to batch_size buffered samples, drawn without
-    replacement, of each of `_buffered_languages(buffer)` in turn."""
-    if buffer.total() == 0:
-        raise UsageError("buffer is empty")
-    parts = []
-    for lang in _buffered_languages(buffer):
-        rows = buffer.rows[lang]
-        idx = rng.choice(len(rows), size=min(batch_size, len(rows)), replace=False)
-        parts.append((buffer.stores[lang], rows[idx]))
-    return parts
-
-
-def gem_reference_grads(params: ParameterSet, plan, step: int, languages: list):
+def gem_reference_grads(params: ParameterSet, plan, step: int, refs: int):
     """The losses and gradients of the groups of step `step` of `plan`, from
-    one model pass, and the GemState of its last groups: the LBS-loss
-    gradient of one reference batch per language of `languages`.
+    one model pass, and the GemState of its last `refs` groups: the LBS-loss
+    gradient of one reference batch per past language, with the languages.
 
     A GEM step's groups are its own batch, then its reference batches.
     """
     losses, grads = run_step(params, plan, step)
-    return losses, grads, GemState(grads[len(grads) - len(languages) :], languages)
+    end = (step + 1) * len(plan.heads)
+    # a reference batch is of one language: that of its first pair
+    languages = plan.langs[plan.bounds[end - refs : end]].tolist()
+    return losses, grads, GemState(grads[len(grads) - refs :], languages)
 
 
 def gem_project(g: np.ndarray, gstate: GemState) -> np.ndarray:
@@ -228,35 +206,74 @@ def _dev_mcd(params: ParameterSet, ds: TaskDataset) -> float:
     return split_mcd(params, ds, "dev")
 
 
-def _loss_terms(strategy: StrategyConfig, pool, batch_size: int, rng) -> list:
-    """The (weight, draw, head) terms whose weighted loss sum is one step's
-    loss, in the order a step draws their batches.
+def _reference_draw(store, rows, batch_size: int, rng):
+    """A draw of up to batch_size of the store's `rows`, without replacement."""
+    n, size = len(rows), min(batch_size, len(rows))
+    return lambda: Batch.of_rows(store, rows[rng.choice(n, size, replace=False)], Provenance.LBS)
 
-    REPLAY_DUAL sums gamma * L_lbs + beta * L_rrs; every other strategy has
-    a single unit-weight term on the LBS head.
+
+def _step_groups(strategy: StrategyConfig, ds_k, buffer, seen_tasks, batch_size: int, rng):
+    """A stage's training pool, and the (weight, draw, head) of each group of
+    a step's model pass, in the order a step draws their batches.
+
+    A step's loss sums its groups' weighted losses: gamma * L_lbs + beta *
+    L_rrs for REPLAY_DUAL, one unit-weight LBS group otherwise. GEM adds a
+    reference batch of each past language with buffered samples, in
+    integration order: a group of weight None, left out of the loss.
     """
     kind = strategy.kind
+    if kind is StrategyKind.JOINT:
+        pool = join_pools([t.part("train") for t in seen_tasks])
+    elif kind in (StrategyKind.FINE_TUNE, StrategyKind.EWC, StrategyKind.GEM):
+        pool = join_pools([ds_k.part("train")])
+    else:
+        pool = merge_replay(ds_k, buffer if buffer and buffer.total() else None)
     if kind is StrategyKind.REPLAY_DUAL:
         if strategy.force_lbs_random:
             draw_lbs = lambda: draw_random(pool, batch_size, rng, Provenance.LBS)
         else:
             draw_lbs = lambda: draw_balanced(pool, batch_size, rng)
-        terms = [
+        groups = [
             (strategy.gamma, draw_lbs, Head.LBS),
             (strategy.beta, lambda: draw_random(pool, batch_size, rng, Provenance.RRS), Head.RRS),
         ]
-        # a zero-weight term draws nothing, keeping the rng stream identical
+        # a zero-weight group draws nothing, keeping the rng stream identical
         # to the single-sampler strategies
-        return [term for term in terms if term[0] > 0]
+        return pool, [group for group in groups if group[0] > 0]
     if kind is StrategyKind.REPLAY_WEIGHTED:
         table = build_weight_table(pool)
-        return [(1.0, lambda: draw_weighted(table, pool, batch_size, rng), Head.LBS)]
-    return [(1.0, lambda: draw_random(pool, batch_size, rng), Head.LBS)]
+        return pool, [(1.0, lambda: draw_weighted(table, pool, batch_size, rng), Head.LBS)]
+    groups = [(1.0, lambda: draw_random(pool, batch_size, rng), Head.LBS)]
+    if kind is StrategyKind.GEM and buffer is not None:
+        # a language's quota is 0 when there are fewer buffer slots than past languages
+        groups += [
+            (None, _reference_draw(store, rows, strategy.gem_memory_batch, rng), Head.LBS)
+            for store, rows in buffer.parts()
+            if len(rows)
+        ]
+    return pool, groups
 
 
 # the positions of the steps planned at once, at most: making a plan takes
 # about 32 bytes a position, and it holds about 96 bytes a pair
 _CHUNK_POSITIONS = 6144
+
+
+def _chunks(topology, heads: list, steps: int, draw):
+    """The PairPlan (None for steps of no group) and range of each chunk of
+    `steps` steps of at most _CHUNK_POSITIONS positions, or one step; a chunk
+    draws its steps' (store, rows) parts, one per head, before it is planned.
+    """
+    parts = draw()
+    # every step draws as many rows of the same stores as the first
+    longest = max((int(store.lengths.max()) for store, _ in parts), default=0)
+    chunk = max(1, _CHUNK_POSITIONS // max(1, longest * sum(len(rows) for _, rows in parts)))
+    for first in range(0, steps, chunk):
+        chunk_steps = range(first, min(first + chunk, steps))
+        while len(parts) < len(chunk_steps) * len(heads):
+            parts += draw()
+        yield (plan_steps(topology, parts, heads) if parts else None), chunk_steps
+        parts = []
 
 
 def train_stage(
@@ -272,38 +289,20 @@ def train_stage(
     """One task's training phase; returns final parameters and dev curves.
 
     The batches of a chunk of steps are drawn, in the order a step at a time
-    draws them, and planned at once (`pairs.plan_steps`). Each step then
-    takes the gradients of the strategy's loss terms (`_loss_terms`) in one
-    model pass (GEM's with its reference gradients) and sums them, then adds
-    the EWC penalty or applies the GEM projection. `seen_tasks`
-    lists every task seen so far (current included); their dev splits feed
-    the per-epoch MCD curves. For JOINT it also defines the training pool.
+    draws them, and planned at once (`_chunks`). Each step then takes the
+    losses and gradients of its groups (`_step_groups`) in one model pass,
+    GEM's through `gem_reference_grads`, and sums the weighted ones, then
+    adds the EWC penalty or applies the GEM projection. `seen_tasks` lists
+    every task seen so far (current included); their dev splits feed the
+    per-epoch MCD curves. For JOINT it also defines the training pool.
     """
-    kind = strategy.kind
     seen_tasks = seen_tasks if seen_tasks is not None else [ds_k]
-
-    if kind is StrategyKind.JOINT:
-        pool = join_pools([t.part("train") for t in seen_tasks])
-    elif kind in (StrategyKind.FINE_TUNE, StrategyKind.EWC, StrategyKind.GEM):
-        pool = join_pools([ds_k.part("train")])
-    else:
-        pool = merge_replay(ds_k, buffer if buffer and buffer.total() else None)
-
-    terms = _loss_terms(strategy, pool, cfg.batch_size, rng)
-    use_ewc = kind is StrategyKind.EWC and fstate is not None
-    use_gem = kind is StrategyKind.GEM and buffer is not None and buffer.total() > 0
-    # a step's groups: one batch per loss term, then GEM's reference batches
-    heads, sizes = [head for *_, head in terms], [cfg.batch_size] * len(terms)
-    stores = [pool.store]
-    if use_gem:
-        langs = _buffered_languages(buffer)
-        heads += [Head.LBS] * len(langs)
-        sizes += [min(strategy.gem_memory_batch, len(buffer.rows[lang])) for lang in langs]
-        stores += [buffer.stores[lang] for lang in langs]
-    groups = StepGroups(heads, sizes, params.topology.frame_dim)
-    # the steps planned at once: at most _CHUNK_POSITIONS positions, or one step
-    longest = max(int(store.lengths.max()) for store in stores)
-    chunk = max(1, _CHUNK_POSITIONS // max(1, longest * sum(sizes)))
+    pool, groups = _step_groups(strategy, ds_k, buffer, seen_tasks, cfg.batch_size, rng)
+    heads = [head for *_, head in groups]
+    terms = [group for group in groups if group[0] is not None]
+    refs = len(groups) - len(terms)  # GEM's reference groups, the last ones
+    use_ewc = strategy.kind is StrategyKind.EWC and fstate is not None
+    draw_step = lambda: [(batch.store, batch.rows) for batch in (draw() for _, draw, _ in groups)]
 
     opt = AdamState.fresh(len(params.values), lr=cfg.lr)
     params = params.copy()
@@ -312,22 +311,12 @@ def train_stage(
 
     for epoch in range(cfg.epochs):
         opt.lr = lr_for_epoch(cfg.lr, epoch, cfg.epochs, cfg.lr_decay_epoch_fraction)
-        for first in range(0, steps_per_epoch, chunk):
-            steps = range(first, min(first + chunk, steps_per_epoch))
-            # every batch of the chunk, in the order a step at a time draws them
-            parts = []
-            for _ in steps:
-                parts += [(batch.store, batch.rows) for batch in (draw() for _, draw, _ in terms)]
-                if use_gem:
-                    parts += gem_reference_rows(buffer, strategy.gem_memory_batch, rng)
-            # gamma = beta = 0 leaves a dual step no batch and no model pass
-            plan = _plan(params.topology, parts, groups, len(steps)) if parts else None
+        for plan, steps in _chunks(params.topology, heads, steps_per_epoch, draw_step):
             for k, step in enumerate(steps):
-                losses, grads = [], []
-                if use_gem:
-                    losses, grads, gstate = gem_reference_grads(params, plan, k, langs)
-                elif plan is not None:
-                    losses, grads = run_step(params, plan, k)
+                if refs:
+                    losses, grads, gstate = gem_reference_grads(params, plan, k, refs)
+                else:  # gamma = beta = 0 leaves a dual step no group and no model pass
+                    losses, grads = run_step(params, plan, k) if plan else ([], [])
                 # accumulating into zeros keeps gamma = beta = 0 a valid no-op step
                 grad = np.zeros_like(params.values)
                 loss_total = 0.0
@@ -338,7 +327,7 @@ def train_stage(
                     penalty, pgrad = ewc_penalty(params, fstate, strategy.ewc_lambda)
                     loss_total += penalty
                     grad += pgrad
-                if use_gem:
+                if refs:
                     grad = gem_project(grad, gstate)
                 if not np.isfinite(loss_total):
                     raise NumericError(

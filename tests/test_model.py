@@ -24,7 +24,7 @@ from lltts.model import (
     init_params,
     loss_and_grad,
 )
-from lltts.pairs import StepGroups, plan_steps
+from lltts.pairs import plan_steps
 from lltts.samplers import Batch, Provenance
 
 from conftest import TINY, plain_padding, random_batch, random_sample
@@ -425,9 +425,10 @@ def test_plan_names_a_bad_sample_by_its_row_in_its_step(field, value, message):
         samples[13].tokens[0] = value
     else:
         samples[13].language_id = value
-    groups = StepGroups([Head.LBS, Head.RRS], [3, 2], TINY.frame_dim)
+    batch = Batch(samples, Provenance.LBS)
+    parts = [(batch.store, batch.rows[a : a + n]) for a, n in zip([0, 3, 5, 8, 10, 13], [3, 2] * 3)]
     with pytest.raises(InputDomainError, match=message):
-        plan_steps(TINY, Batch(samples, Provenance.LBS), groups, 3)
+        plan_steps(TINY, parts, [Head.LBS, Head.RRS])
 
 
 def test_forward_runs_once_per_distinct_pair(monkeypatch):
@@ -556,6 +557,14 @@ def group_batch(topology, n_groups, seed):
     return batch, [len(group) for group in groups], [Batch(g, Provenance.LBS) for g in groups]
 
 
+def group_pass(params, batch, heads, sizes):
+    """The losses and gradients of the groups of `sizes` consecutive batch
+    rows, group g on heads[g], from the one model pass of a planned step."""
+    ends = np.cumsum(sizes).tolist()
+    parts = [(batch.store, batch.rows[end - n : end]) for end, n in zip(ends, sizes)]
+    return model.run_step(params, plan_steps(params.topology, parts, heads), 0)
+
+
 @pytest.mark.parametrize("topology", [TINY, DESK, PAPER_SCALE], ids=["tiny", "desk", "paper_scale"])
 @settings(max_examples=20, deadline=None)
 @given(heads=st.lists(st.sampled_from(Head), min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
@@ -570,7 +579,7 @@ def test_group_rows_equal_separate_passes(topology, heads, seed):
     batch, sizes, alone = group_batch(topology, len(heads), seed)
     params = init_params(topology, 3)
     params.values[:] += 0.1 * np.random.default_rng(seed).standard_normal(len(params.values))
-    losses, grads = model.group_loss_and_grads(params, batch, heads, sizes)
+    losses, grads = group_pass(params, batch, heads, sizes)
     assert grads.shape == (len(heads), topology.num_params()) and len(losses) == len(heads)
     exact = topology is not PAPER_SCALE and all(distinct_pairs(group) > 1 for group in alone)
     for loss, grad, group, head in zip(losses, grads, alone, heads, strict=True):
@@ -602,7 +611,8 @@ _GROUP_THREADS_CHILD = """
 import hashlib
 import numpy as np
 from lltts.data import Sample
-from lltts.model import Head, ModelTopology, _gather_pairs, group_loss_and_grads, init_params
+from lltts.model import Head, ModelTopology, _gather_pairs, init_params, run_step
+from lltts.pairs import plan_steps
 from lltts.samplers import Batch, Provenance
 
 # a paper-scale GEM step at stage 3: a step batch of 84 samples and three
@@ -630,7 +640,9 @@ assert len(_gather_pairs(topo, dual, [84, 84])[0]) == 320
 digest = hashlib.sha256()
 cases = [(batch, [Head.LBS] * 4, sizes), (batch, [Head.RRS] * 4, sizes), (dual, [Head.LBS, Head.RRS], [84, 84])]
 for rows, heads, groups in cases:
-    losses, grads = group_loss_and_grads(init_params(topo, 1), rows, heads, groups)
+    ends = np.cumsum(groups).tolist()
+    parts = [(rows.store, rows.rows[end - n : end]) for end, n in zip(ends, groups)]
+    losses, grads = run_step(init_params(topo, 1), plan_steps(topo, parts, heads), 0)
     digest.update(np.array([loss.total for loss in losses]).tobytes() + grads.tobytes())
 print(digest.hexdigest())
 """

@@ -182,11 +182,12 @@ class TestOneStore:
             stores.append(batch.store)
             return gather_pairs(topology, batch, *groups)
 
-        loss_terms = strategies._loss_terms
+        step_groups = strategies._step_groups
 
-        def spy_terms(strategy, pool, batch_size, rng):
+        def spy_groups(*args):
+            pool, groups = step_groups(*args)
             stores.append(pool.store)
-            return loss_terms(strategy, pool, batch_size, rng)
+            return pool, groups
 
         train_stage = strategies.train_stage
 
@@ -197,7 +198,7 @@ class TestOneStore:
         # training and EWC's Fisher batches gather in `pairs`, evaluation in `model`
         monkeypatch.setattr(pairs, "_gather_pairs", spy_gather)
         monkeypatch.setattr(model, "_gather_pairs", spy_gather)
-        monkeypatch.setattr(strategies, "_loss_terms", spy_terms)
+        monkeypatch.setattr(strategies, "_step_groups", spy_groups)
         monkeypatch.setattr(strategies, "train_stage", spy_stage)
         run_sequence(config)
         monkeypatch.undo()

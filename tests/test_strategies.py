@@ -11,9 +11,8 @@ from lltts.buffer import MemoryBuffer
 from lltts.config import parse_config
 from lltts.data import TaskSpec, generate_task, generate_tasks, merge_replay
 from lltts.errors import NumericError, UsageError
-from lltts import strategies
+from lltts import model, strategies
 from lltts.model import AdamState, Head, LossBreakdown, adam_step, init_params, loss_and_grad
-from lltts.pairs import StepGroups
 from lltts.samplers import Batch, Provenance, draw_balanced, draw_random
 from lltts.store import join_pools
 from lltts.strategies import (
@@ -104,6 +103,33 @@ class TestEwc:
         expected /= 50
         np.testing.assert_allclose(fstate.fisher_diag, expected, atol=1e-12)
 
+    def test_desk_samples_are_the_one_row_steps_of_one_plan(self, monkeypatch):
+        # a desk task's 100 Fisher samples are planned at once, a one-row step
+        # each, and the diagonal is, bit for bit, the mean of their squared
+        # one-sample loss_and_grad gradients
+        cfg = parse_config((CONFIGS / "desk.ini").read_text())
+        task = generate_tasks(cfg.task_specs)[0]
+        params = init_params(cfg.topology, 0)
+        plans = []
+        plan_steps = strategies.plan_steps
+
+        def spy_plan(topology, parts, heads):
+            plans.append(([rows.tolist() for _, rows in parts], heads))
+            return plan_steps(topology, parts, heads)
+
+        monkeypatch.setattr(strategies, "plan_steps", spy_plan)
+        fstate = ewc_consolidate(params, task, 100, np.random.default_rng(4))
+        monkeypatch.undo()
+        train = task.rows("train")
+        rows = train[np.random.default_rng(4).choice(len(train), size=100, replace=False)]
+        assert plans == [([[row] for row in rows.tolist()], [Head.LBS])]
+        expected = np.zeros_like(params.values)
+        for row in rows:
+            _, g = loss_and_grad(params, Batch.of_rows(task.store, np.array([row]), Provenance.LBS), Head.LBS)
+            expected += g**2
+        expected /= 100
+        assert fstate.fisher_diag.tobytes() == expected.tobytes()
+
     def test_prior_accumulates_additively(self, rng):
         params = init_params(TINY, 1)
         ds = small_task()
@@ -158,12 +184,13 @@ class TestEwc:
 
 
 def reference_state(params, buffer, batch_size, rng):
-    """The GemState of one draw of reference batches, run as the groups of
-    one planned step."""
-    parts = strategies.gem_reference_rows(buffer, batch_size, rng)
-    groups = StepGroups([Head.LBS] * len(parts), [len(rows) for _, rows in parts], params.topology.frame_dim)
-    plan = strategies._plan(params.topology, parts, groups, 1)
-    return gem_reference_grads(params, plan, 0, strategies._buffered_languages(buffer))[2]
+    """The GemState of one draw of a GEM step's reference batches, run as the
+    groups of one planned step."""
+    strategy = StrategyConfig(StrategyKind.GEM, gem_memory_batch=batch_size)
+    _, groups = strategies._step_groups(strategy, small_task(), buffer, None, batch_size, rng)
+    parts = [(batch.store, batch.rows) for batch in (draw() for weight, draw, _ in groups if weight is None)]
+    plan = strategies.plan_steps(params.topology, parts, [Head.LBS] * len(parts))
+    return gem_reference_grads(params, plan, 0, len(parts))[2]
 
 
 class TestGemReferenceGrads:
@@ -211,12 +238,20 @@ class TestGemReferenceGrads:
         _, grad = loss_and_grad(params, Batch(buf.slots[0], Provenance.LBS), Head.LBS)
         np.testing.assert_array_equal(state.reference_grads, grad[None, :])
 
-    def test_empty_buffer_rejected(self):
-        params = init_params(TINY, 0)
-        with pytest.raises(UsageError):
-            reference_state(
-                params, MemoryBuffer(5, 0), 4, np.random.default_rng(0)
-            )
+    def test_empty_buffer_plans_one_group_a_step(self, monkeypatch):
+        # with no buffered sample a GEM step's pass is its own batch alone:
+        # 7 steps an epoch of 8 rows of at most 5 tokens, a chunk an epoch
+        heads = []
+        plan_steps = strategies.plan_steps
+
+        def spy_plan(topology, parts, step_heads):
+            heads.append(step_heads)
+            return plan_steps(topology, parts, step_heads)
+
+        monkeypatch.setattr(strategies, "plan_steps", spy_plan)
+        train_stage(StrategyConfig(StrategyKind.GEM), init_params(TINY, 0), small_task(),
+                    MemoryBuffer(5, 0), None, StageConfig(epochs=2, batch_size=8), np.random.default_rng(0))
+        assert heads == [[Head.LBS]] * 2
 
 
 def no_call(*args):
@@ -267,12 +302,13 @@ class TestGemStage:
             return project(g, gstate)
 
         def spy_pass(params, plan, step):
-            passes.append((list(plan.groups.heads), plan.groups.sizes.tolist()))
+            n = len(plan.heads)
+            passes.append((plan.heads, plan.sizes[step * n : (step + 1) * n]))
             return run_step(params, plan, step)
 
         monkeypatch.setattr(strategies, "gem_project", spy_project)
         monkeypatch.setattr(strategies, "run_step", spy_pass)
-        monkeypatch.setattr(strategies, "loss_and_grad", no_call)
+        monkeypatch.setattr(model, "loss_and_grad", no_call)
         rng = np.random.default_rng(3)
         strategy = StrategyConfig(StrategyKind.GEM, gem_memory_batch=4)
         result = train_stage(strategy, params, tasks[1], buffer, None, cfg, rng)
@@ -332,11 +368,12 @@ class TestDualStage:
         run_step = strategies.run_step
 
         def spy_pass(params, plan, step):
-            passes.append((list(plan.groups.heads), plan.groups.sizes.tolist()))
+            n = len(plan.heads)
+            passes.append((plan.heads, plan.sizes[step * n : (step + 1) * n]))
             return run_step(params, plan, step)
 
         monkeypatch.setattr(strategies, "run_step", spy_pass)
-        monkeypatch.setattr(strategies, "loss_and_grad", no_call)
+        monkeypatch.setattr(model, "loss_and_grad", no_call)
         rng = np.random.default_rng(3)
         strategy = StrategyConfig(StrategyKind.REPLAY_DUAL, gamma=0.5, beta=1.0)
         result = train_stage(strategy, params, ds_k, buffer, None, cfg, rng)
@@ -385,8 +422,8 @@ class TestChunkedPlans:
         chunks = []
         plan_steps = strategies.plan_steps
 
-        def spy_plan(topology, batch, groups, steps):
-            chunks.append((batch, steps, plan_steps(topology, batch, groups, steps)))
+        def spy_plan(topology, parts, heads):
+            chunks.append((parts, len(parts) // len(heads), plan_steps(topology, parts, heads)))
             return chunks[-1][2]
 
         monkeypatch.setattr(strategies, "_CHUNK_POSITIONS", budget)
@@ -397,12 +434,10 @@ class TestChunkedPlans:
         assert [steps for _, steps, _ in chunks] == self.CHUNKS[kind, budget]
 
         params.values[:] += 0.1 * np.random.default_rng(1).standard_normal(len(params.values))
-        for batch, steps, plan in chunks:
-            groups = plan.groups
-            n_rows, n_groups = int(groups.sizes.sum()), len(groups.heads)
+        for parts, steps, plan in chunks:
+            n_groups = len(plan.heads)
             for k in range(steps):
-                rows = batch.rows[k * n_rows : (k + 1) * n_rows]
-                alone = plan_steps(params.topology, Batch.of_rows(batch.store, rows, Provenance.LBS), groups, 1)
+                alone = plan_steps(params.topology, parts[k * n_groups : (k + 1) * n_groups], plan.heads)
                 a, b = plan.bounds[k * n_groups], plan.bounds[(k + 1) * n_groups]
                 assert [x - a for x in plan.bounds[k * n_groups : (k + 1) * n_groups + 1]] == alone.bounds
                 for name in ("tokens", "langs", "w_sum", "s_sum", "emb_rows"):
@@ -420,26 +455,23 @@ class TestChunkedPlans:
         # rng ends in the state the draws leave it in, made one step at a time
         params, ds_k, buffer, cfg = three_language_stage()
         drawn = []
-        plan = strategies._plan
+        plan_steps = strategies.plan_steps
 
-        def spy_plan(topology, parts, groups, steps):
+        def spy_plan(topology, parts, heads):
             drawn.extend(rows for _, rows in parts)
-            return plan(topology, parts, groups, steps)
+            return plan_steps(topology, parts, heads)
 
         monkeypatch.setattr(strategies, "_CHUNK_POSITIONS", budget)
-        monkeypatch.setattr(strategies, "_plan", spy_plan)
+        monkeypatch.setattr(strategies, "plan_steps", spy_plan)
         strategy = StrategyConfig(kind, gem_memory_batch=4)
         rng = np.random.default_rng(3)
         train_stage(strategy, params, ds_k, buffer, None, cfg, rng)
 
+        # one step at a time: the step's batches, then GEM's reference batches
         want_rng, want = np.random.default_rng(3), []
-        use_gem = kind is StrategyKind.GEM
-        pool = join_pools([ds_k.part("train")]) if use_gem else merge_replay(ds_k, buffer)
-        terms = strategies._loss_terms(strategy, pool, cfg.batch_size, want_rng)
+        pool, groups = strategies._step_groups(strategy, ds_k, buffer, [ds_k], cfg.batch_size, want_rng)
         for _ in range(cfg.epochs * (len(pool) // cfg.batch_size)):
-            want += [draw().rows for _, draw, _ in terms]
-            if use_gem:
-                want += [rows for _, rows in strategies.gem_reference_rows(buffer, 4, want_rng)]
+            want += [draw().rows for _, draw, _ in groups]
         assert len(drawn) == len(want) and all(map(np.array_equal, drawn, want))
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -484,8 +516,7 @@ def test_dual_step_peak_memory(profile, bound):
         batches = [draw_balanced(pool, cfg.batch_size, rng),
                    draw_random(pool, cfg.batch_size, rng, Provenance.RRS)]
         parts = [(batch.store, batch.rows) for batch in batches]
-        groups = StepGroups([Head.LBS, Head.RRS], [cfg.batch_size] * 2, cfg.topology.frame_dim)
-        _, grads = strategies.run_step(params, strategies._plan(cfg.topology, parts, groups, 1), 0)
+        _, grads = strategies.run_step(params, strategies.plan_steps(cfg.topology, parts, [Head.LBS, Head.RRS]), 0)
         return adam_step(opt, params, gamma * grads[0] + beta * grads[1])
 
     assert step_peak(step, cfg.topology) <= bound
@@ -498,17 +529,13 @@ def test_gem_step_peak_memory(profile, bound):
     # reference batch, the projection and Adam. Measured 331 and 606 kB;
     # the 1-3 reference passes of their own peaked at 150 and 330 kB
     cfg, tasks, buffer = last_stage(profile, "gem")
-    pool = join_pools([tasks[-1].part("train")])
     rng = np.random.default_rng(0)
-    langs = strategies._buffered_languages(buffer)
+    _, groups = strategies._step_groups(cfg.strategy, tasks[-1], buffer, tasks, cfg.batch_size, rng)
 
     def step(opt, params):
-        batch = draw_random(pool, cfg.batch_size, rng)
-        parts = [(batch.store, batch.rows)]
-        parts += strategies.gem_reference_rows(buffer, cfg.strategy.gem_memory_batch, rng)
-        groups = StepGroups([Head.LBS] * len(parts), [len(rows) for _, rows in parts], cfg.topology.frame_dim)
-        plan = strategies._plan(cfg.topology, parts, groups, 1)
-        _, grads, gstate = gem_reference_grads(params, plan, 0, langs)
+        parts = [(batch.store, batch.rows) for batch in (draw() for _, draw, _ in groups)]
+        plan = strategies.plan_steps(cfg.topology, parts, [Head.LBS] * len(parts))
+        _, grads, gstate = gem_reference_grads(params, plan, 0, len(parts) - 1)
         return adam_step(opt, params, gem_project(grads[0], gstate))
 
     assert step_peak(step, cfg.topology) <= bound
@@ -523,7 +550,6 @@ def test_chunk_steps_leave_no_blocks_behind():
     cfg, tasks, buffer = last_stage("desk", "replay_dual")
     pool = merge_replay(tasks[-1], buffer)
     rng = np.random.default_rng(0)
-    groups = StepGroups([Head.LBS, Head.RRS], [cfg.batch_size] * 2, cfg.topology.frame_dim)
     params = init_params(cfg.topology, 0)
 
     def chunk(steps=4):
@@ -532,7 +558,7 @@ def test_chunk_steps_leave_no_blocks_behind():
             batches = [draw_balanced(pool, cfg.batch_size, rng),
                        draw_random(pool, cfg.batch_size, rng, Provenance.RRS)]
             parts += [(batch.store, batch.rows) for batch in batches]
-        plan = strategies._plan(cfg.topology, parts, groups, steps)
+        plan = strategies.plan_steps(cfg.topology, parts, [Head.LBS, Head.RRS])
         for k in range(steps):
             strategies.run_step(params, plan, k)
 
@@ -550,21 +576,21 @@ def test_gem_chunk_plan_peak_memory():
     # stage (4 languages): 2 steps of a batch of 84 and three reference
     # batches of 32, at most 6,144 positions. Measured 145 kB
     cfg, tasks, buffer = last_stage("paper_scale", "gem")
-    pool = join_pools([tasks[-1].part("train")])
     rng = np.random.default_rng(0)
+    pool, groups = strategies._step_groups(cfg.strategy, tasks[-1], buffer, tasks, cfg.batch_size, rng)
+    heads = [Head.LBS] * len(groups)
     memory_batch = cfg.strategy.gem_memory_batch
     sizes = [cfg.batch_size] + [min(memory_batch, len(rows)) for rows in buffer.rows.values()]
-    groups = StepGroups([Head.LBS] * len(sizes), sizes, cfg.topology.frame_dim)
     steps = strategies._CHUNK_POSITIONS // (int(pool.store.lengths.max()) * sum(sizes))
-    assert steps == 2
+    assert steps == 2 and len(groups) == len(sizes)
     parts = []
     for _ in range(steps):
-        batch = draw_random(pool, cfg.batch_size, rng)
-        parts += [(batch.store, batch.rows)] + strategies.gem_reference_rows(buffer, memory_batch, rng)
-    strategies._plan(cfg.topology, parts, groups, steps)  # checks the store's ids
+        parts += [(batch.store, batch.rows) for batch in (draw() for _, draw, _ in groups)]
+    assert [len(rows) for _, rows in parts] == sizes * steps
+    strategies.plan_steps(cfg.topology, parts, heads)  # checks the store's ids
     tracemalloc.start()
     try:
-        strategies._plan(cfg.topology, parts, groups, steps)
+        strategies.plan_steps(cfg.topology, parts, heads)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
