@@ -29,11 +29,6 @@ _GEN_WINDOW_WEIGHTS = (1.0, 0.2, 0.1)
 # generate_tasks computes targets at most this many tokens at a time, which
 # bounds its temporaries to about 300 kB, below one training step's
 _GEN_CHUNK_TOKENS = 1024
-# _draw maps its rng's 32-bit words to bounded integers this many at a time,
-# which bounds each of its uint64 temporaries to 16 kB
-_DRAW_BLOCK = 2048
-_WORD = 1 << 32
-_NO_WORD = 1 << 62  # past any word index
 _EMB_STREAM = 0xE3B
 _MAP_STREAM = 0x11A
 
@@ -98,8 +93,7 @@ class TaskSpec:
         if min(self.n_train, self.n_dev, self.n_test) < 1:
             raise UsageError("split sizes n_train, n_dev and n_test must be >= 1")
         lo, hi = self.seq_len_range
-        # lengths and token ids are INDEX values, which also keeps the ranges
-        # that _draw draws from within its 2**32 values
+        # lengths and token ids are INDEX values
         top = int(np.iinfo(INDEX).max)
         if lo < 1 or lo > hi or hi > top:
             raise UsageError(
@@ -146,89 +140,23 @@ def _targets_for(tokens, emb, w_map, b_map, scale):
     return out
 
 
-def _raw_words(bitgen, count: int) -> np.ndarray:
-    """The next 32-bit words of a PCG64 stream, at least `count` of them, in
-    the order numpy's Generator uses them: each 64-bit output low half first."""
-    return bitgen.random_raw((count + 1) // 2).astype("<u8", copy=False).view("<u4")
+def _draw(specs):
+    """Lengths and first token positions of the tasks' samples in one store,
+    and their tokens; each task's train, then dev, then test.
 
-
-def _products(words, n: int):
-    """(offset, w * n as uint64) of the 32-bit words w, _DRAW_BLOCK at a time."""
-    for a in range(0, len(words), _DRAW_BLOCK):
-        yield a, np.multiply(words[a : a + _DRAW_BLOCK], np.uint64(n), dtype=np.uint64)
-
-
-def _draw(spec: TaskSpec):
-    """Lengths and concatenated tokens of one task's samples, train then dev
-    then test.
-
-    They are what numpy's per-sample calls `rng.integers(lo, hi + 1)` and
-    `rng.integers(0, vocab_size, size=t)` return, taken in one pass over the
-    rng's raw words. numpy draws an integer in [0, n), n <= 2**32, by Lemire's
-    method on its stream of 32-bit words: a word w gives (w * n) >> 32, unless
-    (w * n) mod 2**32 < 2**32 mod n, when numpy rejects it and takes the next
-    word. A range of one value takes no word.
+    Each task's rng draws its lengths with one `integers` call, then its
+    tokens with another. Every length is drawn first, so a store too large
+    to address fails before any token is drawn.
     """
-    bitgen = np.random.default_rng([spec.seed, spec.language_id, 0xDA7A]).bit_generator
-    lo, hi = spec.seq_len_range
-    n_len, n_tok = hi - lo + 1, spec.vocab_size
-    len_threshold, tok_threshold = _WORD % n_len, _WORD % n_tok
-    total = spec.n_train + spec.n_dev + spec.n_test
-    # the words a sample takes on average, not counting rejected ones
-    per_sample = (n_len > 1) + (n_tok > 1) * (lo + hi) / 2
-    words = np.empty(0, dtype=np.uint32)
-    is_length_word = bytearray()  # 1 at each word that a length took or rejected
-    rejected = [_NO_WORD]  # the words that a token would reject, then a sentinel
-    lengths = []
-    pos = j = 0  # the next sample's first word, and the first rejected word from there
-    while len(lengths) < total:
-        # the words the remaining samples need, with a margin that makes
-        # running short again rare unless many words are rejected
-        more = _raw_words(bitgen, int((total - len(lengths)) * per_sample * 1.02) + 64)
-        rejected.pop()
-        for a, m in _products(more, n_tok):
-            # m.astype(np.uint32) is (w * n) mod 2**32
-            drop = np.flatnonzero(m.astype(np.uint32) < tok_threshold)
-            rejected.extend((drop + len(words) + a).tolist())
-        rejected.append(_NO_WORD)
-        is_length_word.extend(bytes(len(more)))
-        words = np.concatenate([words, more]) if len(words) else more
-        n_words = len(words)
-        while len(lengths) < total:
-            p, k = pos, j
-            if n_len > 1:
-                while p < n_words and (words.item(p) * n_len) % _WORD < len_threshold:
-                    is_length_word[p] = 1
-                    p += 1
-                if p == n_words:
-                    break
-                is_length_word[p] = 1
-                t = lo + ((words.item(p) * n_len) >> 32)
-                p += 1
-            else:
-                t = lo
-            if n_tok > 1:
-                # the sample's tokens are the next t words that are not rejected
-                while rejected[k] < p:
-                    k += 1
-                p += t
-                while rejected[k] < p:
-                    k += 1
-                    p += 1
-                if p > n_words:
-                    break
-            lengths.append(t)
-            pos, j = p, k
-    lengths = np.array(lengths, dtype=INDEX)
-    if n_tok == 1:
-        return lengths, np.zeros(int(lengths.sum()), dtype=INDEX)
-    in_tokens = np.frombuffer(is_length_word, dtype=np.uint8, count=pos) == 0
-    in_tokens[rejected[:j]] = False
-    token_words = words[:pos][in_tokens]
-    tokens = np.empty(len(token_words), dtype=INDEX)
-    for a, m in _products(token_words, n_tok):
-        tokens[a : a + _DRAW_BLOCK] = np.right_shift(m, np.uint64(32), out=m)
-    return lengths, tokens
+    rngs = [np.random.default_rng([spec.seed, spec.language_id, 0xDA7A]) for spec in specs]
+    task_lengths = [rng.integers(spec.seq_len_range[0], spec.seq_len_range[1] + 1,
+                                 size=spec.n_train + spec.n_dev + spec.n_test, dtype=INDEX)
+                    for spec, rng in zip(specs, rngs)]
+    lengths = np.concatenate(task_lengths)
+    starts = _starts(lengths)
+    tokens = [rng.integers(0, spec.vocab_size, size=int(n.sum()), dtype=INDEX)
+              for spec, rng, n in zip(specs, rngs, task_lengths)]
+    return lengths, starts, np.concatenate(tokens)
 
 
 def _fill_targets(spec: TaskSpec, tokens, frames, starts, lengths) -> None:
@@ -262,12 +190,8 @@ def generate_tasks(specs) -> list:
         raise UsageError("no task specs given")
     if len({spec.frame_dim for spec in specs}) > 1:
         raise UsageError("the tasks of one store must share frame_dim")
-    drawn = [_draw(spec) for spec in specs]
-    counts = [len(lengths) for lengths, _ in drawn]
-    lengths = np.concatenate([lengths for lengths, _ in drawn])
-    tokens = np.concatenate([task_tokens for _, task_tokens in drawn])
-    del drawn  # before the frames, the largest array, are allocated
-    starts = _starts(lengths)
+    lengths, starts, tokens = _draw(specs)
+    counts = [spec.n_train + spec.n_dev + spec.n_test for spec in specs]
     langs = np.repeat(np.array([spec.language_id for spec in specs], dtype=INDEX), counts)
     frames = np.empty((len(tokens), specs[0].frame_dim))
     firsts = np.cumsum([0] + counts[:-1]).tolist()

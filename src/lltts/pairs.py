@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputDomainError
 from .samplers import Batch, Provenance
 from .store import join_rows
+
+if TYPE_CHECKING:  # model imports this module
+    from .model import ModelTopology
 
 
 def _check_rows(topology: ModelTopology, store, rows, period: int) -> None:

@@ -34,41 +34,68 @@ def datasets_equal(a, b):
     return a.language_id == b.language_id
 
 
-def split_digests(ds):
-    """sha256 of each split's tokens and frames, sample by sample."""
+def digests(splits):
+    """sha256 of each split's tokens and frames, sample by sample; `splits`
+    maps a split's name to its (tokens, frames) pairs."""
     out = {}
-    for name in ("train", "dev", "test"):
+    for name, pairs in splits.items():
         h = hashlib.sha256()
-        for s in getattr(ds, name):
-            h.update(s.tokens.astype("<i8").tobytes())
-            h.update(s.target_frames.astype("<f8").tobytes())
+        for tokens, frames in pairs:
+            h.update(tokens.astype("<i8").tobytes())
+            h.update(frames.astype("<f8").tobytes())
         out[name] = h.hexdigest()
     return out
 
 
-# Taken from the generator that built and validated one sample at a time. At
+def split_digests(ds):
+    return digests({name: [(s.tokens, s.target_frames) for s in getattr(ds, name)]
+                    for name in ("train", "dev", "test")})
+
+
+def two_call_draw(spec):
+    """A task's lengths, then its tokens: two calls on the task's rng."""
+    rng = np.random.default_rng([spec.seed, spec.language_id, 0xDA7A])
+    lo, hi = spec.seq_len_range
+    total = spec.n_train + spec.n_dev + spec.n_test
+    lengths = rng.integers(lo, hi + 1, size=total, dtype=data.INDEX)
+    return lengths, rng.integers(0, spec.vocab_size, size=int(lengths.sum()), dtype=data.INDEX)
+
+
+def reference_digests(spec):
+    """`split_digests` of the task built one sample at a time: one
+    `_targets_for` call per sample over `two_call_draw`."""
+    lengths, tokens = two_call_draw(spec)
+    emb = data._gen_embedding(spec.vocab_size)
+    w_map, b_map = data._language_map(spec.language_id, spec.frame_dim)
+    samples = [(t, data._targets_for(t, emb, w_map, b_map, spec.transform_scale))
+               for t in np.split(tokens, np.cumsum(lengths)[:-1])]
+    ends = np.cumsum([spec.n_train, spec.n_dev, spec.n_test]).tolist()
+    return digests(dict(zip(("train", "dev", "test"),
+                            (samples[a:z] for a, z in zip([0] + ends, ends)))))
+
+
+# Taken from `reference_digests`, which builds one sample at a time. At
 # (1, 4) samples are shorter than the 3-token window, and one-token samples
 # have one-row target products, which BLAS computes with GEMV instead of GEMM.
 PINNED_DIGESTS = {
     (6, 12): {
-        "train": "079ae54d619cd34e558f53267a229e260ce4c91bb4910cd0c224687ae76a240a",
-        "dev": "b01c0e701706fe53319a1d7f32f5c3db9a5ccdc31cf5aa2da71bcded5a6eb864",
-        "test": "43276b74b2d55975a5c402221ff56e19f0393e49ccc6785c40d0721ba633f632",
+        "train": "a2f837fb0d1edef29ffd4ea97d11a0cdcb39d496eb2662acc2897c8d0efa1a5b",
+        "dev": "319c855312f4d370d94eca6dc8ee00a93a6238eb87805e2017a60d2695bb412b",
+        "test": "6674d9dcc2a9380b90964dfde13269a5aa5f6b9b15579057624901e0a17e727c",
     },
     (1, 4): {
-        "train": "80f53d589f2803c5e7761aa9eb3fc0622677e1303ff26489efc19a0cf1b3f355",
-        "dev": "0a14cd853ec199b4b7712aff0dac99ebf0c5ba7d1209580258250b7abed899ff",
-        "test": "33e9bb4e246be729e25a6a326e0a93984d9f0e3a2d2de06d458fb87623f89c49",
+        "train": "3c37907f469d647a32cb77aa0dc4da1914f96d2d69539b83b3249e43711ef96a",
+        "dev": "e3f77d3e6f211a16d4bb48c7e135415d2557b99fb641a7d3314d4237c3dfbe95",
+        "test": "72b17139f786c990bda801966f48dc5a88b1423bbe1266b87c74f471b96ff315",
     },
 }
 
-# An n_train = 3000 task, whose 410 to 466 samples of each length span several
-# _GEN_CHUNK_TOKENS chunks. Taken with 4,096-token chunks, which split each
-# length into at most 2.
+# An n_train = 3000 task, whose 424 to 459 samples of each length span
+# several 1,024-token chunks. Taken from `reference_digests`.
 MULTI_CHUNK_DIGESTS = {
-    "train": "c6a7efaedcd02b11e9e86c0713d1fc5141989d814b4077253a7f8f85ef8543fd",
-    "dev": "23e692558cd2033cb0bdd332823a252101d9bfb361120666c06921b1b5331995",
-    "test": "7d19c3d83a7209ab7d151e0ee74313d15c187189ee88441aaa1ab8c50ab572c5",
+    "train": "c2929f421cfe73407806ed35d0dec32108bdd81aaa2c9913fffe446332267c1e",
+    "dev": "d124c03f0a776759ee7a8151911f8239cb649f4b676792b421b9ff782a85840a",
+    "test": "c7cb78ce84fbe7495be303d052faee6c722e414edacafde74069dbab5d72332d",
 }
 
 _THREADS_CHILD = """
@@ -84,77 +111,49 @@ print(digest.hexdigest())
 """
 
 
-def numpy_draw(spec):
-    """What `data._draw` reproduces: numpy's per-sample rng calls, the
-    sample's length, then its tokens."""
-    rng = np.random.default_rng([spec.seed, spec.language_id, 0xDA7A])
-    lo, hi = spec.seq_len_range
-    total = spec.n_train + spec.n_dev + spec.n_test
-    draws = []
-    for _ in range(total):
-        t = rng.integers(lo, hi + 1)
-        draws.append(rng.integers(0, spec.vocab_size, size=t))
-    lengths = np.fromiter(map(len, draws), dtype=data.INDEX, count=total)
-    return lengths, np.concatenate(draws, dtype=data.INDEX)
-
-
-def assert_draws_equal(spec):
-    for got, want in zip(data._draw(spec), numpy_draw(spec)):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-
-
 class TestExactDraw:
-    # 1431655766 = ceil(2**32 / 3): numpy rejects a third of the words
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**64 - 1),
         language_id=st.integers(0, 9),
         lo=st.integers(1, 12),
         spread=st.sampled_from([0, 0, 1]) | st.integers(0, 60),
-        vocab_size=st.sampled_from([1, 2, 40, 1431655766, 2**31 - 1, 2**31])
-        | st.integers(1, 2**31),
+        vocab_size=st.sampled_from([1, 2, 40, 2**31 - 1, 2**31]) | st.integers(1, 2**31),
         n_train=st.integers(1, 40),
     )
     @example(seed=0, language_id=0, lo=6, spread=0, vocab_size=40, n_train=20)
     @example(seed=1, language_id=2, lo=3, spread=4, vocab_size=1, n_train=20)
     @example(seed=2, language_id=1, lo=1, spread=5, vocab_size=2, n_train=20)
-    @example(seed=3, language_id=0, lo=1, spread=9, vocab_size=1431655766, n_train=30)
+    @example(seed=3, language_id=0, lo=1, spread=9, vocab_size=2**31, n_train=30)
     @example(seed=4, language_id=3, lo=2, spread=9, vocab_size=2**31 - 1, n_train=30)
     @example(seed=5, language_id=0, lo=7, spread=0, vocab_size=1, n_train=5)
-    def test_matches_numpy_per_sample_draws(self, seed, language_id, lo, spread, vocab_size,
-                                            n_train):
-        assert_draws_equal(TaskSpec(language_id=language_id, seed=seed, n_train=n_train,
-                                    n_dev=2, n_test=1, seq_len_range=(lo, lo + spread),
-                                    vocab_size=vocab_size))
+    @example(seed=6, language_id=1, lo=12, spread=0, vocab_size=2**31, n_train=5)
+    def test_draws_in_range(self, seed, language_id, lo, spread, vocab_size, n_train):
+        spec = TaskSpec(language_id=language_id, seed=seed, n_train=n_train, n_dev=2, n_test=1,
+                        seq_len_range=(lo, lo + spread), vocab_size=vocab_size)
+        lengths, starts, tokens = data._draw([spec])
+        assert lengths.dtype == starts.dtype == tokens.dtype == data.INDEX
+        assert len(lengths) == n_train + 3
+        assert np.all((lo <= lengths) & (lengths <= lo + spread))
+        assert np.all((0 <= tokens) & (tokens < vocab_size))
+        assert len(tokens) == lengths.sum()
+        assert np.array_equal(starts, np.cumsum(lengths) - lengths)
+        for got, want in zip((lengths, tokens), two_call_draw(spec)):
+            assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("vocab_size", [40, 1431655766])
-    def test_first_block_running_short_draws_more(self, monkeypatch, vocab_size):
-        calls = []
-        raw_words = data._raw_words
-
-        def counting(bitgen, count):
-            calls.append(count)
-            return raw_words(bitgen, count)
-
-        monkeypatch.setattr(data, "_raw_words", counting)
-        # this seed's three lengths (3,164 to 3,383 at vocab_size 40) exceed the
-        # about 2,000 words that the first block allows a sample
-        spec = TaskSpec(language_id=0, seed=3, n_train=1, n_dev=1, n_test=1,
-                        seq_len_range=(1, 4000), vocab_size=vocab_size)
-        assert_draws_equal(spec)
-        assert len(calls) >= 2
-
-    def test_rejected_length_word_skipped(self):
-        # 2**32 + 1 = 641 * 6700417, so numpy rejects one word in 641 when it
-        # draws from 6700417 lengths. With vocab_size 1 every word is a
-        # length word, and this seed's second word is rejected.
-        assert_draws_equal(TaskSpec(language_id=0, seed=84377, n_train=1, n_dev=1, n_test=1,
-                                    seq_len_range=(1, 6700417), vocab_size=1))
-
-    def test_paper_scale_tasks_match(self):
-        for k in range(4):
-            assert_draws_equal(TaskSpec(language_id=k, seed=11))
+    def test_store_limit_checked_before_tokens_drawn(self):
+        # 3 samples of 2**30 tokens each pass the spec's checks but exceed
+        # the store's INDEX positions; drawing their tokens would take 12 GiB
+        spec = TaskSpec(language_id=0, seed=0, n_train=1, n_dev=1, n_test=1,
+                        seq_len_range=(2**30, 2**30))
+        tracemalloc.start()
+        try:
+            with pytest.raises(UsageError, match="at most 2147483647 tokens"):
+                generate_tasks([spec])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("kw", [dict(vocab_size=0), dict(vocab_size=2**31 + 1),
                                     dict(seq_len_range=(1, 2**31))])
@@ -200,16 +199,22 @@ class TestGenerateTask:
             assert np.all(np.isfinite(s.target_frames))
 
     @pytest.mark.parametrize("seq_len_range", list(PINNED_DIGESTS), ids=["6-12", "1-4"])
-    def test_generated_bytes_pinned(self, seq_len_range):
+    def test_generated_bytes_pinned(self, monkeypatch, seq_len_range):
         spec = TaskSpec(language_id=2, seed=7, n_train=300, seq_len_range=seq_len_range)
-        assert split_digests(generate_task(spec)) == PINNED_DIGESTS[seq_len_range]
+        assert reference_digests(spec) == PINNED_DIGESTS[seq_len_range]
+        for chunk_tokens in (1024, 4096):
+            monkeypatch.setattr(data, "_GEN_CHUNK_TOKENS", chunk_tokens)
+            assert split_digests(generate_task(spec)) == PINNED_DIGESTS[seq_len_range]
 
-    def test_generated_bytes_pinned_across_chunks(self):
-        ds = generate_task(TaskSpec(language_id=2, seed=7, n_train=3000))
-        counts = np.bincount(ds.store.lengths)
+    def test_generated_bytes_pinned_across_chunks(self, monkeypatch):
+        spec = TaskSpec(language_id=2, seed=7, n_train=3000)
+        counts = np.bincount(two_call_draw(spec)[0])
         for t in np.flatnonzero(counts):
-            assert counts[t] > 2 * max(1, data._GEN_CHUNK_TOKENS // t)
-        assert split_digests(ds) == MULTI_CHUNK_DIGESTS
+            assert counts[t] > 2 * max(1, 1024 // t)
+        assert reference_digests(spec) == MULTI_CHUNK_DIGESTS
+        for chunk_tokens in (1024, 4096):
+            monkeypatch.setattr(data, "_GEN_CHUNK_TOKENS", chunk_tokens)
+            assert split_digests(generate_task(spec)) == MULTI_CHUNK_DIGESTS
 
     @pytest.mark.parametrize("name", ["desk.ini", "paper_scale.ini"])
     def test_generate_tasks_peak_memory(self, name):

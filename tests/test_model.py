@@ -1,15 +1,17 @@
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lltts import model
+from lltts import model, pairs
 from lltts.data import Sample
 from lltts.errors import InputDomainError, NumericError, UsageError
 from lltts.model import (
@@ -429,6 +431,18 @@ def test_plan_names_a_bad_sample_by_its_row_in_its_step(field, value, message):
     parts = [(batch.store, batch.rows[a : a + n]) for a, n in zip([0, 3, 5, 8, 10, 13], [3, 2] * 3)]
     with pytest.raises(InputDomainError, match=message):
         plan_steps(TINY, parts, [Head.LBS, Head.RRS])
+
+
+def test_pairs_annotations_resolve(monkeypatch):
+    # pairs imports ModelTopology only for type checkers (model imports
+    # pairs), so load a copy of the module as a type checker reads it
+    monkeypatch.setattr(typing, "TYPE_CHECKING", True)
+    spec = importlib.util.spec_from_file_location("lltts._typed_pairs", pairs.__file__)
+    typed = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, typed)
+    spec.loader.exec_module(typed)
+    for f in (typed._check_rows, typed._gather_pairs, typed.plan_steps):
+        assert typing.get_type_hints(f)["topology"] is ModelTopology
 
 
 def test_forward_runs_once_per_distinct_pair(monkeypatch):
