@@ -155,6 +155,29 @@ class TestExactDraw:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_store_limit_checked_across_tasks(self):
+        # each task's 3 samples of 2**29 tokens fit a store on their own,
+        # but two such tasks in one store do not
+        specs = [TaskSpec(language_id=k, seed=0, n_train=1, n_dev=1, n_test=1,
+                          seq_len_range=(2**29, 2**29)) for k in range(2)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(UsageError, match="at most 2147483647 tokens"):
+                generate_tasks(specs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_paper_scale_tasks_match(self):
+        # four tasks drawn into one store get each task's own two-call draw
+        specs = [TaskSpec(language_id=k, seed=11) for k in range(4)]
+        lengths, starts, tokens = data._draw(specs)
+        want = [two_call_draw(spec) for spec in specs]
+        assert np.array_equal(lengths, np.concatenate([n for n, _ in want]))
+        assert np.array_equal(tokens, np.concatenate([t for _, t in want]))
+        assert np.array_equal(starts, np.cumsum(lengths) - lengths)
+
     @pytest.mark.parametrize("kw", [dict(vocab_size=0), dict(vocab_size=2**31 + 1),
                                     dict(seq_len_range=(1, 2**31))])
     def test_ranges_beyond_index_rejected(self, kw):
