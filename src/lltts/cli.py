@@ -101,10 +101,9 @@ def cmd_train(args) -> int:
         config = cfgmod.parse_config(f.read())
     chash = cfgmod.config_hash(config)
     ckpt_dir = os.path.join(config.output_dir, "checkpoints")
-    os.makedirs(ckpt_dir, exist_ok=True)
 
     start_state = None
-    if args.resume:
+    if args.resume and os.path.isdir(ckpt_dir):  # no folder, no checkpoints
         names = map(re.compile(r"stage([0-9]+)\.ckpt").fullmatch, os.listdir(ckpt_dir))
         stages = [int(m[1]) for m in names if m]
         if stages:
@@ -113,6 +112,8 @@ def cmd_train(args) -> int:
             log.info("resuming after stage %d from %s", start_state.stage, path)
 
     def hook(state):
+        # made with the first checkpoint, so a run that fails before leaves no folder
+        os.makedirs(ckpt_dir, exist_ok=True)
         cfgmod.save_checkpoint(state, os.path.join(ckpt_dir, f"stage{state.stage}.ckpt"), chash)
         log.info("stage %d done; avg test MCD %.3f", state.stage, state.reports[-1].average)
 

@@ -38,14 +38,6 @@ class StrategyKind(enum.Enum):
     GEM = "gem"
 
 
-REPLAY_KINDS = {
-    StrategyKind.REPLAY_RANDOM,
-    StrategyKind.REPLAY_WEIGHTED,
-    StrategyKind.REPLAY_DUAL,
-    StrategyKind.GEM,
-}
-
-
 def _check_weight(name: str, value: float) -> None:
     """A loss weight must be finite and >= 0 (NaN is neither)."""
     if not 0 <= value < math.inf:
@@ -146,18 +138,10 @@ def ewc_penalty(params: ParameterSet, fstate: FisherState, lam: float):
     return penalty, grad
 
 
-def gem_reference_grads(params: ParameterSet, plan, step: int, refs: int):
-    """The losses and gradients of the groups of step `step` of `plan`, from
-    one model pass, and the GemState of its last `refs` groups: the LBS-loss
-    gradient of one reference batch per past language, with the languages.
-
-    A GEM step's groups are its own batch, then its reference batches.
-    """
-    losses, grads = run_step(params, plan, step)
-    end = (step + 1) * len(plan.heads)
-    # a reference batch is of one language: that of its first pair
-    languages = plan.langs[plan.bounds[end - refs : end]].tolist()
-    return losses, grads, GemState(grads[len(grads) - refs :], languages)
+def gem_reference_grads(grads: np.ndarray, languages: list) -> GemState:
+    """The GemState of a GEM step: the LBS-loss gradients of its reference
+    batches, its last len(languages) groups, one per past language."""
+    return GemState(grads[len(grads) - len(languages) :], languages)
 
 
 def gem_project(g: np.ndarray, gstate: GemState) -> np.ndarray:
@@ -212,14 +196,20 @@ def _reference_draw(store, rows, batch_size: int, rng):
     return lambda: Batch.of_rows(store, rows[rng.choice(n, size, replace=False)], Provenance.LBS)
 
 
-def _step_groups(strategy: StrategyConfig, ds_k, buffer, seen_tasks, batch_size: int, rng):
-    """A stage's training pool, and the (weight, draw, head) of each group of
-    a step's model pass, in the order a step draws their batches.
+def _step_groups(strategy: StrategyConfig, ds_k, buffer, fstate, seen_tasks, batch_size: int, rng):
+    """A stage's training pool, the (weight, draw, head) of each group of a
+    step's model pass, in the order a step draws their batches, and the
+    stage's step hook.
 
     A step's loss sums its groups' weighted losses: gamma * L_lbs + beta *
     L_rrs for REPLAY_DUAL, one unit-weight LBS group otherwise. GEM adds a
     reference batch of each past language with buffered samples, in
     integration order: a group of weight None, left out of the loss.
+
+    The hook (None if the stage has none) takes (params, grads, loss, grad):
+    every group's gradient and the weighted sums, and returns the step's
+    (loss, grad). EWC's adds its penalty when `fstate` is set; GEM's projects
+    grad against the reference gradients when a past language has samples.
     """
     kind = strategy.kind
     if kind is StrategyKind.JOINT:
@@ -239,11 +229,17 @@ def _step_groups(strategy: StrategyConfig, ds_k, buffer, seen_tasks, batch_size:
         ]
         # a zero-weight group draws nothing, keeping the rng stream identical
         # to the single-sampler strategies
-        return pool, [group for group in groups if group[0] > 0]
+        return pool, [group for group in groups if group[0] > 0], None
     if kind is StrategyKind.REPLAY_WEIGHTED:
         table = build_weight_table(pool)
-        return pool, [(1.0, lambda: draw_weighted(table, pool, batch_size, rng), Head.LBS)]
+        return pool, [(1.0, lambda: draw_weighted(table, pool, batch_size, rng), Head.LBS)], None
     groups = [(1.0, lambda: draw_random(pool, batch_size, rng), Head.LBS)]
+    hook = None
+    if kind is StrategyKind.EWC and fstate is not None:
+        def hook(params, grads, loss, grad):
+            penalty, pgrad = ewc_penalty(params, fstate, strategy.ewc_lambda)
+            return loss + penalty, grad + pgrad
+
     if kind is StrategyKind.GEM and buffer is not None:
         # a language's quota is 0 when there are fewer buffer slots than past languages
         groups += [
@@ -251,7 +247,12 @@ def _step_groups(strategy: StrategyConfig, ds_k, buffer, seen_tasks, batch_size:
             for store, rows in buffer.parts()
             if len(rows)
         ]
-    return pool, groups
+        languages = [lang for lang, rows in buffer.rows.items() if len(rows)]
+        if languages:
+            def hook(params, grads, loss, grad):
+                return loss, gem_project(grad, gem_reference_grads(grads, languages))
+
+    return pool, groups, hook
 
 
 # the positions of the steps planned at once, at most: making a plan takes
@@ -291,17 +292,17 @@ def train_stage(
     The batches of a chunk of steps are drawn, in the order a step at a time
     draws them, and planned at once (`_chunks`). Each step then takes the
     losses and gradients of its groups (`_step_groups`) in one model pass,
-    GEM's through `gem_reference_grads`, and sums the weighted ones, then
-    adds the EWC penalty or applies the GEM projection. `seen_tasks` lists
+    sums the weighted ones and hands them to the stage's hook, if any, which
+    adds EWC's penalty or applies GEM's projection. `seen_tasks` lists
     every task seen so far (current included); their dev splits feed the
     per-epoch MCD curves. For JOINT it also defines the training pool.
     """
     seen_tasks = seen_tasks if seen_tasks is not None else [ds_k]
-    pool, groups = _step_groups(strategy, ds_k, buffer, seen_tasks, cfg.batch_size, rng)
+    pool, groups, hook = _step_groups(
+        strategy, ds_k, buffer, fstate, seen_tasks, cfg.batch_size, rng
+    )
     heads = [head for *_, head in groups]
-    terms = [group for group in groups if group[0] is not None]
-    refs = len(groups) - len(terms)  # GEM's reference groups, the last ones
-    use_ewc = strategy.kind is StrategyKind.EWC and fstate is not None
+    weights = [weight for weight, *_ in groups if weight is not None]
     draw_step = lambda: [(batch.store, batch.rows) for batch in (draw() for _, draw, _ in groups)]
 
     opt = AdamState.fresh(len(params.values), lr=cfg.lr)
@@ -313,22 +314,16 @@ def train_stage(
         opt.lr = lr_for_epoch(cfg.lr, epoch, cfg.epochs, cfg.lr_decay_epoch_fraction)
         for plan, steps in _chunks(params.topology, heads, steps_per_epoch, draw_step):
             for k, step in enumerate(steps):
-                if refs:
-                    losses, grads, gstate = gem_reference_grads(params, plan, k, refs)
-                else:  # gamma = beta = 0 leaves a dual step no group and no model pass
-                    losses, grads = run_step(params, plan, k) if plan else ([], [])
+                # gamma = beta = 0 leaves a dual step no group and no model pass
+                losses, grads = run_step(params, plan, k) if plan else ([], [])
                 # accumulating into zeros keeps gamma = beta = 0 a valid no-op step
                 grad = np.zeros_like(params.values)
                 loss_total = 0.0
-                for (weight, _, _), loss, term_grad in zip(terms, losses, grads):
+                for weight, loss, term_grad in zip(weights, losses, grads):
                     grad += weight * term_grad
                     loss_total += weight * loss.total
-                if use_ewc:
-                    penalty, pgrad = ewc_penalty(params, fstate, strategy.ewc_lambda)
-                    loss_total += penalty
-                    grad += pgrad
-                if refs:
-                    grad = gem_project(grad, gstate)
+                if hook:
+                    loss_total, grad = hook(params, grads, loss_total, grad)
                 if not np.isfinite(loss_total):
                     raise NumericError(
                         f"non-finite loss in the stage of language {ds_k.language_id} "
@@ -415,9 +410,9 @@ def run_sequence(
                 checkpoint_hook(state)
         # a stage that start_state already finished only refills the buffer:
         # only this call draws from the buffer's rng, so integrating the same
-        # tasks in the same order reaches the same slots and rng state
-        if strategy.kind in REPLAY_KINDS:
-            buffer.integrate_task(task)
+        # tasks in the same order reaches the same slots and rng state. Every
+        # strategy refills it; fine_tune's, EWC's and joint's pools never read it
+        buffer.integrate_task(task)
     return ExperimentResult(
         strategy.kind.name, config.task_order, state.reports, state.stage_curves
     )

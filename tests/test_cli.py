@@ -194,6 +194,27 @@ class TestDeterminismAndResume:
         assert (out / "report.csv").read_bytes() == report1
         assert (out / "result.json").read_bytes() == result1
 
+    def test_failed_run_leaves_no_folder(self, tmp_path, capsys):
+        # the tasks are generated before the first stage, and 37 samples of
+        # 10**9 tokens do not fit a sample store: the run fails before any
+        # checkpoint, with or without --resume, and makes no output folder
+        cfg, out = write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace(
+            "seq_len_min = 2\nseq_len_max = 4", "seq_len_min = 1000000000\nseq_len_max = 1000000000", 1
+        ))
+        for resume in ([], ["--resume"]):
+            assert cli(["train", "--config", str(cfg), *resume]) == 1
+            assert "a sample store holds at most 2147483647 tokens" in capsys.readouterr().err
+            assert sorted(tmp_path.iterdir()) == [cfg]
+
+    def test_resume_without_checkpoints_folder_runs_whole(self, tmp_path):
+        cfg, out = write_config(tmp_path)
+        assert cli(["train", "--config", str(cfg)]) == 0
+        uninterrupted = read_outputs(out)
+        shutil.rmtree(out)
+        assert cli(["train", "--config", str(cfg), "--resume"]) == 0
+        assert read_outputs(out) == uninterrupted
+
     def test_resume_matches_uninterrupted(self, tmp_path):
         cfg, out = write_config(tmp_path)
         cli(["train", "--config", str(cfg)])
@@ -235,11 +256,13 @@ class TestDeterminismAndResume:
             assert (moved / name).read_bytes() == blob
 
     @pytest.mark.parametrize(
-        "kind", ["replay_random", "replay_weighted", "replay_dual", "gem", "ewc"]
+        "kind",
+        ["replay_random", "replay_weighted", "replay_dual", "gem", "ewc", "fine_tune", "joint"],
     )
     def test_resume_from_every_stage_byte_identical(self, tmp_path, kind):
         # buffer_capacity 10 over 3 tasks evicts at every stage, so a rebuilt
-        # buffer must continue the uninterrupted run's rng stream
+        # buffer must continue the uninterrupted run's rng stream; every
+        # strategy refills the buffer, those that never read it too
         cfg, out = write_config(tmp_path, kind=kind, extra=TASK_2)
         assert cli(["train", "--config", str(cfg)]) == 0
         uninterrupted = read_outputs(out)

@@ -185,9 +185,9 @@ class TestOneStore:
         step_groups = strategies._step_groups
 
         def spy_groups(*args):
-            pool, groups = step_groups(*args)
+            pool, groups, hook = step_groups(*args)
             stores.append(pool.store)
-            return pool, groups
+            return pool, groups, hook
 
         train_stage = strategies.train_stage
 

@@ -16,6 +16,7 @@ from lltts.model import AdamState, Head, LossBreakdown, adam_step, init_params, 
 from lltts.samplers import Batch, Provenance, draw_balanced, draw_random
 from lltts.store import join_pools
 from lltts.strategies import (
+    FisherState,
     GemState,
     StageConfig,
     StrategyConfig,
@@ -24,7 +25,6 @@ from lltts.strategies import (
     ewc_consolidate,
     ewc_penalty,
     gem_project,
-    gem_reference_grads,
     lr_for_epoch,
     train_stage,
 )
@@ -184,13 +184,18 @@ class TestEwc:
 
 
 def reference_state(params, buffer, batch_size, rng):
-    """The GemState of one draw of a GEM step's reference batches, run as the
-    groups of one planned step."""
+    """The GemState the stage's hook hands gem_project for one draw of a GEM
+    step's reference batches, run as the groups of one planned step."""
     strategy = StrategyConfig(StrategyKind.GEM, gem_memory_batch=batch_size)
-    _, groups = strategies._step_groups(strategy, small_task(), buffer, None, batch_size, rng)
+    _, groups, hook = strategies._step_groups(strategy, small_task(), buffer, None, None, batch_size, rng)
     parts = [(batch.store, batch.rows) for batch in (draw() for weight, draw, _ in groups if weight is None)]
     plan = strategies.plan_steps(params.topology, parts, [Head.LBS] * len(parts))
-    return gem_reference_grads(params, plan, 0, len(parts))[2]
+    _, grads = strategies.run_step(params, plan, 0)
+    states = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(strategies, "gem_project", lambda g, gstate: states.append(gstate))
+        hook(params, grads, 0.0, grads[0])
+    return states[0]
 
 
 class TestGemReferenceGrads:
@@ -469,7 +474,7 @@ class TestChunkedPlans:
 
         # one step at a time: the step's batches, then GEM's reference batches
         want_rng, want = np.random.default_rng(3), []
-        pool, groups = strategies._step_groups(strategy, ds_k, buffer, [ds_k], cfg.batch_size, want_rng)
+        pool, groups, _ = strategies._step_groups(strategy, ds_k, buffer, None, [ds_k], cfg.batch_size, want_rng)
         for _ in range(cfg.epochs * (len(pool) // cfg.batch_size)):
             want += [draw().rows for _, draw, _ in groups]
         assert len(drawn) == len(want) and all(map(np.array_equal, drawn, want))
@@ -530,13 +535,13 @@ def test_gem_step_peak_memory(profile, bound):
     # the 1-3 reference passes of their own peaked at 150 and 330 kB
     cfg, tasks, buffer = last_stage(profile, "gem")
     rng = np.random.default_rng(0)
-    _, groups = strategies._step_groups(cfg.strategy, tasks[-1], buffer, tasks, cfg.batch_size, rng)
+    _, groups, hook = strategies._step_groups(cfg.strategy, tasks[-1], buffer, None, tasks, cfg.batch_size, rng)
 
     def step(opt, params):
         parts = [(batch.store, batch.rows) for batch in (draw() for _, draw, _ in groups)]
         plan = strategies.plan_steps(cfg.topology, parts, [Head.LBS] * len(parts))
-        _, grads, gstate = gem_reference_grads(params, plan, 0, len(parts) - 1)
-        return adam_step(opt, params, gem_project(grads[0], gstate))
+        _, grads = strategies.run_step(params, plan, 0)
+        return adam_step(opt, params, hook(params, grads, 0.0, grads[0])[1])
 
     assert step_peak(step, cfg.topology) <= bound
 
@@ -577,7 +582,7 @@ def test_gem_chunk_plan_peak_memory():
     # batches of 32, at most 6,144 positions. Measured 145 kB
     cfg, tasks, buffer = last_stage("paper_scale", "gem")
     rng = np.random.default_rng(0)
-    pool, groups = strategies._step_groups(cfg.strategy, tasks[-1], buffer, tasks, cfg.batch_size, rng)
+    pool, groups, _ = strategies._step_groups(cfg.strategy, tasks[-1], buffer, None, tasks, cfg.batch_size, rng)
     heads = [Head.LBS] * len(groups)
     memory_batch = cfg.strategy.gem_memory_batch
     sizes = [cfg.batch_size] + [min(memory_batch, len(rows)) for rows in buffer.rows.values()]
@@ -809,6 +814,80 @@ class TestTrainStage:
                 small_task(language_id=1), None, None, tiny_stage_cfg(),
                 np.random.default_rng(0),
             )
+
+    @pytest.mark.parametrize("kind", [StrategyKind.FINE_TUNE, StrategyKind.EWC, StrategyKind.JOINT])
+    def test_buffer_does_not_reach_stage(self, kind):
+        # run_sequence refills the buffer for every strategy; these three
+        # train on the same bits, and leave the rng in the same state, with
+        # no buffer and with one that holds a past task
+        past, ds_k = small_task(language_id=0, seed=6), small_task(language_id=1)
+        params = init_params(TINY, 0)
+        fstate = ewc_consolidate(params, past, 10, np.random.default_rng(2))
+        buffer = MemoryBuffer(10, 0)
+        buffer.integrate_task(past)
+        results = []
+        for buf in (None, buffer):
+            rng = np.random.default_rng(5)
+            res = train_stage(StrategyConfig(kind), params, ds_k, buf, fstate,
+                              tiny_stage_cfg(), rng, seen_tasks=[past, ds_k])
+            results.append((res.final_params.values.tobytes(), res.dev_curves,
+                             rng.bit_generator.state))
+        assert results[0] == results[1]
+
+
+class TestStepHook:
+    def _groups(self, kind, buffer, fstate, seen=None):
+        ds_k = small_task(language_id=1)
+        return strategies._step_groups(StrategyConfig(kind), ds_k, buffer, fstate,
+                                       seen or [ds_k], 8, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kind", [StrategyKind.REPLAY_RANDOM, StrategyKind.REPLAY_WEIGHTED,
+                                      StrategyKind.REPLAY_DUAL, StrategyKind.FINE_TUNE,
+                                      StrategyKind.JOINT])
+    def test_no_hook_with_buffer_and_fisher_state(self, kind):
+        past = small_task(language_id=0, seed=6)
+        buffer = MemoryBuffer(10, 0)
+        buffer.integrate_task(past)
+        params = init_params(TINY, 0)
+        fstate = FisherState(np.ones_like(params.values), params.copy())
+        assert self._groups(kind, buffer, fstate, [past, small_task(language_id=1)])[2] is None
+
+    def test_no_ewc_hook_without_fisher_state(self):
+        assert self._groups(StrategyKind.EWC, None, None)[2] is None
+
+    @pytest.mark.parametrize("buffer", [None, MemoryBuffer(5, 0)], ids=["none", "empty"])
+    def test_no_gem_hook_without_buffered_rows(self, buffer):
+        pool, groups, hook = self._groups(StrategyKind.GEM, buffer, None)
+        assert hook is None and len(groups) == 1
+
+    def test_ewc_hook_adds_penalty(self):
+        rng = np.random.default_rng(1)
+        params = init_params(TINY, 0)
+        fstate = FisherState(rng.uniform(0, 2, len(params.values)), init_params(TINY, 1))
+        hook = self._groups(StrategyKind.EWC, None, fstate)[2]
+        grad = rng.standard_normal(len(params.values))
+        penalty, pgrad = ewc_penalty(params, fstate, StrategyConfig(StrategyKind.EWC).ewc_lambda)
+        loss, got = hook(params, grad[None, :], 1.5, grad)
+        assert loss == 1.5 + penalty and got.tobytes() == (grad + pgrad).tobytes()
+
+    def test_gem_hook_languages_in_integration_order(self, monkeypatch):
+        # integrated 2, 0, 3 into 2 slots: language 3's quota is 0, so the
+        # reference languages are 2 then 0, not in ascending order
+        topology = dataclasses.replace(TINY, num_languages=4)
+        buffer = MemoryBuffer(2, 0)
+        for lang in (2, 0, 3):
+            buffer.integrate_task(small_task(language_id=lang, seed=5 + lang))
+        assert buffer.counts() == {2: 1, 0: 1, 3: 0}
+        pool, groups, hook = self._groups(StrategyKind.GEM, buffer, None)
+        assert [weight for weight, *_ in groups] == [1.0, None, None]
+        states = []
+        monkeypatch.setattr(strategies, "gem_project", lambda g, gstate: states.append(gstate) or g)
+        params = init_params(topology, 0)
+        grads = np.random.default_rng(2).standard_normal((3, len(params.values)))
+        loss, grad = hook(params, grads, 1.5, grads[0])
+        assert loss == 1.5 and grad.tobytes() == grads[0].tobytes()
+        assert states[0].languages == [2, 0]
+        assert states[0].reference_grads.tobytes() == grads[1:].tobytes()
 
 
 class TestRunSequence:
