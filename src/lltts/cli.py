@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import logging
 import os
@@ -15,33 +14,6 @@ from .metrics import McdReport, render_curves, render_table
 from .strategies import ExperimentResult, StrategyKind, run_sequence
 
 log = logging.getLogger("lltts")
-
-
-# glibc mallopt parameters and the values `cli` sets before any command. A
-# training step frees activation buffers of a few hundred KB that the next
-# step allocates again; under glibc's default, adaptive thresholds they go
-# back to the OS and are faulted in again on every step. These fixed
-# thresholds keep them in the heap.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD_BYTES = 32 * 2**20
-_TRIM_THRESHOLD_BYTES = 64 * 2**20
-
-
-def _keep_freed_buffers() -> bool:
-    """Set the process's malloc thresholds; a no-op without glibc's mallopt.
-
-    Returns whether mallopt was called.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return False
-    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
-    return True
 
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
@@ -68,10 +40,10 @@ def _result_record(result: ExperimentResult) -> dict:
 
 def _result_from_record(record: dict) -> ExperimentResult:
     """The result a record holds; ValueError unless it has one report per task
-    of its task order, each with a number for every language seen by then.
-    Language ids must be ints: JSON's true and 1.0 compare equal to 1. A
-    per_language key must be an int as str() writes it: int() also reads
-    " 1", "01" and "+0_1" as 1. The strategy must be a StrategyKind name."""
+    of its task order, each with a finite int or float MCD >= 0 for every
+    language seen by then. Language ids must be ints: JSON's true and 1.0
+    compare equal to 1. A per_language key must be an int as str() writes it:
+    int() also reads " 1", "01" and "+0_1" as 1. Strategy: a StrategyKind name."""
     if record["strategy"] not in StrategyKind.__members__:
         raise ValueError(f"strategy {record['strategy']!r} is not a strategy name")
     order = record["task_order"]
@@ -82,6 +54,9 @@ def _result_from_record(record: dict) -> ExperimentResult:
         if any(str(int(lang)) != lang for lang in r["per_language"]):
             raise ValueError(f"report {k} has a language key that is not an int: "
                              f"{list(r['per_language'])}")
+        mcds = list(r["per_language"].values())
+        if any(type(v) not in (int, float) or not 0 <= v <= sys.float_info.max for v in mcds):
+            raise ValueError(f"report {k} has an MCD that is not a finite number >= 0: {mcds}")
         per_language = {int(lang): float(v) for lang, v in r["per_language"].items()}
         if (
             k >= len(order)
@@ -175,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli(argv=None) -> int:
-    _keep_freed_buffers()
     value = os.environ.get("LLTTS_LOG", "info")
     level = _LOG_LEVELS.get(value.lower())
     if level is None:

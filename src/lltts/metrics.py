@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,11 +29,11 @@ def mcd(ref_frames: np.ndarray, hyp_frames: np.ndarray) -> float:
 class McdReport:
     stage_language: int
     per_language: dict
-    average: float = field(default=None)
 
-    def __post_init__(self):
-        if self.average is None:
-            self.average = float(np.mean(list(self.per_language.values())))
+    @property
+    def average(self) -> float:
+        # shadows the "average" that older checkpoints pickle in __dict__
+        return float(np.mean(list(self.per_language.values())))
 
 
 def sample_mcds(params, samples) -> np.ndarray:

@@ -217,7 +217,7 @@ def _step_groups(strategy: StrategyConfig, ds_k, buffer, fstate, seen_tasks, bat
     elif kind in (StrategyKind.FINE_TUNE, StrategyKind.EWC, StrategyKind.GEM):
         pool = join_pools([ds_k.part("train")])
     else:
-        pool = merge_replay(ds_k, buffer if buffer and buffer.total() else None)
+        pool = merge_replay(ds_k, buffer)
     if kind is StrategyKind.REPLAY_DUAL:
         if strategy.force_lbs_random:
             draw_lbs = lambda: draw_random(pool, batch_size, rng, Provenance.LBS)

@@ -1,16 +1,15 @@
 import json
+import math
 import os
 import pickle
 import re
 import shutil
-import types
 
 import pytest
 
-import lltts.cli
 from lltts.buffer import MemoryBuffer
 from lltts.cli import cli
-from lltts.config import CHECKPOINT_MAGIC, parse_config
+from lltts.config import CHECKPOINT_MAGIC, load_checkpoint, parse_config
 from lltts.data import generate_task
 from lltts.strategies import hash_seed
 
@@ -58,13 +57,14 @@ TASK_2 = (
 RUN_OUTPUTS = ("report.csv", "result.json", "curves.csv")
 
 
-def result_text(task_order, reports, strategy="FINE_TUNE"):
-    """result.json text whose reports are (stage_language, evaluated languages) pairs."""
+def result_text(task_order, reports, strategy="FINE_TUNE", mcd=1.0):
+    """result.json text whose reports are (stage_language, evaluated languages)
+    pairs, every language at MCD `mcd`."""
     return json.dumps({
         "strategy": strategy,
         "task_order": task_order,
         "reports": [
-            {"stage_language": stage, "per_language": {str(lang): 1.0 for lang in langs},
+            {"stage_language": stage, "per_language": {str(lang): mcd for lang in langs},
              "average": 1.0}
             for stage, langs in reports
         ],
@@ -167,12 +167,16 @@ class TestReport:
              "malformed result file.*strategy 'A,B.*nX' "),
             (result_text([0], [(0, [0])], strategy="fine_tune"),
              "malformed result file.*strategy 'fine_tune' "),
+            *[(result_text([0, 1], [(0, [0]), (1, [0, 1])], mcd=mcd),
+               "malformed result file.*report 0 has an MCD that is not a finite number")
+              for mcd in ("4.5", True, math.nan, -1.0, math.inf, 10**400)],
         ],
         ids=["truncated", "missing_key", "wrong_type", "missing_language", "extra_language",
              "wrong_stage_language", "extra_report", "missing_report", "no_reports", "non_numeric_mcd",
              "bool_language", "float_language", "bool_stage_language", "underscore_key",
              "zero_padded_key", "space_padded_key", "int_strategy", "comma_strategy",
-             "unknown_strategy"],
+             "unknown_strategy", "string_mcd", "bool_mcd", "nan_mcd", "negative_mcd",
+             "infinite_mcd", "int_mcd_past_float"],
     )
     def test_malformed_result_fails(self, tmp_path, capsys, text, message):
         path = tmp_path / "run" / "result.json"
@@ -182,6 +186,16 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert re.search(message, err)
+
+    @pytest.mark.parametrize("mcd", [0, 4])
+    def test_int_mcds_accepted(self, tmp_path, mcd):
+        path = tmp_path / "run" / "result.json"
+        os.makedirs(path.parent)
+        path.write_text(result_text([0, 1], [(0, [0]), (1, [0, 1])], mcd=mcd))
+        assert cli(["report", "--in", str(tmp_path), "--out", str(tmp_path / "o.csv")]) == 0
+        assert (tmp_path / "o.csv").read_text().split("\n")[1] == (
+            f"FINE_TUNE,{mcd:.2f},{mcd:.2f},N/A,{mcd:.2f},{mcd:.2f},{mcd:.2f},N/A"
+        )
 
 
 class TestDeterminismAndResume:
@@ -299,6 +313,25 @@ class TestDeterminismAndResume:
         path.write_bytes(CHECKPOINT_MAGIC + pickle.dumps(record, protocol=4))
         assert resume_after(cfg, out, 0) == uninterrupted
 
+    def test_resume_from_checkpoint_with_stored_averages(self, tmp_path):
+        # McdReport.average used to be a dataclass field, so older checkpoints
+        # pickle each report's average in its __dict__; such a file still
+        # loads to the same averages and resumes to the same outputs
+        cfg, out = write_config(tmp_path, extra=TASK_2)
+        assert cli(["train", "--config", str(cfg)]) == 0
+        uninterrupted = read_outputs(out)
+        path = out / "checkpoints" / "stage1.ckpt"
+        record = pickle.loads(path.read_bytes()[len(CHECKPOINT_MAGIC):])
+        averages = [report.average for report in record["reports"]]
+        for report in record["reports"]:
+            assert "average" not in report.__dict__
+            report.__dict__["average"] = report.average
+        path.write_bytes(CHECKPOINT_MAGIC + pickle.dumps(record, protocol=4))
+        state = load_checkpoint(path)
+        assert [report.__dict__["average"] for report in state.reports] == averages
+        assert [report.average for report in state.reports] == averages
+        assert resume_after(cfg, out, 1) == uninterrupted
+
     def test_checkpoint_size_independent_of_buffer_capacity(self, tmp_path):
         cfg, out = write_config(tmp_path, extra=TASK_2)
         large = tmp_path / "large"
@@ -334,31 +367,6 @@ class TestDeterminismAndResume:
         cfg.write_text(text)
         assert cli(["train", "--config", str(cfg), "--resume"]) == 1
         assert cli(["train", "--config", str(cfg), "--resume", "--force"]) == 0
-
-
-class TestMallocThresholds:
-    def test_sets_both_thresholds(self, monkeypatch):
-        calls = []
-
-        def mallopt(param, value):
-            calls.append((param, value))
-            return 1
-
-        libc = types.SimpleNamespace(mallopt=mallopt)
-        monkeypatch.setattr(lltts.cli.ctypes, "CDLL", lambda name: libc)
-        assert lltts.cli._keep_freed_buffers()
-        assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
-
-    def test_noop_without_mallopt(self, monkeypatch):
-        monkeypatch.setattr(lltts.cli.ctypes, "CDLL", lambda name: object())
-        assert not lltts.cli._keep_freed_buffers()
-
-    def test_noop_without_c_library(self, monkeypatch):
-        def no_library(name):
-            raise OSError("no C library")
-
-        monkeypatch.setattr(lltts.cli.ctypes, "CDLL", no_library)
-        assert not lltts.cli._keep_freed_buffers()
 
 
 class TestLogLevel:

@@ -123,6 +123,10 @@ class TestStageEval:
         report = McdReport(2, {0: 4.0, 1: 6.0, 2: 5.0})
         assert report.average == pytest.approx((4.0 + 6.0 + 5.0) / 3)
 
+    def test_average_is_not_an_init_field(self):
+        with pytest.raises(TypeError):
+            McdReport(0, {0: 4.0}, 9.9)
+
 
 class TestMcdr:
     def test_table_joint_nl(self):
