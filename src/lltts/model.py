@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -90,6 +89,11 @@ class ParameterSet:
     def copy(self) -> "ParameterSet":
         return ParameterSet(self.values.copy(), self.topology)
 
+    @functools.cached_property
+    def weights(self) -> "_Weights":
+        """Named views of `values`, made on first use; `values` is changed in place only."""
+        return _Weights(self.topology, self.values)
+
 
 @functools.cache
 def _spans(topology: ModelTopology) -> tuple:
@@ -129,21 +133,17 @@ def init_params(topology: ModelTopology, seed: int) -> ParameterSet:
     return ParameterSet(values, topology)
 
 
-def _affine(x, weight, bias, tanh: bool):
-    """x @ weight.T + bias, through tanh if asked, in the buffer the product returns."""
-    out = x @ weight.T
+def _affine(x, weight, bias, tanh: bool, out=None):
+    """x @ weight.T + bias, through tanh if asked, in `out` or the buffer the product returns."""
+    out = np.dot(x, weight.T, out=out)
     out += bias
     return np.tanh(out, out=out) if tanh else out
 
 
-def _stack_runs(parts):
-    """The head runs' blocks of rows as one array; a single run's block as it is."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def _forward_pairs(w: _Weights, topology: ModelTopology, pair_tokens, pair_langs, runs):
-    """Every activation of the pair table, each (pairs, ·), with the table
-    rows of each (head, rows) of `runs` through that head."""
+    """Every activation of the pair table, with the table rows of each (head,
+    rows) of `runs` through that head: each (pairs, ·), but for the pre- and
+    post-net frames, the rows of one (2, pairs, frame_dim) array y."""
     e = w.emb[pair_tokens]
     # the trunk's input: h, then the language one-hot; h is a view of it
     n_pairs, n_h = len(e), topology.encoder_hidden
@@ -152,12 +152,15 @@ def _forward_pairs(w: _Weights, topology: ModelTopology, pair_tokens, pair_langs
     h = z[:, :n_h]
     z[np.arange(n_pairs), n_h + pair_langs] = 1.0
     u = _affine(z, w.w_trunk, w.b_trunk, tanh=True)
-    y_pre = _stack_runs([_affine(u[rows], *w.heads[head], tanh=False) for head, rows in runs])
+    y = np.empty((2, n_pairs, topology.frame_dim))
+    y_pre, y_post = y
+    for head, rows in runs:
+        _affine(u[rows], *w.heads[head], tanh=False, out=y_pre[rows])
     q = _affine(y_pre, w.w_p1, w.b_p1, tanh=True)
-    y_post = q @ w.w_p2.T
+    np.dot(q, w.w_p2.T, out=y_post)
     y_post += y_pre
     y_post += w.b_p2
-    return e, h, z, u, y_pre, q, y_post
+    return e, h, z, u, y, q
 
 
 def _predict(params: ParameterSet, batch, head: Head):
@@ -165,8 +168,9 @@ def _predict(params: ParameterSet, batch, head: Head):
     the table and index into the store, and each sample's length."""
     topology = params.topology
     pair_tokens, pair_langs, idx, pos, lengths, _ = _gather_pairs(topology, batch, [len(batch.rows)])
-    w = _Weights(topology, params.values)
-    *_, y_pre, _, y_post = _forward_pairs(w, topology, pair_tokens, pair_langs, [(head, slice(None))])
+    *_, (y_pre, y_post), _ = _forward_pairs(
+        params.weights, topology, pair_tokens, pair_langs, [(head, slice(None))]
+    )
     return y_pre, y_post, idx, pos, lengths
 
 
@@ -196,10 +200,10 @@ def _scatter_rows(rows, values, n_rows: int):
 
 def _block_grads(g_weight, g_bias, d, x, blocks):
     """Each group's weight and bias gradient, d.T @ x and the sum of d over
-    the group's block of table rows."""
+    the group's block of table rows, written into its views."""
     for i, (a, b) in enumerate(blocks):
-        g_bias[i] = d[a:b].sum(axis=0)
-        g_weight[i] = d[a:b].T @ x[a:b]
+        np.add.reduce(d[a:b], axis=0, out=g_bias[i])
+        np.dot(d[a:b].T, x[a:b], out=g_weight[i])
 
 
 def run_step(params: ParameterSet, plan: PairPlan, step: int):
@@ -207,52 +211,53 @@ def run_step(params: ParameterSet, plan: PairPlan, step: int):
     head, from one model pass over the step's block of the table: a
     LossBreakdown per group and a (groups, n_params) array of their gradients.
 
-    The backward runs once over the block; each group's weight and bias
-    gradients are products over its rows, and the embedding gradient is
-    scattered by (group, token). Each run of consecutive groups on one head
-    takes one head product each way.
+    The gradients are the plan's buffer, which the plan's next step
+    overwrites. The backward runs once over the block; each group's weight
+    and bias gradients are products over its rows, and the embedding
+    gradient is scattered by (group, token). Each run of consecutive groups
+    on one head takes one head product each way.
     """
-    topology, heads = params.topology, plan.heads
-    first = step * len(heads)
-    # each group's first row of the step's block, then the block's length
-    bounds = plan.bounds[first : first + len(heads) + 1]
-    a, b = bounds[0], bounds[-1]
-    bounds = [x - a for x in bounds]
-    blocks = list(itertools.pairwise(bounds))
-    runs = [(heads[ga], slice(bounds[ga], bounds[gb])) for ga, gb in plan.runs]
-    w = _Weights(topology, params.values)
-    e, h, z, u, y_pre, q, y_post = _forward_pairs(w, topology, plan.tokens[a:b], plan.langs[a:b], runs)
-    w_sum, s_sum = plan.w_sum[a:b], plan.s_sum[a:b]
-    # W y - S at the pairs' outputs, where the gradient is twice it
-    d_pre = w_sum * y_pre - s_sum
-    d_post = w_sum * y_post - s_sum
+    topology, n_groups = params.topology, len(plan.heads)
+    a, b, bounds, blocks, runs = plan.steps[step]
+    w = params.weights
+    e, _, z, u, y, q = _forward_pairs(w, topology, plan.tokens[a:b], plan.langs[a:b], runs)
+    s_sum = plan.s_sum[a:b]
+    # W y - S at the pairs' pre- and post-net outputs, where the gradient is twice it
+    d = plan.w_sum[a:b] * y
+    d -= s_sum
     # each group's loss: its pairs' W |y|^2 - 2 y.S, plus its sum of w |t|^2
-    t_sq = plan.t_sq[first : first + len(heads)]
-    # two lists, not zip(*generator): CPython makes that argument tuple by
-    # shrinking a longer one, which leaves its tuple free list one longer
-    # each call (np.tile does the same)
-    pre, post = [(np.add.reduceat((y * (d - s_sum)).sum(axis=1), bounds[:-1]) + t_sq).tolist()
-                 for y, d in ((y_pre, d_pre), (y_post, d_post))]
+    sums = np.add.reduceat((y * (d - s_sum)).sum(axis=2), bounds[:-1], axis=1)
+    pre, post = (sums + plan.t_sq[step * n_groups : (step + 1) * n_groups]).tolist()
     losses = [LossBreakdown(*m) for m in zip(pre, post)]
 
-    grads = np.zeros((len(heads), len(params.values)))
-    g = _Weights(topology, grads)
-    g_post = np.multiply(d_post, 2.0, out=d_post)
+    if plan.grads is None:
+        grads = np.zeros((n_groups, len(params.values)))
+        plan.grads = grads, _Weights(topology, grads)
+    grads, g = plan.grads
+    dy_pre, g_post = np.multiply(d, 2.0, out=d)
     _block_grads(g.w_p2, g.b_p2, g_post, q, blocks)
-    ds1 = (g_post @ w.w_p2) * (1.0 - q**2)
-    _block_grads(g.w_p1, g.b_p1, ds1, y_pre, blocks)
-    # 2 (W y_pre - S) + g_post + ds1 @ w_p1, in d_pre's buffer
-    dy_pre = np.multiply(d_pre, 2.0, out=d_pre)
+    ds1 = np.dot(g_post, w.w_p2)
+    # tanh's derivative 1 - a^2 at its output a, in a's buffer once a is read
+    ds1 *= np.subtract(1.0, np.square(q, out=q), out=q)
+    _block_grads(g.w_p1, g.b_p1, ds1, y[0], blocks)
+    # 2 (W y_pre - S) + g_post + ds1 @ w_p1, in d's buffer
     dy_pre += g_post
-    dy_pre += ds1 @ w.w_p1
-    for (head, _), (ga, gb) in zip(runs, plan.runs):
+    dy_pre += np.dot(ds1, w.w_p1)
+    del y, q, ds1  # read; freed before the step's heap peaks
+    da_tr = np.empty_like(u)
+    for (head, rows), (ga, gb) in zip(runs, plan.runs):
         g_w, g_b = g.heads[head]
         _block_grads(g_w[ga:gb], g_b[ga:gb], dy_pre, u, blocks[ga:gb])
-    da_tr = _stack_runs([dy_pre[rows] @ w.heads[head][0] for head, rows in runs]) * (1.0 - u**2)
+        np.dot(dy_pre[rows], w.heads[head][0], out=da_tr[rows])
+    da_tr *= np.subtract(1.0, np.square(u, out=u), out=u)
+    del d, dy_pre, g_post, u
     _block_grads(g.w_trunk, g.b_trunk, da_tr, z, blocks)
-    da_enc = (da_tr @ w.w_trunk[:, : topology.encoder_hidden]) * (1.0 - h**2)
+    da_enc = np.dot(da_tr, w.w_trunk[:, : topology.encoder_hidden])
+    # 1 - h^2 in all of z, h's columns and the rest: on h, a strided view, ufuncs buffer
+    da_enc *= np.subtract(1.0, np.square(z, out=z), out=z)[:, : topology.encoder_hidden]
     _block_grads(g.w_enc, g.b_enc, da_enc, e, blocks)
-    de = _scatter_rows(plan.emb_rows[a:b], da_enc @ w.w_enc, len(grads) * topology.vocab_size)
+    de = np.dot(da_enc, w.w_enc, out=e)  # e is read
+    de = _scatter_rows(plan.emb_rows[a:b], de, n_groups * topology.vocab_size)
     g.emb[...] = de.reshape(g.emb.shape)
     return losses, grads
 

@@ -94,7 +94,9 @@ class PairPlan:
     group heads and (first, end) groups of each run on one head; per pair of
     the table, its token, language, summed loss weights W (pairs, 1),
     weighted targets S (pairs, frame_dim) and embedding row in its step; per
-    group, its rows, sum of w * |t|^2 and first table row (`bounds` ends with P)."""
+    group, its rows, sum of w * |t|^2 and first table row (`bounds` ends with
+    P); per step, the (a, b, bounds, blocks, runs) of `model.run_step`, which
+    sets `grads`: the (groups, n_params) buffer all steps overwrite, and its views."""
 
     heads: list
     runs: list
@@ -106,6 +108,8 @@ class PairPlan:
     emb_rows: np.ndarray
     t_sq: np.ndarray
     bounds: list
+    steps: list
+    grads: tuple | None = None
 
 
 def plan_steps(topology: ModelTopology, parts, heads) -> PairPlan:
@@ -115,13 +119,15 @@ def plan_steps(topology: ModelTopology, parts, heads) -> PairPlan:
     Its table is the grouped table of all the steps' groups, so each step's
     pairs are one block, as its parts alone would give them. A position's
     loss weight is w = 1 / (n_g * T_i * frame_dim); W and S sum the pair's
-    positions in batch order, as a step planned alone sums them.
+    positions in batch order, as a step planned alone sums them, and a
+    group's sum of w * |t|^2 sums its rows' w * (the store's Σ|t|^2).
     """
     sizes = [len(rows) for _, rows in parts]
     n_groups = len(heads)
     cuts = [0] + [g for g in range(1, n_groups) if heads[g] is not heads[g - 1]]
     runs = list(itertools.pairwise(cuts + [n_groups]))
     store, rows = join_rows(parts)
+    frame_sq = store.frame_sq()[rows]  # first, so squaring a new store overlaps no temporary
     pair_tokens, pair_langs, idx, pos, lengths, pairs = _gather_pairs(
         topology, Batch.of_rows(store, rows, Provenance.LBS), sizes, sum(sizes[:n_groups])
     )
@@ -135,24 +141,25 @@ def plan_steps(topology: ModelTopology, parts, heads) -> PairPlan:
     # float runs numpy's int64-to-float64 cast, 64 kB of its code that
     # nothing else in a run executes and that then counts in the peak RSS
     row_scale = np.repeat([n * float(topology.frame_dim) for n in sizes], sizes)
-    weight = np.repeat(1.0 / (lengths * row_scale), lengths)
+    row_weight = 1.0 / (lengths * row_scale)
+    t_sq = np.add.reduceat(row_weight * frame_sq, np.cumsum(sizes) - sizes)
+    weight = np.repeat(row_weight, lengths)
     w_sum = np.bincount(idx, weights=weight, minlength=n_pairs)[:, None]
-    # each group's first position: the first of its first row
-    firsts = (np.cumsum(lengths) - lengths)[np.cumsum(sizes) - sizes]
-    # S and each group's sum of w |t|^2, one frame coefficient at a time, so
-    # that no temporary holds every position's frame
+    # S one frame coefficient at a time, so that no temporary holds every
+    # position's frame
     frames = store.frames.reshape(-1)
     pos *= topology.frame_dim
     wt = np.empty(len(pos))
     s_sum = np.empty((n_pairs, topology.frame_dim))
-    t_sq = np.zeros(len(sizes))
     for j in range(topology.frame_dim):
         frames.take(pos, out=wt, mode="clip")  # the indices are in range: no buffer
         wt *= weight
         s_sum[:, j] = np.bincount(idx, weights=wt, minlength=n_pairs)
-        # (w t)^2 / w = w t^2
-        wt *= wt
-        wt /= weight
-        t_sq += np.add.reduceat(wt, firsts)
         pos += 1
-    return PairPlan(heads, runs, sizes, pair_tokens, pair_langs, w_sum, s_sum, emb_rows, t_sq, bounds)
+    steps = []
+    for a, first in zip(bounds[: len(sizes) : n_groups], range(0, len(sizes), n_groups)):
+        rel = [x - a for x in bounds[first : first + n_groups + 1]]
+        step_runs = [(heads[ga], slice(rel[ga], rel[gb])) for ga, gb in runs]
+        steps.append((a, a + rel[-1], rel, list(itertools.pairwise(rel)), step_runs))
+    return PairPlan(heads, runs, sizes, pair_tokens, pair_langs, w_sum, s_sum, emb_rows, t_sq,
+                    bounds, steps)

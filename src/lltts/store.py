@@ -61,6 +61,7 @@ class SampleStore:
     checked: set = field(default_factory=set, repr=False)
     # row -> its Sample, made on first request or given to `pack`
     _samples: dict = field(default_factory=dict, init=False, repr=False)
+    _frame_sq: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __len__(self):
         return len(self.lengths)
@@ -82,6 +83,19 @@ class SampleStore:
                 made[row] = s
             out.append(s)
         return out
+
+    def frame_sq(self) -> np.ndarray:
+        """Each sample's sum of t^2 over its positions and frame coefficients,
+        computed on first request 128 rows at a time (no temporary holds the
+        store's frames) and kept: an in-place edit of frames leaves it stale."""
+        if self._frame_sq is None:
+            self._frame_sq = np.empty(len(self))
+            for r in range(0, len(self), 128):
+                starts, lengths = self.starts[r : r + 128], self.lengths[r : r + 128]
+                a = int(starts[0])
+                f = self.frames[a : int(starts[-1] + lengths[-1])]
+                np.add.reduceat((f * f).sum(axis=1), starts - a, out=self._frame_sq[r : r + 128])
+        return self._frame_sq
 
     @classmethod
     def pack(cls, samples) -> "SampleStore":

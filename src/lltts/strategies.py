@@ -162,14 +162,17 @@ def gem_project(g: np.ndarray, gstate: GemState) -> np.ndarray:
     # ill-conditioned constraint sets need far more sweeps than the typical
     # handful; sweeps are O(k^2) so a generous cap stays cheap for k <= 9
     max_iters = max(1000 * k * k, 1000)
+    # the sweeps run on Python floats, numpy scalars' IEEE operations, but for
+    # h[i] . v; a row with h[i, i] <= 0 is skipped (a NaN one is not)
+    diag_dots = zip(h.diagonal().tolist(), dots.tolist())
+    coords = [(i, h[i], hii, dot) for i, (hii, dot) in enumerate(diag_dots) if not hii <= 0]
+    vs = [0.0] * k
     for _ in range(max_iters):
         delta = 0.0
-        for i in range(k):
-            if h[i, i] <= 0:
-                continue
-            new_vi = max(0.0, v[i] - (h[i] @ v + dots[i]) / h[i, i])
-            delta = max(delta, abs(new_vi - v[i]))
-            v[i] = new_vi
+        for i, h_i, hii, dot in coords:
+            new_vi = max(0.0, vs[i] - (float(h_i.dot(v)) + dot) / hii)
+            delta = max(delta, abs(new_vi - vs[i]))
+            v[i] = vs[i] = new_vi
         if delta < tol * 1e-3:
             break
     projected = g + g_mat.T @ v
@@ -330,13 +333,14 @@ def train_stage(
                         f"at epoch {epoch} step {step}: {loss_total}"
                     )
                 try:
-                    opt, params = adam_step(opt, params, grad)
+                    opt, new = adam_step(opt, params, grad)
+                    params.values[...] = new.values  # in place: ParameterSet.weights stays
                 except NumericError as exc:
                     raise NumericError(
                         f"{exc} in the stage of language {ds_k.language_id} "
                         f"at epoch {epoch} step {step}"
                     ) from exc
-            del plan  # before the next chunk's plan is made
+            del plan, grads  # the plan's gradient buffer, before the next chunk's plan is made
         for task in seen_tasks:
             curves[task.language_id].append(_dev_mcd(params, task))
     return StageResult(params, curves)

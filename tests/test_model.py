@@ -574,9 +574,7 @@ def group_batch(topology, n_groups, seed):
 def group_pass(params, batch, heads, sizes):
     """The losses and gradients of the groups of `sizes` consecutive batch
     rows, group g on heads[g], from the one model pass of a planned step."""
-    ends = np.cumsum(sizes).tolist()
-    parts = [(batch.store, batch.rows[end - n : end]) for end, n in zip(ends, sizes)]
-    return model.run_step(params, plan_steps(params.topology, parts, heads), 0)
+    return model.run_step(params, plan_steps(params.topology, group_parts(batch, sizes), heads), 0)
 
 
 @pytest.mark.parametrize("topology", [TINY, DESK, PAPER_SCALE], ids=["tiny", "desk", "paper_scale"])
@@ -619,6 +617,75 @@ def test_group_table_is_each_groups_table_in_turn():
         assert np.array_equal(got[1][start:stop], pair_langs)
         start = stop
     assert start == len(got[0])
+
+
+def group_parts(batch, sizes):
+    """The (store, rows) part of each group of `sizes` consecutive batch rows."""
+    ends = np.cumsum(sizes).tolist()
+    return [(batch.store, batch.rows[end - n : end]) for end, n in zip(ends, sizes)]
+
+
+def test_plan_steps_overwrite_one_gradient_buffer():
+    # a plan's steps return its one buffer, each step overwriting it whole:
+    # the second step's gradients are those of the step planned alone, with
+    # each group's other head's segment zero
+    batch, sizes, _ = group_batch(DESK, 4, seed=5)
+    parts, heads = group_parts(batch, sizes), [Head.RRS, Head.LBS]
+    params, plan = init_params(DESK, 3), plan_steps(DESK, parts, heads)
+    _, first = model.run_step(params, plan, 0)
+    _, second = model.run_step(params, plan, 1)
+    _, want = model.run_step(params, plan_steps(DESK, parts[2:], heads), 0)
+    assert second is first and second.tobytes() == want.tobytes()
+    g = _Weights(DESK, second)
+    assert not g.w_lbs[0].any() and not g.b_lbs[0].any()
+    assert not g.w_rrs[1].any() and not g.b_rrs[1].any()
+
+
+def test_gradients_outlive_later_calls(tiny_params, rng):
+    # loss_and_grad plans each call, so a later call leaves an earlier
+    # result as it was. (With one buffer shared by every plan,
+    # finite_diff_check read its analytic gradient overwritten by its
+    # perturbed calls: TestFiniteDiffCheck.test_zero_loss_configuration)
+    batch = random_batch(rng)
+    loss, grad = loss_and_grad(tiny_params, batch, Head.LBS)
+    kept = grad.copy()
+    loss_and_grad(tiny_params, random_batch(rng), Head.LBS)
+    finite_diff_check(tiny_params, random_batch(rng), Head.RRS)
+    assert grad.tobytes() == kept.tobytes()
+    assert loss == loss_and_grad(tiny_params, batch, Head.LBS)[0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_plan_t_sq_is_per_position_sum(seed):
+    # each group's sum of w * |t|^2, from the store's per-sample sums, is the
+    # sum over its positions, w = 1 / (n_g * T_i * frame_dim)
+    n_groups = int(np.random.default_rng(seed).integers(1, 4))
+    batch, sizes, alone = group_batch(PAPER_SCALE, 2 * n_groups, seed)
+    plan = plan_steps(PAPER_SCALE, group_parts(batch, sizes), [Head.LBS] * n_groups)
+    f = PAPER_SCALE.frame_dim
+    want = [sum(np.sum(s.target_frames**2) / (len(s.tokens) * len(group.rows) * f)
+                for s in group.samples) for group in alone]
+    np.testing.assert_allclose(plan.t_sq, want, rtol=REL_TOL, atol=0)
+
+
+def test_first_plan_squares_the_store_in_blocks():
+    # a store's per-sample sums of t^2 are made by its first plan, without a
+    # temporary the size of the store's frames
+    from lltts.data import generate_tasks
+    from lltts.config import parse_config
+    from conftest import CONFIGS
+
+    cfg = parse_config((CONFIGS / "paper_scale.ini").read_text())
+    store = generate_tasks(cfg.task_specs)[0].store
+    parts = [(store, np.arange(84))]
+    assert store._frame_sq is None and store.frames.nbytes > 6_000_000
+    tracemalloc.start()
+    try:
+        plan_steps(cfg.topology, parts, [Head.LBS])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert store._frame_sq is not None and peak < 400_000
 
 
 _GROUP_THREADS_CHILD = """

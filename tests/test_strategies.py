@@ -480,6 +480,39 @@ class TestChunkedPlans:
         assert len(drawn) == len(want) and all(map(np.array_equal, drawn, want))
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
+    @pytest.mark.parametrize("kind", [StrategyKind.REPLAY_DUAL, StrategyKind.GEM, StrategyKind.EWC])
+    def test_views_once_a_stage_and_a_gradient_buffer_per_plan(self, monkeypatch, kind):
+        # a stage's steps update one parameter vector in place, whose named
+        # views are made once; each plan makes one (groups, n_params)
+        # gradient buffer and its views, which its steps overwrite
+        params, ds_k, buffer, cfg = three_language_stage()
+        fstate = ewc_consolidate(params, ds_k, 4, np.random.default_rng(0))
+        made, plans, buffers = [], [], []
+        plan_steps, run_step = strategies.plan_steps, strategies.run_step
+
+        class Counted(model._Weights):
+            def __init__(self, topology, flat):
+                made.append(flat.ndim)  # 1 for a parameter vector, 2 for a buffer
+                super().__init__(topology, flat)
+
+        def spy_plan(*args):
+            plans.append(plan_steps(*args))
+            return plans[-1]
+
+        def spy_pass(params, plan, step):
+            losses, grads = run_step(params, plan, step)
+            buffers.append((id(plan), id(grads)))
+            return losses, grads
+
+        monkeypatch.setattr(model, "_Weights", Counted)
+        monkeypatch.setattr(strategies, "plan_steps", spy_plan)
+        monkeypatch.setattr(strategies, "run_step", spy_pass)
+        strategy = StrategyConfig(kind, gem_memory_batch=4)
+        result = train_stage(strategy, params, ds_k, buffer, fstate, cfg, np.random.default_rng(3))
+        assert len(plans) > 1 and made.count(2) == len(plans) and made.count(1) == 1
+        assert len(set(buffers)) == len({plan for plan, _ in buffers}) == len(plans)
+        assert np.shares_memory(result.final_params.weights.emb, result.final_params.values)
+
 
 def last_stage(profile, kind):
     """The profile's config with strategy `kind`, its tasks and a buffer
@@ -669,6 +702,75 @@ class TestGemProject:
             h = rng.standard_normal(5) * 2
             if np.all(g_mat @ h >= 0):
                 assert d_proj <= np.linalg.norm(h - g) + 1e-9
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_float_sweeps_are_the_numpy_scalar_sweeps(self, k):
+        # the sweeps over Python floats give the bytes of the sweeps over
+        # numpy scalars: random violated sets, one with a zero reference row
+        # (h[i, i] = 0, skipped) and, from k = 2, an ill-conditioned one
+        rng = np.random.default_rng(k)
+        cases = []
+        for _ in range(30):
+            g_mat = rng.standard_normal((k, 12))
+            cases.append((rng.standard_normal(12) - g_mat.sum(axis=0), g_mat))
+        g_mat = rng.standard_normal((k, 12))
+        g_mat[k // 2] = 0.0
+        cases.append((-g_mat.sum(axis=0) - 1.0, g_mat))
+        if k >= 2:
+            g_mat = 0.01 * rng.standard_normal((k, 12))
+            g_mat[:2, :2] = [[1.0, 0.1], [1.0, -0.1]]
+            g = np.zeros(12)
+            g[0] = -1.0
+            cases.append((g, g_mat))
+        sweeps = []
+        for g, g_mat in cases:
+            state = GemState(g_mat, list(range(k)))
+            want, n = numpy_scalar_gem_project(g, state)
+            assert gem_project(g, state).tobytes() == want.tobytes()
+            sweeps.append(n)
+        assert k == 1 or max(sweeps) > 50
+
+    def test_unconverged_projection_raises(self):
+        # three nearly parallel references of very different norms (found by
+        # a random search): the sweeps stop with a constraint still violated
+        g_mat = np.array([
+            [-0.5323780985907972, 0.9540504653869403, 0.5395352552017997],
+            [-16.410681536483263, 25.411945890786935, 16.24531273494009],
+            [-326.96444482763235, 467.4990002691472, 328.1380362810731],
+        ])
+        g = np.array([18.914975088241395, -30.09727936647271, -19.3116529925641])
+        state = GemState(g_mat, [0, 1, 2])
+        for project in (gem_project, numpy_scalar_gem_project):
+            with pytest.raises(NumericError, match="did not converge"):
+                project(g, state)
+
+
+def numpy_scalar_gem_project(g, gstate):
+    """gem_project with its sweeps over numpy scalars, as it was before they
+    ran over Python floats; returns the projection and the sweep count."""
+    tol = 1e-9
+    g_mat = gstate.reference_grads
+    dots = g_mat @ g
+    if np.all(dots >= -tol):
+        return g.copy(), 0
+    k = g_mat.shape[0]
+    h = g_mat @ g_mat.T
+    v = np.zeros(k)
+    for sweeps in range(1, max(1000 * k * k, 1000) + 1):
+        delta = 0.0
+        for i in range(k):
+            if h[i, i] <= 0:
+                continue
+            new_vi = max(0.0, v[i] - (h[i] @ v + dots[i]) / h[i, i])
+            delta = max(delta, abs(new_vi - v[i]))
+            v[i] = new_vi
+        if delta < tol * 1e-3:
+            break
+    projected = g + g_mat.T @ v
+    residual = float(np.min(g_mat @ projected))
+    if residual < -tol * max(1.0, float(np.max(np.abs(dots)))) * 10:
+        raise NumericError(f"GEM dual solver did not converge; residual {residual:.3e}")
+    return projected, sweeps
 
 
 class TestLrSchedule:
