@@ -9,16 +9,16 @@ A position's activations depend only on its (token, language) pair, so the
 forward, the backward and evaluation run over a table of the batch's
 distinct pairs (at most 40 rows for a one-language paper-scale batch of
 about 800 positions) and never over padded positions. Several batches can
-share one pass as groups of one table, each with its own head, loss and
-gradient: a dual step's LBS and RRS batches, or a GEM step's batch and its
-reference batches.
+share one pass as groups of one table, each on its own head: a dual step's
+LBS and RRS batches, whose weighted losses share one gradient, or a GEM
+step's batch and its reference batches, each with a gradient of its own.
 
 Every gradient is taken from a plan of the tables of a chunk of steps
 (`pairs.plan_steps`), with each pair's summed loss weights W and weighted
-targets S, and each group's sum of w·|t|². `run_step` runs one step over its
-block of pairs: the gradient at a pair's output y is 2 (W y − S), and a
-group's loss is Σ_p (W_p·|y_p|² − 2·y_p·S_p) + Σ_i w_i·|t_i|², so no step
-touches a per-position array.
+targets S (its group's weight folded in), and each group's sum of w·|t|².
+`run_step` runs one step over its block of pairs: the gradient at a pair's
+output y is 2 (W y − S), and a group's loss is Σ_p (W_p·|y_p|² − 2·y_p·S_p)
++ Σ_i w_i·|t_i|², so no step touches a per-position array.
 """
 from __future__ import annotations
 
@@ -142,7 +142,7 @@ def _affine(x, weight, bias, tanh: bool, out=None):
 
 def _forward_pairs(w: _Weights, topology: ModelTopology, pair_tokens, pair_langs, runs):
     """Every activation of the pair table, with the table rows of each (head,
-    rows) of `runs` through that head: each (pairs, ·), but for the pre- and
+    rows, ...) of `runs` through that head: each (pairs, ·), but for the pre- and
     post-net frames, the rows of one (2, pairs, frame_dim) array y."""
     e = w.emb[pair_tokens]
     # the trunk's input: h, then the language one-hot; h is a view of it
@@ -154,7 +154,7 @@ def _forward_pairs(w: _Weights, topology: ModelTopology, pair_tokens, pair_langs
     u = _affine(z, w.w_trunk, w.b_trunk, tanh=True)
     y = np.empty((2, n_pairs, topology.frame_dim))
     y_pre, y_post = y
-    for head, rows in runs:
+    for head, rows, *_ in runs:
         _affine(u[rows], *w.heads[head], tanh=False, out=y_pre[rows])
     q = _affine(y_pre, w.w_p1, w.b_p1, tanh=True)
     np.dot(q, w.w_p2.T, out=y_post)
@@ -199,22 +199,22 @@ def _scatter_rows(rows, values, n_rows: int):
 
 
 def _block_grads(g_weight, g_bias, d, x, blocks):
-    """Each group's weight and bias gradient, d.T @ x and the sum of d over
-    the group's block of table rows, written into its views."""
-    for i, (a, b) in enumerate(blocks):
-        np.add.reduce(d[a:b], axis=0, out=g_bias[i])
-        np.dot(d[a:b].T, x[a:b], out=g_weight[i])
+    """The weight and bias gradient of each (output, a, b) of `blocks`,
+    d.T @ x and the sum of d over table rows a to b, written into its views."""
+    for o, a, b in blocks:
+        np.add.reduce(d[a:b], axis=0, out=g_bias[o])
+        np.dot(d[a:b].T, x[a:b], out=g_weight[o])
 
 
 def run_step(params: ParameterSet, plan: PairPlan, step: int):
-    """The loss and gradient of each group of step `step` of `plan` on its
-    head, from one model pass over the step's block of the table: a
-    LossBreakdown per group and a (groups, n_params) array of their gradients.
+    """The weighted loss of each group of step `step` of `plan` and the
+    gradient of each output, from one model pass over the step's block of the
+    table: a LossBreakdown per group and an (outputs, n_params) array.
 
     The gradients are the plan's buffer, which the plan's next step
-    overwrites. The backward runs once over the block; each group's weight
+    overwrites. The backward runs once over the block; each output's weight
     and bias gradients are products over its rows, and the embedding
-    gradient is scattered by (group, token). Each run of consecutive groups
+    gradient is scattered by (output, token). Each run of consecutive groups
     on one head takes one head product each way.
     """
     topology, n_groups = params.topology, len(plan.heads)
@@ -231,7 +231,7 @@ def run_step(params: ParameterSet, plan: PairPlan, step: int):
     losses = [LossBreakdown(*m) for m in zip(pre, post)]
 
     if plan.grads is None:
-        grads = np.zeros((n_groups, len(params.values)))
+        grads = np.zeros((len(blocks), len(params.values)))
         plan.grads = grads, _Weights(topology, grads)
     grads, g = plan.grads
     dy_pre, g_post = np.multiply(d, 2.0, out=d)
@@ -245,9 +245,8 @@ def run_step(params: ParameterSet, plan: PairPlan, step: int):
     dy_pre += np.dot(ds1, w.w_p1)
     del y, q, ds1  # read; freed before the step's heap peaks
     da_tr = np.empty_like(u)
-    for (head, rows), (ga, gb) in zip(runs, plan.runs):
-        g_w, g_b = g.heads[head]
-        _block_grads(g_w[ga:gb], g_b[ga:gb], dy_pre, u, blocks[ga:gb])
+    for head, rows, pieces in runs:
+        _block_grads(*g.heads[head], dy_pre, u, pieces)
         np.dot(dy_pre[rows], w.heads[head][0], out=da_tr[rows])
     da_tr *= np.subtract(1.0, np.square(u, out=u), out=u)
     del d, dy_pre, g_post, u
@@ -257,7 +256,7 @@ def run_step(params: ParameterSet, plan: PairPlan, step: int):
     da_enc *= np.subtract(1.0, np.square(z, out=z), out=z)[:, : topology.encoder_hidden]
     _block_grads(g.w_enc, g.b_enc, da_enc, e, blocks)
     de = np.dot(da_enc, w.w_enc, out=e)  # e is read
-    de = _scatter_rows(plan.emb_rows[a:b], de, n_groups * topology.vocab_size)
+    de = _scatter_rows(plan.emb_rows[a:b], de, len(blocks) * topology.vocab_size)
     g.emb[...] = de.reshape(g.emb.shape)
     return losses, grads
 
@@ -269,7 +268,7 @@ def loss_and_grad(params: ParameterSet, batch, head: Head):
     batch loss averages over samples. The unselected head's gradient
     segment stays zero. The plan of one step of one group, run.
     """
-    plan = plan_steps(params.topology, [(batch.store, batch.rows)], [head])
+    plan = plan_steps(params.topology, [(batch.store, batch.rows)], [head], [1.0])
     losses, grads = run_step(params, plan, 0)
     return losses[0], grads[0]
 

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InputDomainError
+from .errors import InputDomainError, UsageError
 from .samplers import Batch, Provenance
 from .store import join_rows
 
@@ -91,16 +91,14 @@ def _gather_pairs(topology: ModelTopology, batch, sizes, period: int | None = No
 @dataclass
 class PairPlan:
     """What the passes of a chunk of steps need of their batches: a step's
-    group heads and (first, end) groups of each run on one head; per pair of
-    the table, its token, language, summed loss weights W (pairs, 1),
-    weighted targets S (pairs, frame_dim) and embedding row in its step; per
-    group, its rows, sum of w * |t|^2 and first table row (`bounds` ends with
-    P); per step, the (a, b, bounds, blocks, runs) of `model.run_step`, which
-    sets `grads`: the (groups, n_params) buffer all steps overwrite, and its views."""
+    group heads; per pair of the table, its token, language, summed loss
+    weights W (pairs, 1), weighted targets S (pairs, frame_dim) and embedding
+    row in its step; per group, its sum of w * |t|^2 and first table row
+    (`bounds` ends with P); per step, the (a, b, bounds, blocks, runs) of
+    `model.run_step`, which sets `grads`: the (outputs, n_params) buffer all
+    steps overwrite, and its views."""
 
     heads: list
-    runs: list
-    sizes: list
     tokens: np.ndarray
     langs: np.ndarray
     w_sum: np.ndarray
@@ -112,18 +110,25 @@ class PairPlan:
     grads: tuple | None = None
 
 
-def plan_steps(topology: ModelTopology, parts, heads) -> PairPlan:
+def plan_steps(topology: ModelTopology, parts, heads, weights) -> PairPlan:
     """The PairPlan of the steps whose groups' batches are the (store, rows)
-    parts, step after step, group g of each step on heads[g].
+    parts, step after step, group g of each step on heads[g] with loss weight
+    weights[g]: the weighted groups first, whose summed loss is a step's
+    output 0, then the groups of weight None, each an output of its own.
 
     Its table is the grouped table of all the steps' groups, so each step's
     pairs are one block, as its parts alone would give them. A position's
-    loss weight is w = 1 / (n_g * T_i * frame_dim); W and S sum the pair's
-    positions in batch order, as a step planned alone sums them, and a
-    group's sum of w * |t|^2 sums its rows' w * (the store's Σ|t|^2).
+    loss weight is w = weight / (n_g * T_i * frame_dim); W and S sum the
+    pair's positions in batch order, as a step planned alone sums them, and
+    a group's sum of w * |t|^2 sums its rows' w * (the store's Σ|t|^2).
     """
     sizes = [len(rows) for _, rows in parts]
     n_groups = len(heads)
+    n_sum = len(weights) - weights.count(None)
+    if None in weights[:n_sum] or heads[:n_sum] != sorted(heads[:n_sum], key=heads.index):
+        raise UsageError("the weighted groups must come first, those of a head consecutive")
+    # the (first, end) groups of each output and of each run of groups on one head
+    outs = list(itertools.pairwise([0, *range(max(1, n_sum), n_groups + 1)]))
     cuts = [0] + [g for g in range(1, n_groups) if heads[g] is not heads[g - 1]]
     runs = list(itertools.pairwise(cuts + [n_groups]))
     store, rows = join_rows(parts)
@@ -134,14 +139,16 @@ def plan_steps(topology: ModelTopology, parts, heads) -> PairPlan:
     n_pairs = len(pairs)
     span = topology.vocab_size * topology.num_languages
     bounds = pairs.searchsorted(np.arange(len(sizes) + 1) * span).tolist()
-    # a step's embedding gradient rows are group * vocab_size + token
-    emb_rows = pairs // topology.num_languages % (n_groups * topology.vocab_size)
+    # a step's embedding gradient rows are output * vocab_size + token
+    group_outs = np.array([o for o, (oa, ob) in enumerate(outs) for _ in range(oa, ob)])
+    emb_rows = group_outs[pairs // span % n_groups] * topology.vocab_size + pair_tokens
     del pairs
     # each row's n_g * frame_dim, from Python floats: an intp array times a
     # float runs numpy's int64-to-float64 cast, 64 kB of its code that
     # nothing else in a run executes and that then counts in the peak RSS
     row_scale = np.repeat([n * float(topology.frame_dim) for n in sizes], sizes)
-    row_weight = 1.0 / (lengths * row_scale)
+    part_weights = [1.0 if w is None else w for w in weights] * (len(sizes) // n_groups)
+    row_weight = np.repeat(part_weights, sizes) / (lengths * row_scale)
     t_sq = np.add.reduceat(row_weight * frame_sq, np.cumsum(sizes) - sizes)
     weight = np.repeat(row_weight, lengths)
     w_sum = np.bincount(idx, weights=weight, minlength=n_pairs)[:, None]
@@ -159,7 +166,9 @@ def plan_steps(topology: ModelTopology, parts, heads) -> PairPlan:
     steps = []
     for a, first in zip(bounds[: len(sizes) : n_groups], range(0, len(sizes), n_groups)):
         rel = [x - a for x in bounds[first : first + n_groups + 1]]
-        step_runs = [(heads[ga], slice(rel[ga], rel[gb])) for ga, gb in runs]
-        steps.append((a, a + rel[-1], rel, list(itertools.pairwise(rel)), step_runs))
-    return PairPlan(heads, runs, sizes, pair_tokens, pair_langs, w_sum, s_sum, emb_rows, t_sq,
-                    bounds, steps)
+        blocks = [(o, rel[oa], rel[ob]) for o, (oa, ob) in enumerate(outs)]
+        # a run's head gradients are taken per output, over its pieces of the outputs' blocks
+        step_runs = [(heads[ga], slice(rel[ga], rel[gb]), [(o, rel[max(ga, c)], rel[min(gb, d)])
+                      for o, (c, d) in enumerate(outs) if c < gb and ga < d]) for ga, gb in runs]
+        steps.append((a, a + rel[-1], rel, blocks, step_runs))
+    return PairPlan(heads, pair_tokens, pair_langs, w_sum, s_sum, emb_rows, t_sq, bounds, steps)

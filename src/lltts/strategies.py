@@ -25,7 +25,7 @@ from .samplers import (
     draw_random,
     draw_weighted,
 )
-from .store import join_pools
+from .store import ReplayDataset, join_pools, join_rows
 
 
 class StrategyKind(enum.Enum):
@@ -120,7 +120,7 @@ def ewc_consolidate(
     idx = rng.choice(len(train), size=n_samples, replace=n_samples > len(train))
     draw = ([(ds.store, rows)] for rows in train[idx][:, None]).__next__  # one-row steps
     fisher = np.zeros_like(params.values)
-    for plan, steps in _chunks(params.topology, [Head.LBS], n_samples, draw):
+    for plan, steps in _chunks(params.topology, [Head.LBS], [1.0], n_samples, draw):
         for k in range(len(steps)):
             _, grads = run_step(params, plan, k)
             fisher += grads[0] ** 2
@@ -210,15 +210,22 @@ def _step_groups(strategy: StrategyConfig, ds_k, buffer, fstate, seen_tasks, bat
     integration order: a group of weight None, left out of the loss.
 
     The hook (None if the stage has none) takes (params, grads, loss, grad):
-    every group's gradient and the weighted sums, and returns the step's
+    every output's gradient and the weighted sums, and returns the step's
     (loss, grad). EWC's adds its penalty when `fstate` is set; GEM's projects
     grad against the reference gradients when a past language has samples.
     """
     kind = strategy.kind
+    refs = []  # GEM's (store, rows) of each past language with buffered samples
     if kind is StrategyKind.JOINT:
         pool = join_pools([t.part("train") for t in seen_tasks])
     elif kind in (StrategyKind.FINE_TUNE, StrategyKind.EWC, StrategyKind.GEM):
-        pool = join_pools([ds_k.part("train")])
+        # GEM's buffered rows join the task's in one store, once a stage, so
+        # that no chunk's plan packs a sample
+        gem = kind is StrategyKind.GEM and buffer is not None
+        parts = [ds_k.part("train"), *(buffer.parts() if gem else [])]
+        store, rows = join_rows(parts)
+        rows = np.split(rows, np.cumsum([len(r) for _, r in parts])[:-1])
+        pool, refs = ReplayDataset.of_rows(store, rows[0]), [(store, r) for r in rows[1:] if len(r)]
     else:
         pool = merge_replay(ds_k, buffer)
     if kind is StrategyKind.REPLAY_DUAL:
@@ -243,17 +250,16 @@ def _step_groups(strategy: StrategyConfig, ds_k, buffer, fstate, seen_tasks, bat
             penalty, pgrad = ewc_penalty(params, fstate, strategy.ewc_lambda)
             return loss + penalty, grad + pgrad
 
-    if kind is StrategyKind.GEM and buffer is not None:
+    if refs:
         # a language's quota is 0 when there are fewer buffer slots than past languages
         groups += [
             (None, _reference_draw(store, rows, strategy.gem_memory_batch, rng), Head.LBS)
-            for store, rows in buffer.parts()
-            if len(rows)
+            for store, rows in refs
         ]
         languages = [lang for lang, rows in buffer.rows.items() if len(rows)]
-        if languages:
-            def hook(params, grads, loss, grad):
-                return loss, gem_project(grad, gem_reference_grads(grads, languages))
+
+        def hook(params, grads, loss, grad):
+            return loss, gem_project(grad, gem_reference_grads(grads, languages))
 
     return pool, groups, hook
 
@@ -263,10 +269,10 @@ def _step_groups(strategy: StrategyConfig, ds_k, buffer, fstate, seen_tasks, bat
 _CHUNK_POSITIONS = 6144
 
 
-def _chunks(topology, heads: list, steps: int, draw):
+def _chunks(topology, heads: list, weights: list, steps: int, draw):
     """The PairPlan (None for steps of no group) and range of each chunk of
     `steps` steps of at most _CHUNK_POSITIONS positions, or one step; a chunk
-    draws its steps' (store, rows) parts, one per head, before it is planned.
+    draws its steps' (store, rows) parts, one per group, before it is planned.
     """
     parts = draw()
     # every step draws as many rows of the same stores as the first
@@ -276,7 +282,7 @@ def _chunks(topology, heads: list, steps: int, draw):
         chunk_steps = range(first, min(first + chunk, steps))
         while len(parts) < len(chunk_steps) * len(heads):
             parts += draw()
-        yield (plan_steps(topology, parts, heads) if parts else None), chunk_steps
+        yield (plan_steps(topology, parts, heads, weights) if parts else None), chunk_steps
         parts = []
 
 
@@ -293,10 +299,10 @@ def train_stage(
     """One task's training phase; returns final parameters and dev curves.
 
     The batches of a chunk of steps are drawn, in the order a step at a time
-    draws them, and planned at once (`_chunks`). Each step then takes the
-    losses and gradients of its groups (`_step_groups`) in one model pass,
-    sums the weighted ones and hands them to the stage's hook, if any, which
-    adds EWC's penalty or applies GEM's projection. `seen_tasks` lists
+    draws them, and planned at once with their loss weights (`_chunks`). Each
+    step's one model pass gives its groups' (`_step_groups`) weighted losses,
+    the gradient of their sum and each None group's own; the stage's hook, if
+    any, adds EWC's penalty or applies GEM's projection. `seen_tasks` lists
     every task seen so far (current included); their dev splits feed the
     per-epoch MCD curves. For JOINT it also defines the training pool.
     """
@@ -305,7 +311,8 @@ def train_stage(
         strategy, ds_k, buffer, fstate, seen_tasks, cfg.batch_size, rng
     )
     heads = [head for *_, head in groups]
-    weights = [weight for weight, *_ in groups if weight is not None]
+    weights = [weight for weight, *_ in groups]
+    no_pass = [], np.zeros((1, len(params.values)))  # gamma = beta = 0: a step of no group
     draw_step = lambda: [(batch.store, batch.rows) for batch in (draw() for _, draw, _ in groups)]
 
     opt = AdamState.fresh(len(params.values), lr=cfg.lr)
@@ -315,16 +322,11 @@ def train_stage(
 
     for epoch in range(cfg.epochs):
         opt.lr = lr_for_epoch(cfg.lr, epoch, cfg.epochs, cfg.lr_decay_epoch_fraction)
-        for plan, steps in _chunks(params.topology, heads, steps_per_epoch, draw_step):
+        for plan, steps in _chunks(params.topology, heads, weights, steps_per_epoch, draw_step):
             for k, step in enumerate(steps):
-                # gamma = beta = 0 leaves a dual step no group and no model pass
-                losses, grads = run_step(params, plan, k) if plan else ([], [])
-                # accumulating into zeros keeps gamma = beta = 0 a valid no-op step
-                grad = np.zeros_like(params.values)
-                loss_total = 0.0
-                for weight, loss, term_grad in zip(weights, losses, grads):
-                    grad += weight * term_grad
-                    loss_total += weight * loss.total
+                losses, grads = run_step(params, plan, k) if plan else no_pass
+                grad = grads[0]
+                loss_total = sum(loss.total for w, loss in zip(weights, losses) if w is not None)
                 if hook:
                     loss_total, grad = hook(params, grads, loss_total, grad)
                 if not np.isfinite(loss_total):

@@ -430,7 +430,7 @@ def test_plan_names_a_bad_sample_by_its_row_in_its_step(field, value, message):
     batch = Batch(samples, Provenance.LBS)
     parts = [(batch.store, batch.rows[a : a + n]) for a, n in zip([0, 3, 5, 8, 10, 13], [3, 2] * 3)]
     with pytest.raises(InputDomainError, match=message):
-        plan_steps(TINY, parts, [Head.LBS, Head.RRS])
+        plan_steps(TINY, parts, [Head.LBS, Head.RRS], [0.5, 1.0])
 
 
 def test_pairs_annotations_resolve(monkeypatch):
@@ -573,8 +573,10 @@ def group_batch(topology, n_groups, seed):
 
 def group_pass(params, batch, heads, sizes):
     """The losses and gradients of the groups of `sizes` consecutive batch
-    rows, group g on heads[g], from the one model pass of a planned step."""
-    return model.run_step(params, plan_steps(params.topology, group_parts(batch, sizes), heads), 0)
+    rows, group g on heads[g] with a gradient of its own, from the one model
+    pass of a planned step."""
+    plan = plan_steps(params.topology, group_parts(batch, sizes), heads, [None] * len(heads))
+    return model.run_step(params, plan, 0)
 
 
 @pytest.mark.parametrize("topology", [TINY, DESK, PAPER_SCALE], ids=["tiny", "desk", "paper_scale"])
@@ -631,10 +633,10 @@ def test_plan_steps_overwrite_one_gradient_buffer():
     # each group's other head's segment zero
     batch, sizes, _ = group_batch(DESK, 4, seed=5)
     parts, heads = group_parts(batch, sizes), [Head.RRS, Head.LBS]
-    params, plan = init_params(DESK, 3), plan_steps(DESK, parts, heads)
+    params, plan = init_params(DESK, 3), plan_steps(DESK, parts, heads, [None, None])
     _, first = model.run_step(params, plan, 0)
     _, second = model.run_step(params, plan, 1)
-    _, want = model.run_step(params, plan_steps(DESK, parts[2:], heads), 0)
+    _, want = model.run_step(params, plan_steps(DESK, parts[2:], heads, [None, None]), 0)
     assert second is first and second.tobytes() == want.tobytes()
     g = _Weights(DESK, second)
     assert not g.w_lbs[0].any() and not g.b_lbs[0].any()
@@ -661,7 +663,7 @@ def test_plan_t_sq_is_per_position_sum(seed):
     # sum over its positions, w = 1 / (n_g * T_i * frame_dim)
     n_groups = int(np.random.default_rng(seed).integers(1, 4))
     batch, sizes, alone = group_batch(PAPER_SCALE, 2 * n_groups, seed)
-    plan = plan_steps(PAPER_SCALE, group_parts(batch, sizes), [Head.LBS] * n_groups)
+    plan = plan_steps(PAPER_SCALE, group_parts(batch, sizes), [Head.LBS] * n_groups, [None] * n_groups)
     f = PAPER_SCALE.frame_dim
     want = [sum(np.sum(s.target_frames**2) / (len(s.tokens) * len(group.rows) * f)
                 for s in group.samples) for group in alone]
@@ -681,7 +683,7 @@ def test_first_plan_squares_the_store_in_blocks():
     assert store._frame_sq is None and store.frames.nbytes > 6_000_000
     tracemalloc.start()
     try:
-        plan_steps(cfg.topology, parts, [Head.LBS])
+        plan_steps(cfg.topology, parts, [Head.LBS], [1.0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -719,11 +721,13 @@ for group in range(2):
 dual = Batch(dual, Provenance.LBS)
 assert len(_gather_pairs(topo, dual, [84, 84])[0]) == 320
 digest = hashlib.sha256()
-cases = [(batch, [Head.LBS] * 4, sizes), (batch, [Head.RRS] * 4, sizes), (dual, [Head.LBS, Head.RRS], [84, 84])]
-for rows, heads, groups in cases:
+gem = [1.0, None, None, None]
+cases = [(batch, [Head.LBS] * 4, gem, sizes), (batch, [Head.RRS] * 4, gem, sizes),
+         (dual, [Head.LBS, Head.RRS], [0.3, 0.7], [84, 84])]
+for rows, heads, weights, groups in cases:
     ends = np.cumsum(groups).tolist()
     parts = [(rows.store, rows.rows[end - n : end]) for end, n in zip(ends, groups)]
-    losses, grads = run_step(init_params(topo, 1), plan_steps(topo, parts, heads), 0)
+    losses, grads = run_step(init_params(topo, 1), plan_steps(topo, parts, heads, weights), 0)
     digest.update(np.array([loss.total for loss in losses]).tobytes() + grads.tobytes())
 print(digest.hexdigest())
 """
@@ -732,8 +736,9 @@ print(digest.hexdigest())
 def test_group_pass_independent_of_blas_threads():
     # the largest tables a paper-scale run makes: a GEM step's, 160 rows in
     # four groups, and a dual step's, 320 rows in two groups of 160, one on
-    # each head. At 320 rows the trunk products are large enough for
-    # OpenBLAS to split them across threads
+    # each head, whose weighted losses share one gradient. At 320 rows the
+    # trunk products are large enough for OpenBLAS to split them across
+    # threads, and every shared layer's gradient is one product over them
     digests = child_digests(_GROUP_THREADS_CHILD)
     assert digests[0] == digests[1]
 

@@ -14,7 +14,7 @@ from lltts.errors import NumericError, UsageError
 from lltts import model, strategies
 from lltts.model import AdamState, Head, LossBreakdown, adam_step, init_params, loss_and_grad
 from lltts.samplers import Batch, Provenance, draw_balanced, draw_random
-from lltts.store import join_pools
+from lltts.store import SampleStore, join_pools
 from lltts.strategies import (
     FisherState,
     GemState,
@@ -30,6 +30,7 @@ from lltts.strategies import (
 )
 
 from conftest import CONFIGS, TINY, store_nbytes
+from test_model import REL_TOL
 
 
 def small_task(language_id=0, n_train=60, seed=5):
@@ -113,16 +114,16 @@ class TestEwc:
         plans = []
         plan_steps = strategies.plan_steps
 
-        def spy_plan(topology, parts, heads):
-            plans.append(([rows.tolist() for _, rows in parts], heads))
-            return plan_steps(topology, parts, heads)
+        def spy_plan(topology, parts, heads, weights):
+            plans.append(([rows.tolist() for _, rows in parts], heads, weights))
+            return plan_steps(topology, parts, heads, weights)
 
         monkeypatch.setattr(strategies, "plan_steps", spy_plan)
         fstate = ewc_consolidate(params, task, 100, np.random.default_rng(4))
         monkeypatch.undo()
         train = task.rows("train")
         rows = train[np.random.default_rng(4).choice(len(train), size=100, replace=False)]
-        assert plans == [([[row] for row in rows.tolist()], [Head.LBS])]
+        assert plans == [([[row] for row in rows.tolist()], [Head.LBS], [1.0])]
         expected = np.zeros_like(params.values)
         for row in rows:
             _, g = loss_and_grad(params, Batch.of_rows(task.store, np.array([row]), Provenance.LBS), Head.LBS)
@@ -189,7 +190,7 @@ def reference_state(params, buffer, batch_size, rng):
     strategy = StrategyConfig(StrategyKind.GEM, gem_memory_batch=batch_size)
     _, groups, hook = strategies._step_groups(strategy, small_task(), buffer, None, None, batch_size, rng)
     parts = [(batch.store, batch.rows) for batch in (draw() for weight, draw, _ in groups if weight is None)]
-    plan = strategies.plan_steps(params.topology, parts, [Head.LBS] * len(parts))
+    plan = strategies.plan_steps(params.topology, parts, [Head.LBS] * len(parts), [None] * len(parts))
     _, grads = strategies.run_step(params, plan, 0)
     states = []
     with pytest.MonkeyPatch.context() as mp:
@@ -249,18 +250,39 @@ class TestGemReferenceGrads:
         heads = []
         plan_steps = strategies.plan_steps
 
-        def spy_plan(topology, parts, step_heads):
-            heads.append(step_heads)
-            return plan_steps(topology, parts, step_heads)
+        def spy_plan(topology, parts, step_heads, weights):
+            heads.append((step_heads, weights))
+            return plan_steps(topology, parts, step_heads, weights)
 
         monkeypatch.setattr(strategies, "plan_steps", spy_plan)
         train_stage(StrategyConfig(StrategyKind.GEM), init_params(TINY, 0), small_task(),
                     MemoryBuffer(5, 0), None, StageConfig(epochs=2, batch_size=8), np.random.default_rng(0))
-        assert heads == [[Head.LBS]] * 2
+        assert heads == [([Head.LBS], [1.0])] * 2
 
 
 def no_call(*args):
     raise AssertionError("a training step called loss_and_grad")
+
+
+def spy_passes(monkeypatch):
+    """The list to which each model pass of a training step appends its
+    plan's heads and its groups' row counts."""
+    passes, sizes = [], {}
+    plan_steps, run_step = strategies.plan_steps, strategies.run_step
+
+    def spy_plan(topology, parts, heads, weights):
+        plan = plan_steps(topology, parts, heads, weights)
+        sizes[id(plan)] = [len(rows) for _, rows in parts]
+        return plan
+
+    def spy_pass(params, plan, step):
+        n = len(plan.heads)
+        passes.append((plan.heads, sizes[id(plan)][step * n : (step + 1) * n]))
+        return run_step(params, plan, step)
+
+    monkeypatch.setattr(strategies, "plan_steps", spy_plan)
+    monkeypatch.setattr(strategies, "run_step", spy_pass)
+    return passes
 
 
 def separate_gem_stage(params, ds_k, buffer, cfg, rng, memory_batch):
@@ -299,20 +321,15 @@ class TestGemStage:
         buffer.integrate_task(tasks[0])
         cfg = StageConfig(epochs=2, batch_size=8, lr=0.01)
         params = init_params(topology, 0)
-        seen, passes = [], []
-        project, run_step = strategies.gem_project, strategies.run_step
+        seen = []
+        project = strategies.gem_project
 
         def spy_project(g, gstate):
             seen.append((g.copy(), gstate.reference_grads.copy(), list(gstate.languages)))
             return project(g, gstate)
 
-        def spy_pass(params, plan, step):
-            n = len(plan.heads)
-            passes.append((plan.heads, plan.sizes[step * n : (step + 1) * n]))
-            return run_step(params, plan, step)
-
         monkeypatch.setattr(strategies, "gem_project", spy_project)
-        monkeypatch.setattr(strategies, "run_step", spy_pass)
+        passes = spy_passes(monkeypatch)
         monkeypatch.setattr(model, "loss_and_grad", no_call)
         rng = np.random.default_rng(3)
         strategy = StrategyConfig(StrategyKind.GEM, gem_memory_batch=4)
@@ -326,10 +343,30 @@ class TestGemStage:
         assert passes == [([Head.LBS] * 3, [8, 4, 4])] * len(seen)
         for (g, refs, langs), (want_g, want_refs, want_langs) in zip(seen, want_steps):
             assert langs == want_langs == [2, 0]
-            assert np.array_equal(g, want_g)  # the loop adds the step's gradient to zeros
+            assert np.array_equal(g, want_g)
             assert refs.tobytes() == want_refs.tobytes()
         assert result.final_params.values.tobytes() == want_params.values.tobytes()
         assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_stage_packs_the_buffered_rows_once(self, monkeypatch):
+        # the buffered languages' rows live in stores other than the task's:
+        # the stage joins them with the task's rows once, and no chunk's plan
+        # packs a sample again; the final parameters are the same bits
+        params, ds_k, buffer, cfg = three_language_stage()
+        packs = []
+        pack = SampleStore.pack.__func__
+
+        def spy_pack(cls, samples):
+            packs.append(len(samples))
+            return pack(cls, samples)
+
+        monkeypatch.setattr(SampleStore, "pack", classmethod(spy_pack))
+        strategy = StrategyConfig(StrategyKind.GEM, gem_memory_batch=4)
+        result = train_stage(strategy, params, ds_k, buffer, None, cfg, np.random.default_rng(3))
+        monkeypatch.undo()
+        want, _ = separate_gem_stage(params, ds_k, buffer, cfg, np.random.default_rng(3), 4)
+        assert len(packs) <= 1
+        assert result.final_params.values.tobytes() == want.values.tobytes()
 
 
 def separate_dual_stage(params, ds_k, buffer, cfg, rng, gamma, beta):
@@ -367,17 +404,12 @@ class TestDualStage:
 
     def test_one_pass_equals_separate_passes(self, monkeypatch):
         # one model pass a step, over the LBS and RRS batches as two groups;
-        # the final parameters and the rng stream are those of one pass per batch
+        # the rng stream is that of one pass per batch, and the final
+        # parameters are too, to REL_TOL of the largest entry: each shared
+        # layer's gradient is one product over both batches' rows, so it sums
+        # in another order than gamma * g_lbs + beta * g_rrs
         params, ds_k, buffer, cfg = self._stage()
-        passes = []
-        run_step = strategies.run_step
-
-        def spy_pass(params, plan, step):
-            n = len(plan.heads)
-            passes.append((plan.heads, plan.sizes[step * n : (step + 1) * n]))
-            return run_step(params, plan, step)
-
-        monkeypatch.setattr(strategies, "run_step", spy_pass)
+        passes = spy_passes(monkeypatch)
         monkeypatch.setattr(model, "loss_and_grad", no_call)
         rng = np.random.default_rng(3)
         strategy = StrategyConfig(StrategyKind.REPLAY_DUAL, gamma=0.5, beta=1.0)
@@ -388,7 +420,8 @@ class TestDualStage:
         want_params = separate_dual_stage(params, ds_k, buffer, cfg, want_rng, 0.5, 1.0)
         steps = 2 * ((60 + 12) // 8)
         assert passes == [([Head.LBS, Head.RRS], [8, 8])] * steps
-        assert result.final_params.values.tobytes() == want_params.values.tobytes()
+        got, want = result.final_params.values, want_params.values
+        assert np.max(np.abs(got - want)) <= REL_TOL * np.max(np.abs(want))
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_zero_weights_are_a_no_op_step(self):
@@ -400,6 +433,81 @@ class TestDualStage:
         result = train_stage(strategy, params, ds_k, buffer, None, cfg, rng)
         assert result.final_params.values.tobytes() == params.values.tobytes()
         assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
+
+def dual_step_parts():
+    """The parameters and the (store, rows) parts of a dual step's LBS and
+    RRS batches at the last of three_language_stage's stages."""
+    params, ds_k, buffer, _ = three_language_stage()
+    pool, rng = merge_replay(ds_k, buffer), np.random.default_rng(3)
+    batches = [draw_balanced(pool, 8, rng), draw_random(pool, 8, rng, Provenance.RRS)]
+    params.values[:] += 0.1 * rng.standard_normal(len(params.values))
+    return params, [(batch.store, batch.rows) for batch in batches]
+
+
+class TestFoldedWeights:
+    DUAL = [Head.LBS, Head.RRS]
+
+    @pytest.mark.parametrize("weight", [1.0, 0.5, 2.0, 2.0**-7])
+    def test_power_of_two_weight_scales_the_plan_bitwise(self, weight):
+        # W, S and the sum of w |t|^2 of a group of weight 2^k are those of
+        # the group of weight None, times 2^k, bit for bit; the other group
+        # keeps its own
+        params, parts = dual_step_parts()
+        alone = strategies.plan_steps(params.topology, parts, self.DUAL, [None, None])
+        plan = strategies.plan_steps(params.topology, parts, self.DUAL, [weight, 1.0])
+        a = plan.bounds[1]
+        assert plan.bounds == alone.bounds
+        for name in ("w_sum", "s_sum"):
+            got, want = getattr(plan, name), getattr(alone, name)
+            assert got[:a].tobytes() == (weight * want[:a]).tobytes()
+            assert got[a:].tobytes() == want[a:].tobytes()
+        assert plan.t_sq.tobytes() == (np.array([weight, 1.0]) * alone.t_sq).tobytes()
+
+    def test_one_gradient_is_the_weighted_sum_of_separate_passes(self):
+        # gamma = 0.3 and beta = 0.7, which round when folded: one output,
+        # gamma * g_lbs + beta * g_rrs to REL_TOL of the largest entry, and
+        # each group's weighted loss
+        params, parts = dual_step_parts()
+        plan = strategies.plan_steps(params.topology, parts, self.DUAL, [0.3, 0.7])
+        losses, grads = strategies.run_step(params, plan, 0)
+        assert grads.shape == (1, len(params.values)) and len(losses) == 2
+        want = np.zeros_like(params.values)
+        for loss, weight, (store, rows), head in zip(losses, [0.3, 0.7], parts, self.DUAL):
+            want_loss, grad = loss_and_grad(params, Batch.of_rows(store, rows, Provenance.LBS), head)
+            want += weight * grad
+            assert loss.total == pytest.approx(weight * want_loss.total, rel=REL_TOL, abs=0)
+        assert np.max(np.abs(grads[0] - want)) <= REL_TOL * np.max(np.abs(want))
+
+    def test_gem_reference_outputs_are_their_groups_planned_alone(self):
+        # a GEM step's batch is output 0 and each reference batch the next:
+        # each output is, bit for bit, the gradient of its group planned alone
+        params, ds_k, buffer, cfg = three_language_stage()
+        strategy = StrategyConfig(StrategyKind.GEM, gem_memory_batch=4)
+        _, groups, _ = strategies._step_groups(
+            strategy, ds_k, buffer, None, [ds_k], cfg.batch_size, np.random.default_rng(3)
+        )
+        parts = [(batch.store, batch.rows) for batch in (draw() for _, draw, _ in groups)]
+        weights = [weight for weight, *_ in groups]
+        assert weights == [1.0, None, None]
+        plan = strategies.plan_steps(params.topology, parts, [Head.LBS] * 3, weights)
+        _, grads = strategies.run_step(params, plan, 0)
+        assert grads.shape == (3, len(params.values))
+        for grad, part in zip(grads, parts, strict=True):
+            alone = strategies.plan_steps(params.topology, [part], [Head.LBS], [None])
+            assert grad.tobytes() == strategies.run_step(params, alone, 0)[1][0].tobytes()
+
+    @pytest.mark.parametrize("heads, weights", [
+        ([Head.LBS, Head.LBS], [None, 1.0]),
+        ([Head.LBS, Head.RRS, Head.LBS], [1.0, 1.0, 1.0]),
+    ], ids=["weighted_after_none", "head_split_in_the_sum"])
+    def test_weights_out_of_order_raise(self, heads, weights):
+        # the weighted groups come first, each head's consecutive, so that
+        # each head's gradient of output 0 is one product
+        params, parts = dual_step_parts()
+        parts = (parts * 2)[: len(heads)]
+        with pytest.raises(UsageError, match="weighted groups must come first"):
+            strategies.plan_steps(params.topology, parts, heads, weights)
 
 
 # a chunk budget of 4 steps of 16 rows of at most 5 tokens (small_task's lengths)
@@ -427,22 +535,24 @@ class TestChunkedPlans:
         chunks = []
         plan_steps = strategies.plan_steps
 
-        def spy_plan(topology, parts, heads):
-            chunks.append((parts, len(parts) // len(heads), plan_steps(topology, parts, heads)))
-            return chunks[-1][2]
+        def spy_plan(topology, parts, heads, weights):
+            plan = plan_steps(topology, parts, heads, weights)
+            chunks.append((parts, len(parts) // len(heads), weights, plan))
+            return plan
 
         monkeypatch.setattr(strategies, "_CHUNK_POSITIONS", budget)
         monkeypatch.setattr(strategies, "plan_steps", spy_plan)
         strategy = StrategyConfig(kind, gem_memory_batch=4)
         train_stage(strategy, params, ds_k, buffer, None, cfg, np.random.default_rng(3))
         monkeypatch.undo()
-        assert [steps for _, steps, _ in chunks] == self.CHUNKS[kind, budget]
+        assert [steps for _, steps, *_ in chunks] == self.CHUNKS[kind, budget]
 
         params.values[:] += 0.1 * np.random.default_rng(1).standard_normal(len(params.values))
-        for parts, steps, plan in chunks:
+        for parts, steps, weights, plan in chunks:
             n_groups = len(plan.heads)
             for k in range(steps):
-                alone = plan_steps(params.topology, parts[k * n_groups : (k + 1) * n_groups], plan.heads)
+                step_parts = parts[k * n_groups : (k + 1) * n_groups]
+                alone = plan_steps(params.topology, step_parts, plan.heads, weights)
                 a, b = plan.bounds[k * n_groups], plan.bounds[(k + 1) * n_groups]
                 assert [x - a for x in plan.bounds[k * n_groups : (k + 1) * n_groups + 1]] == alone.bounds
                 for name in ("tokens", "langs", "w_sum", "s_sum", "emb_rows"):
@@ -462,9 +572,9 @@ class TestChunkedPlans:
         drawn = []
         plan_steps = strategies.plan_steps
 
-        def spy_plan(topology, parts, heads):
+        def spy_plan(topology, parts, heads, weights):
             drawn.extend(rows for _, rows in parts)
-            return plan_steps(topology, parts, heads)
+            return plan_steps(topology, parts, heads, weights)
 
         monkeypatch.setattr(strategies, "_CHUNK_POSITIONS", budget)
         monkeypatch.setattr(strategies, "plan_steps", spy_plan)
@@ -542,20 +652,24 @@ def step_peak(step, topology):
 @pytest.mark.parametrize("profile, bound", [("desk", 400_000), ("paper_scale", 1_000_000)])
 def test_dual_step_peak_memory(profile, bound):
     # the heap of one dual step at the last stage: its two draws, the one
-    # model pass over the LBS and RRS batches and Adam. Measured 266-274 and
-    # 689-738 kB; two separate passes peaked at 154-160 and 455-462 kB, and
-    # a paper-scale pass over padded positions at 3.44 MB
+    # model pass over the LBS and RRS batches, which gives the one gradient
+    # of the weighted sum, and Adam. Measured 151-171 and 349-397 kB (374-422
+    # kB with a gradient per batch, summed in the loop; 266-274 and 689-738
+    # kB before the step wrote into a plan's buffer); two separate passes
+    # peaked at 154-160 and 455-462 kB, and a paper-scale pass over padded
+    # positions at 3.44 MB
     cfg, tasks, buffer = last_stage(profile, "replay_dual")
     pool = merge_replay(tasks[-1], buffer)
     rng = np.random.default_rng(0)
-    gamma, beta = cfg.strategy.gamma, cfg.strategy.beta
+    weights = [cfg.strategy.gamma, cfg.strategy.beta]
 
     def step(opt, params):
         batches = [draw_balanced(pool, cfg.batch_size, rng),
                    draw_random(pool, cfg.batch_size, rng, Provenance.RRS)]
         parts = [(batch.store, batch.rows) for batch in batches]
-        _, grads = strategies.run_step(params, strategies.plan_steps(cfg.topology, parts, [Head.LBS, Head.RRS]), 0)
-        return adam_step(opt, params, gamma * grads[0] + beta * grads[1])
+        plan = strategies.plan_steps(cfg.topology, parts, [Head.LBS, Head.RRS], weights)
+        _, grads = strategies.run_step(params, plan, 0)
+        return adam_step(opt, params, grads[0])
 
     assert step_peak(step, cfg.topology) <= bound
 
@@ -569,10 +683,11 @@ def test_gem_step_peak_memory(profile, bound):
     cfg, tasks, buffer = last_stage(profile, "gem")
     rng = np.random.default_rng(0)
     _, groups, hook = strategies._step_groups(cfg.strategy, tasks[-1], buffer, None, tasks, cfg.batch_size, rng)
+    weights = [weight for weight, *_ in groups]
 
     def step(opt, params):
         parts = [(batch.store, batch.rows) for batch in (draw() for _, draw, _ in groups)]
-        plan = strategies.plan_steps(cfg.topology, parts, [Head.LBS] * len(parts))
+        plan = strategies.plan_steps(cfg.topology, parts, [Head.LBS] * len(parts), weights)
         _, grads = strategies.run_step(params, plan, 0)
         return adam_step(opt, params, hook(params, grads, 0.0, grads[0])[1])
 
@@ -596,7 +711,7 @@ def test_chunk_steps_leave_no_blocks_behind():
             batches = [draw_balanced(pool, cfg.batch_size, rng),
                        draw_random(pool, cfg.batch_size, rng, Provenance.RRS)]
             parts += [(batch.store, batch.rows) for batch in batches]
-        plan = strategies.plan_steps(cfg.topology, parts, [Head.LBS, Head.RRS])
+        plan = strategies.plan_steps(cfg.topology, parts, [Head.LBS, Head.RRS], [0.5, 1.0])
         for k in range(steps):
             strategies.run_step(params, plan, k)
 
@@ -616,7 +731,7 @@ def test_gem_chunk_plan_peak_memory():
     cfg, tasks, buffer = last_stage("paper_scale", "gem")
     rng = np.random.default_rng(0)
     pool, groups, _ = strategies._step_groups(cfg.strategy, tasks[-1], buffer, None, tasks, cfg.batch_size, rng)
-    heads = [Head.LBS] * len(groups)
+    heads, weights = [Head.LBS] * len(groups), [weight for weight, *_ in groups]
     memory_batch = cfg.strategy.gem_memory_batch
     sizes = [cfg.batch_size] + [min(memory_batch, len(rows)) for rows in buffer.rows.values()]
     steps = strategies._CHUNK_POSITIONS // (int(pool.store.lengths.max()) * sum(sizes))
@@ -625,10 +740,10 @@ def test_gem_chunk_plan_peak_memory():
     for _ in range(steps):
         parts += [(batch.store, batch.rows) for batch in (draw() for _, draw, _ in groups)]
     assert [len(rows) for _, rows in parts] == sizes * steps
-    strategies.plan_steps(cfg.topology, parts, heads)  # checks the store's ids
+    strategies.plan_steps(cfg.topology, parts, heads, weights)  # checks the store's ids
     tracemalloc.start()
     try:
-        strategies.plan_steps(cfg.topology, parts, heads)
+        strategies.plan_steps(cfg.topology, parts, heads, weights)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
