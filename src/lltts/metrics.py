@@ -43,13 +43,16 @@ def sample_mcds(params, samples) -> np.ndarray:
     `samples` is a Batch, or a list of samples, which is packed into one.
     """
     batch = samples if isinstance(samples, Batch) else Batch(samples, Provenance.LBS)
-    _, y_post, idx, pos, lengths = _predict(params, batch, Head.LBS)
+    _, y_post, keys, pos, lengths = _predict(params, batch, Head.LBS)
     targets = batch.store.frames.take(pos, axis=0)
-    per_frame = np.sqrt(2.0 * np.sum((targets - y_post.take(idx, axis=0)) ** 2, axis=-1))
-    # a mean over each sample's own frames sums them as `mcd` does; np.add.reduceat
-    # groups them differently
-    ends = np.cumsum(lengths).tolist()
-    means = np.array([per_frame[a:b].mean() for a, b in zip([0, *ends], ends)])
+    per_frame = np.sqrt(2.0 * np.sum((targets - y_post.take(keys, axis=0)) ** 2, axis=-1))
+    # the samples of one length at once: a sum over each sample's own frames
+    # adds them as `mcd`'s mean does (np.add.reduceat groups them differently)
+    starts = np.cumsum(lengths) - lengths
+    means = np.empty(len(lengths))
+    for t in np.flatnonzero(np.bincount(lengths)).tolist():
+        ids = np.flatnonzero(lengths == t)
+        means[ids] = per_frame[starts[ids, None] + np.arange(t)].sum(axis=1) / t
     return MCD_CONST * means
 
 

@@ -6,18 +6,18 @@ heads -> residual post net. The trunk and post net are shared between
 heads; a batch's gradient is zero on the head it does not use.
 
 A position's activations depend only on its (token, language) pair, so the
-forward, the backward and evaluation run over a table of the batch's
-distinct pairs (at most 40 rows for a one-language paper-scale batch of
-about 800 positions) and never over padded positions. Several batches can
-share one pass as groups of one table, each on its own head: a dual step's
-LBS and RRS batches, whose weighted losses share one gradient, or a GEM
-step's batch and its reference batches, each with a gradient of its own.
+forward, the backward and evaluation run over a table of pairs
+(`pairs.Layout`), never over positions: the encoder over the vocabulary, the
+rest over a block of `vocab_size` rows for each language a group can draw.
+Several batches share one pass as groups of one table, each on its own head:
+a dual step's LBS and RRS batches, whose weighted losses share one gradient,
+or a GEM step's batch and its reference batches, each with its own.
 
 Every gradient is taken from a plan of the tables of a chunk of steps
-(`pairs.plan_steps`), with each pair's summed loss weights W and weighted
+(`pairs.plan_steps`), with each row's summed loss weights W and weighted
 targets S (its group's weight folded in), and each group's sum of w·|t|².
-`run_step` runs one step over its block of pairs: the gradient at a pair's
-output y is 2 (W y − S), and a group's loss is Σ_p (W_p·|y_p|² − 2·y_p·S_p)
+`run_step` runs one step over its table: the gradient at a row's output y
+is 2 (W y − S), and a group's loss is Σ_p (W_p·|y_p|² − 2·y_p·S_p)
 + Σ_i w_i·|t_i|², so no step touches a per-position array.
 """
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .pairs import PairPlan, _gather_pairs, plan_steps
+from .pairs import Layout, PairPlan, _positions, plan_steps
 from .samplers import Batch, Provenance
 
 
@@ -140,45 +140,39 @@ def _affine(x, weight, bias, tanh: bool, out=None):
     return np.tanh(out, out=out) if tanh else out
 
 
-def _forward_pairs(w: _Weights, topology: ModelTopology, pair_tokens, pair_langs, runs):
-    """Every activation of the pair table, with the table rows of each (head,
-    rows, ...) of `runs` through that head: each (pairs, ·), but for the pre- and
-    post-net frames, the rows of one (2, pairs, frame_dim) array y."""
-    e = w.emb[pair_tokens]
-    # the trunk's input: h, then the language one-hot; h is a view of it
-    n_pairs, n_h = len(e), topology.encoder_hidden
-    z = np.zeros((n_pairs, n_h + topology.num_languages))
-    z[:, :n_h] = _affine(e, w.w_enc, w.b_enc, tanh=True)
-    h = z[:, :n_h]
-    z[np.arange(n_pairs), n_h + pair_langs] = 1.0
+def _forward(w: _Weights, layout: Layout):
+    """Every activation of the layout's table: the encoder's h (vocab_size,
+    ·), the trunk input z (the layout's, h then the language one-hot), u
+    (rows, ·), the pre- and post-net frames y (2, rows, frame_dim) and q."""
+    topology, z = layout.topology, layout.z
+    h = _affine(w.emb, w.w_enc, w.b_enc, tanh=True)
+    z.reshape(-1, topology.vocab_size, z.shape[1])[..., : topology.encoder_hidden] = h
     u = _affine(z, w.w_trunk, w.b_trunk, tanh=True)
-    y = np.empty((2, n_pairs, topology.frame_dim))
+    y = np.empty((2, layout.n_rows, topology.frame_dim))
     y_pre, y_post = y
-    for head, rows, *_ in runs:
+    for head, rows in layout.runs:
         _affine(u[rows], *w.heads[head], tanh=False, out=y_pre[rows])
     q = _affine(y_pre, w.w_p1, w.b_p1, tanh=True)
     np.dot(q, w.w_p2.T, out=y_post)
     y_post += y_pre
     y_post += w.b_p2
-    return e, h, z, u, y, q
+    return h, z, u, y, q
 
 
 def _predict(params: ParameterSet, batch, head: Head):
-    """The pair table's pre- and post-net frames, with each position's row of
-    the table and index into the store, and each sample's length."""
-    topology = params.topology
-    pair_tokens, pair_langs, idx, pos, lengths, _ = _gather_pairs(topology, batch, [len(batch.rows)])
-    *_, (y_pre, y_post), _ = _forward_pairs(
-        params.weights, topology, pair_tokens, pair_langs, [(head, slice(None))]
-    )
-    return y_pre, y_post, idx, pos, lengths
+    """The pre- and post-net frames of the table of the batch's languages
+    on `head`, with each position's row of the table and index into the
+    store, and each sample's length."""
+    layout = Layout.of_batch(params.topology, batch.store, batch.rows, head, None)
+    *_, (y_pre, y_post), _ = _forward(params.weights, layout)
+    return (y_pre, y_post, *_positions(layout, batch.store, batch.rows, [len(batch.rows)]))
 
 
 def forward(params: ParameterSet, batch, head: Head):
     """Predicted frames per sample: (pre-postnet list, post-postnet list)."""
-    y_pre, y_post, idx, _, lengths = _predict(params, batch, head)
+    y_pre, y_post, keys, _, lengths = _predict(params, batch, head)
     bounds = np.cumsum(lengths[:-1])
-    return np.split(y_pre.take(idx, axis=0), bounds), np.split(y_post.take(idx, axis=0), bounds)
+    return np.split(y_pre.take(keys, axis=0), bounds), np.split(y_post.take(keys, axis=0), bounds)
 
 
 @dataclass
@@ -191,73 +185,66 @@ class LossBreakdown:
         return self.pre_postnet_mse + self.post_postnet_mse
 
 
-def _scatter_rows(rows, values, n_rows: int):
-    """An (n_rows, K) array whose row r is the sum of the values[i] with rows[i] == r."""
-    k = values.shape[1]
-    slots = (rows[:, None] * k + np.arange(k)).reshape(-1)
-    return np.bincount(slots, weights=values.reshape(-1), minlength=n_rows * k).reshape(n_rows, k)
-
-
-def _block_grads(g_weight, g_bias, d, x, blocks):
-    """The weight and bias gradient of each (output, a, b) of `blocks`,
-    d.T @ x and the sum of d over table rows a to b, written into its views."""
-    for o, a, b in blocks:
-        np.add.reduce(d[a:b], axis=0, out=g_bias[o])
-        np.dot(d[a:b].T, x[a:b], out=g_weight[o])
+def _grads(g_weight, g_bias, d, x):
+    """Each output's weight gradient d.T @ x and bias gradient, the sum of d over
+    its rows, into their views: d is (outputs, rows, ·), x that or (rows, ·)."""
+    np.add.reduce(d, axis=1, out=g_bias)
+    np.matmul(d.transpose(0, 2, 1), x, out=g_weight)
 
 
 def run_step(params: ParameterSet, plan: PairPlan, step: int):
     """The weighted loss of each group of step `step` of `plan` and the
-    gradient of each output, from one model pass over the step's block of the
-    table: a LossBreakdown per group and an (outputs, n_params) array.
+    gradient of each output, from one model pass over the step's table: a
+    LossBreakdown per group and an (outputs, n_params) array.
 
-    The gradients are the plan's buffer, which the plan's next step
-    overwrites. The backward runs once over the block; each output's weight
-    and bias gradients are products over its rows, and the embedding
-    gradient is scattered by (output, token). Each run of consecutive groups
-    on one head takes one head product each way.
+    The gradients are the layout's buffer, which its next step overwrites.
+    Each layer's weight and bias gradients are one product and one sum over
+    an (outputs, rows, ·) view (a head's over its runs' rows, outputs that run
+    alike at once); the encoder's sum each output's rows of a token first.
     """
-    topology, n_groups = params.topology, len(plan.heads)
-    a, b, bounds, blocks, runs = plan.steps[step]
-    w = params.weights
-    e, _, z, u, y, q = _forward_pairs(w, topology, plan.tokens[a:b], plan.langs[a:b], runs)
-    s_sum = plan.s_sum[a:b]
-    # W y - S at the pairs' pre- and post-net outputs, where the gradient is twice it
-    d = plan.w_sum[a:b] * y
+    layout, topology, w = plan.layout, params.topology, params.weights
+    n_groups, n_out, n_rows = len(layout.heads), layout.n_outputs, layout.n_rows
+    rows = slice(step * n_rows, (step + 1) * n_rows)
+    h, z, u, y, q = _forward(w, layout)
+    s_sum = plan.s_sum[rows]
+    # W y - S at the rows' pre- and post-net outputs, where the gradient is twice it
+    d = plan.w_sum[rows] * y
     d -= s_sum
-    # each group's loss: its pairs' W |y|^2 - 2 y.S, plus its sum of w |t|^2
-    sums = np.add.reduceat((y * (d - s_sum)).sum(axis=2), bounds[:-1], axis=1)
+    # each group's loss: its rows' W |y|^2 - 2 y.S, plus its sum of w |t|^2
+    sums = np.add.reduceat((y * (d - s_sum)).sum(axis=2), layout.group_rows, axis=1)
     pre, post = (sums + plan.t_sq[step * n_groups : (step + 1) * n_groups]).tolist()
     losses = [LossBreakdown(*m) for m in zip(pre, post)]
 
-    if plan.grads is None:
-        grads = np.zeros((len(blocks), len(params.values)))
-        plan.grads = grads, _Weights(topology, grads)
-    grads, g = plan.grads
+    if layout.grads is None:
+        grads = np.zeros((n_out, len(params.values)))
+        layout.grads = grads, _Weights(topology, grads)
+    grads, g = layout.grads
+    outs = lambda x: x.reshape(n_out, layout.width, x.shape[-1])  # an (outputs, rows, ·) view
     dy_pre, g_post = np.multiply(d, 2.0, out=d)
-    _block_grads(g.w_p2, g.b_p2, g_post, q, blocks)
+    _grads(g.w_p2, g.b_p2, outs(g_post), outs(q))
     ds1 = np.dot(g_post, w.w_p2)
     # tanh's derivative 1 - a^2 at its output a, in a's buffer once a is read
     ds1 *= np.subtract(1.0, np.square(q, out=q), out=q)
-    _block_grads(g.w_p1, g.b_p1, ds1, y[0], blocks)
+    _grads(g.w_p1, g.b_p1, outs(ds1), outs(y[0]))
     # 2 (W y_pre - S) + g_post + ds1 @ w_p1, in d's buffer
     dy_pre += g_post
     dy_pre += np.dot(ds1, w.w_p1)
     del y, q, ds1  # read; freed before the step's heap peaks
     da_tr = np.empty_like(u)
-    for head, rows, pieces in runs:
-        _block_grads(*g.heads[head], dy_pre, u, pieces)
-        np.dot(dy_pre[rows], w.heads[head][0], out=da_tr[rows])
+    for head, head_rows in layout.runs:
+        np.dot(dy_pre[head_rows], w.heads[head][0], out=da_tr[head_rows])
+    for head, oa, ob, span in layout.pieces:
+        g_weight, g_bias = g.heads[head]
+        _grads(g_weight[oa:ob], g_bias[oa:ob], outs(dy_pre)[oa:ob, span], outs(u)[oa:ob, span])
     da_tr *= np.subtract(1.0, np.square(u, out=u), out=u)
     del d, dy_pre, g_post, u
-    _block_grads(g.w_trunk, g.b_trunk, da_tr, z, blocks)
-    da_enc = np.dot(da_tr, w.w_trunk[:, : topology.encoder_hidden])
-    # 1 - h^2 in all of z, h's columns and the rest: on h, a strided view, ufuncs buffer
-    da_enc *= np.subtract(1.0, np.square(z, out=z), out=z)[:, : topology.encoder_hidden]
-    _block_grads(g.w_enc, g.b_enc, da_enc, e, blocks)
-    de = np.dot(da_enc, w.w_enc, out=e)  # e is read
-    de = _scatter_rows(plan.emb_rows[a:b], de, len(blocks) * topology.vocab_size)
-    g.emb[...] = de.reshape(g.emb.shape)
+    _grads(g.w_trunk, g.b_trunk, outs(da_tr), outs(z))
+    # each output's trunk input gradient at h, its blocks of a token summed
+    da_h = da_tr.reshape(n_out, -1, topology.vocab_size, da_tr.shape[1]).sum(axis=1)
+    da_enc = np.matmul(da_h, w.w_trunk[:, : topology.encoder_hidden])
+    da_enc *= np.subtract(1.0, np.square(h, out=h), out=h)
+    _grads(g.w_enc, g.b_enc, da_enc, w.emb)
+    np.matmul(da_enc, w.w_enc, out=g.emb)
     return losses, grads
 
 
@@ -268,8 +255,8 @@ def loss_and_grad(params: ParameterSet, batch, head: Head):
     batch loss averages over samples. The unselected head's gradient
     segment stays zero. The plan of one step of one group, run.
     """
-    plan = plan_steps(params.topology, [(batch.store, batch.rows)], [head], [1.0])
-    losses, grads = run_step(params, plan, 0)
+    layout = Layout.of_batch(params.topology, batch.store, batch.rows, head, 1.0)
+    losses, grads = run_step(params, plan_steps(layout, [(batch.store, batch.rows)]), 0)
     return losses[0], grads[0]
 
 

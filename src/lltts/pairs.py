@@ -1,10 +1,12 @@
 """Pair tables: the half of a model pass that reads no parameter.
 
-A position's activations depend only on its (token, language) pair, so a
-model pass runs over a table of its batch's distinct pairs. `plan_steps`
-builds the tables of a chunk of consecutive steps at once (training steps,
-EWC's Fisher samples or `model.loss_and_grad`'s one batch), with all that
-their passes need of the targets; `model.run_step` runs one step.
+A position's activations depend only on its (token, language) pair. A
+`Layout` fixes the table of pairs once for every step of a stage: its rows
+are (output, head, language block, token), `vocab_size` rows a block in
+token order, each group's blocks the languages it can draw, and every output
+as many rows (an output of fewer blocks is padded with blocks no position
+reaches). `plan_steps` sums the positions of a chunk of steps into their
+steps' tables by bincount; `model.run_step` runs one step.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InputDomainError, UsageError
-from .samplers import Batch, Provenance
 from .store import join_rows
 
 if TYPE_CHECKING:  # model imports this module
@@ -53,122 +54,126 @@ def _check_rows(topology: ModelTopology, store, rows, period: int) -> None:
             )
 
 
-def _gather_pairs(topology: ModelTopology, batch, sizes, period: int | None = None):
-    """The batch's valid positions, flat in batch order, as rows of a table of
-    the distinct (token, language) pairs of each group of `sizes` consecutive
-    batch rows.
-
-    A pair's key is (group * vocab_size + token) * num_languages + language,
-    so each group's pairs are one block of the table, as its rows alone would
-    give it. An input error names its sample by its position in its step of
-    `period` rows, the whole batch by default. Returns each pair's token and
-    language, each position's row of the table and index into the store, each
-    sample's length and each pair's key.
+class Layout:
+    """The pair table of every step of a stage, whose group g is on heads[g],
+    of loss weight weights[g], and draws the languages languages[g]. The
+    weighted groups come first, those of a head consecutive: their summed
+    loss is output 0; each group of weight None is an output of its own.
+    Holds the trunk input z, whose language one-hot columns it writes once,
+    and the gradient buffer that `model.run_step` makes once and overwrites.
     """
-    store, rows = batch.store, batch.rows
-    _check_rows(topology, store, rows, period or len(rows))
+
+    def __init__(self, topology: ModelTopology, heads, weights, languages):
+        n_groups = len(heads)
+        n_sum = len(weights) - weights.count(None)
+        if None in weights[:n_sum] or heads[:n_sum] != sorted(heads[:n_sum], key=heads.index):
+            raise UsageError("the weighted groups must come first, those of a head consecutive")
+        self.topology, self.heads, self.weights = topology, list(heads), list(weights)
+        outs = list(itertools.pairwise([0, *range(max(1, n_sum), n_groups + 1)]))
+        blocks = [sorted(set(langs)) for langs in languages]
+        if bad := sorted({lang for b in blocks for lang in b} - set(range(topology.num_languages))):
+            raise InputDomainError(f"language id {bad[0]} out of range [0, {topology.num_languages})")
+        n_blocks = max(sum(len(blocks[g]) for g in range(a, b)) for a, b in outs)  # the widest's
+        self.n_outputs, self.width = len(outs), n_blocks * topology.vocab_size  # every output's rows
+        self.n_rows, vocab = len(outs) * self.width, topology.vocab_size
+        # the first row of group g's block of each language; -1 where it has none
+        self.base = np.full((n_groups, topology.num_languages), -1, dtype=np.intp)
+        block_langs, self.group_rows = [], []
+        for o, (a, b) in enumerate(outs):
+            for g in range(a, b):
+                self.group_rows.append(len(block_langs) * vocab)
+                self.base[g, blocks[g]] = (len(block_langs) + np.arange(len(blocks[g]))) * vocab
+                block_langs += blocks[g]
+            # padding: blocks of the output's last language, on its last group's head
+            block_langs += block_langs[-1:] * ((o + 1) * n_blocks - len(block_langs))
+        # the runs of consecutive groups on one head (rows), and the backward's head
+        # products: a run's rows in each output, over consecutive outputs alike
+        firsts = [g for g in range(n_groups) if g == 0 or heads[g] is not heads[g - 1]]
+        bounds = [self.group_rows[g] for g in firsts] + [self.n_rows]
+        self.runs = [(heads[g], slice(*rows)) for g, rows in zip(firsts, itertools.pairwise(bounds))]
+        self.pieces = []  # [head, first output, end output, rows of each]
+        for head, rows in self.runs:
+            for o in range(rows.start // self.width, -(-rows.stop // self.width)):
+                span = slice(max(rows.start - o * self.width, 0), min(rows.stop - o * self.width, self.width))
+                if self.pieces and self.pieces[-1][0] is head and self.pieces[-1][2:] == [o, span]:
+                    self.pieces[-1][2] = o + 1
+                else:
+                    self.pieces.append([head, o, o + 1, span])
+        self.z = np.zeros((self.n_rows, topology.encoder_hidden + topology.num_languages))
+        self.z[np.arange(self.n_rows), topology.encoder_hidden + np.repeat(block_langs, vocab)] = 1.0
+        self.grads = None
+
+    @classmethod
+    def of_batch(cls, topology: ModelTopology, store, rows, head, weight) -> Layout:
+        """The layout of one group, the store's `rows`, whose blocks are the
+        languages they hold."""
+        _check_rows(topology, store, rows, len(rows))
+        return cls(topology, [head], [weight], [store.langs[rows].tolist()])
+
+
+def _positions(layout: Layout, store, rows, sizes):
+    """Each position of the store's `rows`, whose `sizes` parts are the layout's
+    groups step after step: its row of the chunk's tables (its step's first +
+    its group's block of its language + its token) and index into the store."""
+    n_groups = len(layout.heads)
     lengths = store.lengths[rows]
     ends = np.cumsum(lengths)
-    # each position's index into the store
     pos = np.repeat(store.starts[rows] - (ends - lengths), lengths)
     pos += np.arange(ends[-1])
-    n_lang = topology.num_languages
-    span = topology.vocab_size * n_lang
-    # each row's group offset and language, the part of its keys past the token
-    offsets = np.repeat(np.arange(len(sizes)) * span, sizes)
-    offsets += store.langs[rows]
-    keys = np.multiply(store.tokens[pos], n_lang, dtype=np.intp)
-    keys += np.repeat(offsets, lengths)
-    # slot[key] is 1 for each key present, then the key's row in the table
-    slot = np.zeros(len(sizes) * span, dtype=np.intp)
-    slot[keys] = 1
-    pairs = np.flatnonzero(slot)
-    slot[pairs] = np.arange(len(pairs))
-    pair_tokens, pair_langs = np.divmod(pairs % span, n_lang)
-    return pair_tokens, pair_langs, slot[keys], pos, lengths, pairs
+    part = np.arange(len(sizes))
+    first = layout.base[np.repeat(part % n_groups, sizes), store.langs[rows]]
+    if first.min() < 0:
+        raise UsageError("a group drew a language of which its layout has no block")
+    first += np.repeat(part // n_groups * layout.n_rows, sizes)
+    keys = np.repeat(first, lengths)
+    keys += store.tokens[pos]
+    return keys, pos, lengths
 
 
 @dataclass
 class PairPlan:
-    """What the passes of a chunk of steps need of their batches: a step's
-    group heads; per pair of the table, its token, language, summed loss
-    weights W (pairs, 1), weighted targets S (pairs, frame_dim) and embedding
-    row in its step; per group, its sum of w * |t|^2 and first table row
-    (`bounds` ends with P); per step, the (a, b, bounds, blocks, runs) of
-    `model.run_step`, which sets `grads`: the (outputs, n_params) buffer all
-    steps overwrite, and its views."""
+    """What the passes of a chunk of steps need of their batches, step after
+    step: each table row's summed loss weights W (rows, 1) and weighted
+    targets S (rows, frame_dim), and each group's sum of w * |t|^2."""
 
-    heads: list
-    tokens: np.ndarray
-    langs: np.ndarray
+    layout: Layout
     w_sum: np.ndarray
     s_sum: np.ndarray
-    emb_rows: np.ndarray
     t_sq: np.ndarray
-    bounds: list
-    steps: list
-    grads: tuple | None = None
 
 
-def plan_steps(topology: ModelTopology, parts, heads, weights) -> PairPlan:
+def plan_steps(layout: Layout, parts) -> PairPlan:
     """The PairPlan of the steps whose groups' batches are the (store, rows)
-    parts, step after step, group g of each step on heads[g] with loss weight
-    weights[g]: the weighted groups first, whose summed loss is a step's
-    output 0, then the groups of weight None, each an output of its own.
+    parts, step after step, group g of each step that of the layout.
 
-    Its table is the grouped table of all the steps' groups, so each step's
-    pairs are one block, as its parts alone would give them. A position's
-    loss weight is w = weight / (n_g * T_i * frame_dim); W and S sum the
-    pair's positions in batch order, as a step planned alone sums them, and
-    a group's sum of w * |t|^2 sums its rows' w * (the store's Σ|t|^2).
-    """
+    A position's loss weight is w = weight / (n_g * T_i * frame_dim); W and
+    S sum a row's positions in batch order, as a step planned alone sums
+    them, and a group's sum of w * |t|^2 sums its rows' w * (their Σ|t|^2)."""
+    topology, n_groups = layout.topology, len(layout.heads)
     sizes = [len(rows) for _, rows in parts]
-    n_groups = len(heads)
-    n_sum = len(weights) - weights.count(None)
-    if None in weights[:n_sum] or heads[:n_sum] != sorted(heads[:n_sum], key=heads.index):
-        raise UsageError("the weighted groups must come first, those of a head consecutive")
-    # the (first, end) groups of each output and of each run of groups on one head
-    outs = list(itertools.pairwise([0, *range(max(1, n_sum), n_groups + 1)]))
-    cuts = [0] + [g for g in range(1, n_groups) if heads[g] is not heads[g - 1]]
-    runs = list(itertools.pairwise(cuts + [n_groups]))
     store, rows = join_rows(parts)
     frame_sq = store.frame_sq()[rows]  # first, so squaring a new store overlaps no temporary
-    pair_tokens, pair_langs, idx, pos, lengths, pairs = _gather_pairs(
-        topology, Batch.of_rows(store, rows, Provenance.LBS), sizes, sum(sizes[:n_groups])
-    )
-    n_pairs = len(pairs)
-    span = topology.vocab_size * topology.num_languages
-    bounds = pairs.searchsorted(np.arange(len(sizes) + 1) * span).tolist()
-    # a step's embedding gradient rows are output * vocab_size + token
-    group_outs = np.array([o for o, (oa, ob) in enumerate(outs) for _ in range(oa, ob)])
-    emb_rows = group_outs[pairs // span % n_groups] * topology.vocab_size + pair_tokens
-    del pairs
+    _check_rows(topology, store, rows, sum(sizes[:n_groups]))
+    keys, pos, lengths = _positions(layout, store, rows, sizes)
+    n_slots = len(sizes) // n_groups * layout.n_rows
     # each row's n_g * frame_dim, from Python floats: an intp array times a
     # float runs numpy's int64-to-float64 cast, 64 kB of its code that
     # nothing else in a run executes and that then counts in the peak RSS
     row_scale = np.repeat([n * float(topology.frame_dim) for n in sizes], sizes)
-    part_weights = [1.0 if w is None else w for w in weights] * (len(sizes) // n_groups)
+    part_weights = [1.0 if w is None else w for w in layout.weights] * (len(sizes) // n_groups)
     row_weight = np.repeat(part_weights, sizes) / (lengths * row_scale)
     t_sq = np.add.reduceat(row_weight * frame_sq, np.cumsum(sizes) - sizes)
     weight = np.repeat(row_weight, lengths)
-    w_sum = np.bincount(idx, weights=weight, minlength=n_pairs)[:, None]
+    w_sum = np.bincount(keys, weights=weight, minlength=n_slots)[:, None]
     # S one frame coefficient at a time, so that no temporary holds every
     # position's frame
     frames = store.frames.reshape(-1)
     pos *= topology.frame_dim
     wt = np.empty(len(pos))
-    s_sum = np.empty((n_pairs, topology.frame_dim))
+    s_sum = np.empty((n_slots, topology.frame_dim))
     for j in range(topology.frame_dim):
         frames.take(pos, out=wt, mode="clip")  # the indices are in range: no buffer
         wt *= weight
-        s_sum[:, j] = np.bincount(idx, weights=wt, minlength=n_pairs)
+        s_sum[:, j] = np.bincount(keys, weights=wt, minlength=n_slots)
         pos += 1
-    steps = []
-    for a, first in zip(bounds[: len(sizes) : n_groups], range(0, len(sizes), n_groups)):
-        rel = [x - a for x in bounds[first : first + n_groups + 1]]
-        blocks = [(o, rel[oa], rel[ob]) for o, (oa, ob) in enumerate(outs)]
-        # a run's head gradients are taken per output, over its pieces of the outputs' blocks
-        step_runs = [(heads[ga], slice(rel[ga], rel[gb]), [(o, rel[max(ga, c)], rel[min(gb, d)])
-                      for o, (c, d) in enumerate(outs) if c < gb and ga < d]) for ga, gb in runs]
-        steps.append((a, a + rel[-1], rel, blocks, step_runs))
-    return PairPlan(heads, pair_tokens, pair_langs, w_sum, s_sum, emb_rows, t_sq, bounds, steps)
+    return PairPlan(layout, w_sum, s_sum, t_sq)

@@ -102,12 +102,12 @@ def draw_balanced(ds, batch_size: int, rng) -> Batch:
     if batch_size < k:
         raise UsageError(f"batch_size {batch_size} < number of languages {k}")
     base, rem = divmod(batch_size, k)
-    quota = {lang: base for lang in langs}
+    quotas = np.full(k, base)
     if rem:
-        for j in rng.choice(k, size=rem, replace=False):
-            quota[langs[j]] += 1
-    picks = []
-    for lang in langs:
-        group = groups[lang]
-        picks.append(group[rng.integers(0, len(group), size=quota[lang])])
-    return _drawn(ds, np.concatenate(picks), Provenance.LBS)
+        quotas[rng.choice(k, size=rem, replace=False)] += 1
+    # one draw of every pick, each uniform over its language's samples: the
+    # stream of one draw per language in turn
+    sizes = np.array([len(groups[lang]) for lang in langs])
+    picks = rng.integers(0, np.repeat(sizes, quotas))
+    picks += np.repeat(np.cumsum(sizes) - sizes, quotas)
+    return _drawn(ds, np.concatenate([groups[lang] for lang in langs])[picks], Provenance.LBS)

@@ -16,7 +16,7 @@ from .data import TaskDataset, generate_tasks, merge_replay
 from .errors import ConfigError, NumericError, UsageError
 from .metrics import split_mcd, stage_eval
 from .model import AdamState, Head, ParameterSet, adam_step, init_params, run_step
-from .pairs import plan_steps
+from .pairs import Layout, plan_steps
 from .samplers import (
     Batch,
     Provenance,
@@ -118,12 +118,15 @@ def ewc_consolidate(
         raise UsageError("n_samples must be >= 1")
     train = ds.rows("train")
     idx = rng.choice(len(train), size=n_samples, replace=n_samples > len(train))
-    draw = ([(ds.store, rows)] for rows in train[idx][:, None]).__next__  # one-row steps
-    fisher = np.zeros_like(params.values)
-    for plan, steps in _chunks(params.topology, [Head.LBS], [1.0], n_samples, draw):
-        for k in range(len(steps)):
-            _, grads = run_step(params, plan, k)
-            fisher += grads[0] ** 2
+    fisher, layout = np.zeros_like(params.values), None
+    # a pass's outputs are its samples, a one-row group each; at paper_scale, 100
+    # samples took 6.5 ms in passes of about 1,000 table rows, 7.6 ms in one pass
+    for rows in np.array_split(train[idx], -(-n_samples * params.topology.vocab_size // 1024)):
+        if getattr(layout, "n_outputs", None) != (n := len(rows)):
+            layout = Layout(params.topology, [Head.LBS] * n, [None] * n, [[ds.language_id]] * n)
+        _, grads = run_step(params, plan_steps(layout, [(ds.store, rows[i : i + 1]) for i in range(n)]), 0)
+        # fisher + g_0^2 + g_1^2 + ...: the squares added in sample order
+        np.add.reduce(np.vstack([fisher, np.square(grads)]), axis=0, out=fisher)
     fisher /= n_samples
     if prior is not None:
         fisher += prior.fisher_diag
@@ -200,9 +203,9 @@ def _reference_draw(store, rows, batch_size: int, rng):
 
 
 def _step_groups(strategy: StrategyConfig, ds_k, buffer, fstate, seen_tasks, batch_size: int, rng):
-    """A stage's training pool, the (weight, draw, head) of each group of a
-    step's model pass, in the order a step draws their batches, and the
-    stage's step hook.
+    """A stage's training pool, the (weight, draw, head, languages) of each
+    group of a step's model pass, in the order a step draws their batches,
+    and the stage's step hook. A group's languages are those it can draw.
 
     A step's loss sums its groups' weighted losses: gamma * L_lbs + beta *
     L_rrs for REPLAY_DUAL, one unit-weight LBS group otherwise. GEM adds a
@@ -228,22 +231,23 @@ def _step_groups(strategy: StrategyConfig, ds_k, buffer, fstate, seen_tasks, bat
         pool, refs = ReplayDataset.of_rows(store, rows[0]), [(store, r) for r in rows[1:] if len(r)]
     else:
         pool = merge_replay(ds_k, buffer)
+    langs = list(pool.language_counts)
     if kind is StrategyKind.REPLAY_DUAL:
         if strategy.force_lbs_random:
             draw_lbs = lambda: draw_random(pool, batch_size, rng, Provenance.LBS)
         else:
             draw_lbs = lambda: draw_balanced(pool, batch_size, rng)
         groups = [
-            (strategy.gamma, draw_lbs, Head.LBS),
-            (strategy.beta, lambda: draw_random(pool, batch_size, rng, Provenance.RRS), Head.RRS),
+            (strategy.gamma, draw_lbs, Head.LBS, langs),
+            (strategy.beta, lambda: draw_random(pool, batch_size, rng, Provenance.RRS), Head.RRS, langs),
         ]
         # a zero-weight group draws nothing, keeping the rng stream identical
         # to the single-sampler strategies
         return pool, [group for group in groups if group[0] > 0], None
     if kind is StrategyKind.REPLAY_WEIGHTED:
         table = build_weight_table(pool)
-        return pool, [(1.0, lambda: draw_weighted(table, pool, batch_size, rng), Head.LBS)], None
-    groups = [(1.0, lambda: draw_random(pool, batch_size, rng), Head.LBS)]
+        return pool, [(1.0, lambda: draw_weighted(table, pool, batch_size, rng), Head.LBS, langs)], None
+    groups = [(1.0, lambda: draw_random(pool, batch_size, rng), Head.LBS, langs)]
     hook = None
     if kind is StrategyKind.EWC and fstate is not None:
         def hook(params, grads, loss, grad):
@@ -252,11 +256,11 @@ def _step_groups(strategy: StrategyConfig, ds_k, buffer, fstate, seen_tasks, bat
 
     if refs:
         # a language's quota is 0 when there are fewer buffer slots than past languages
-        groups += [
-            (None, _reference_draw(store, rows, strategy.gem_memory_batch, rng), Head.LBS)
-            for store, rows in refs
-        ]
         languages = [lang for lang, rows in buffer.rows.items() if len(rows)]
+        groups += [
+            (None, _reference_draw(store, rows, strategy.gem_memory_batch, rng), Head.LBS, [lang])
+            for (store, rows), lang in zip(refs, languages)
+        ]
 
         def hook(params, grads, loss, grad):
             return loss, gem_project(grad, gem_reference_grads(grads, languages))
@@ -265,11 +269,11 @@ def _step_groups(strategy: StrategyConfig, ds_k, buffer, fstate, seen_tasks, bat
 
 
 # the positions of the steps planned at once, at most: making a plan takes
-# about 32 bytes a position, and it holds about 96 bytes a pair
+# about 32 bytes a position, and it holds 72 bytes a row of its steps' tables
 _CHUNK_POSITIONS = 6144
 
 
-def _chunks(topology, heads: list, weights: list, steps: int, draw):
+def _chunks(layout: Layout | None, steps: int, draw):
     """The PairPlan (None for steps of no group) and range of each chunk of
     `steps` steps of at most _CHUNK_POSITIONS positions, or one step; a chunk
     draws its steps' (store, rows) parts, one per group, before it is planned.
@@ -280,9 +284,9 @@ def _chunks(topology, heads: list, weights: list, steps: int, draw):
     chunk = max(1, _CHUNK_POSITIONS // max(1, longest * sum(len(rows) for _, rows in parts)))
     for first in range(0, steps, chunk):
         chunk_steps = range(first, min(first + chunk, steps))
-        while len(parts) < len(chunk_steps) * len(heads):
+        while layout and len(parts) < len(chunk_steps) * len(layout.heads):
             parts += draw()
-        yield (plan_steps(topology, parts, heads, weights) if parts else None), chunk_steps
+        yield (plan_steps(layout, parts) if parts else None), chunk_steps
         parts = []
 
 
@@ -310,10 +314,11 @@ def train_stage(
     pool, groups, hook = _step_groups(
         strategy, ds_k, buffer, fstate, seen_tasks, cfg.batch_size, rng
     )
-    heads = [head for *_, head in groups]
     weights = [weight for weight, *_ in groups]
+    heads, langs = [group[2] for group in groups], [group[3] for group in groups]
+    layout = Layout(params.topology, heads, weights, langs) if groups else None  # for all steps
     no_pass = [], np.zeros((1, len(params.values)))  # gamma = beta = 0: a step of no group
-    draw_step = lambda: [(batch.store, batch.rows) for batch in (draw() for _, draw, _ in groups)]
+    draw_step = lambda: [(batch.store, batch.rows) for batch in (draw() for _, draw, *_ in groups)]
 
     opt = AdamState.fresh(len(params.values), lr=cfg.lr)
     params = params.copy()
@@ -322,7 +327,7 @@ def train_stage(
 
     for epoch in range(cfg.epochs):
         opt.lr = lr_for_epoch(cfg.lr, epoch, cfg.epochs, cfg.lr_decay_epoch_fraction)
-        for plan, steps in _chunks(params.topology, heads, weights, steps_per_epoch, draw_step):
+        for plan, steps in _chunks(layout, steps_per_epoch, draw_step):
             for k, step in enumerate(steps):
                 losses, grads = run_step(params, plan, k) if plan else no_pass
                 grad = grads[0]
@@ -342,7 +347,7 @@ def train_stage(
                         f"{exc} in the stage of language {ds_k.language_id} "
                         f"at epoch {epoch} step {step}"
                     ) from exc
-            del plan, grads  # the plan's gradient buffer, before the next chunk's plan is made
+            del plan  # before the next chunk's plan is made
         for task in seen_tasks:
             curves[task.language_id].append(_dev_mcd(params, task))
     return StageResult(params, curves)

@@ -6,6 +6,7 @@ import pytest
 
 from lltts.data import Sample
 from lltts.model import ModelTopology, init_params
+from lltts.pairs import Layout, plan_steps
 from lltts.samplers import Batch, Provenance
 
 
@@ -40,6 +41,19 @@ def plain_padding(samples, frame_dim):
         targets[i, :t] = s.target_frames
         mask[i, :t] = 1.0
     return tokens, targets, mask, np.array([s.language_id for s in samples])
+
+
+def layout_of(topology, parts, heads, weights):
+    """The layout of a chunk's (store, rows) parts, step after step, whose
+    groups' blocks are the languages that their parts hold."""
+    n = len(heads)
+    langs = [[lang for store, rows in parts[g::n] for lang in store.langs[rows].tolist()] for g in range(n)]
+    return Layout(topology, heads, weights, langs)
+
+
+def plan_of(topology, parts, heads, weights):
+    """The plan of a chunk's (store, rows) parts on their `layout_of`."""
+    return plan_steps(layout_of(topology, parts, heads, weights), parts)
 
 
 def random_sample(rng, topology=TINY, t=None):

@@ -98,11 +98,12 @@ class TestStageEval:
 
     def test_sample_mcds_equal_mcd_bitwise(self, rng):
         # lengths past numpy's 8-way unrolled and 128-element blocked sums,
-        # so the per-frame and per-sample sums are grouped as in `mcd`
+        # so the per-frame and per-sample sums are grouped as in `mcd`; some
+        # samples share a length, whose sums are taken at once
         topo = dataclasses.replace(TINY, frame_dim=10)
         params = init_params(topo, 0)
         split = []
-        for t in (150, 1, 3, 8, *range(9, 60, 5)):
+        for t in (150, 1, 3, 8, *range(9, 60, 5), 3, 150, 9, 1):
             tokens = rng.integers(0, topo.vocab_size, size=t)
             split.append(Sample(t % 2, tokens, rng.standard_normal((t, topo.frame_dim))))
         _, post = forward(params, Batch(split, Provenance.LBS), Head.LBS)

@@ -26,10 +26,10 @@ from lltts.model import (
     init_params,
     loss_and_grad,
 )
-from lltts.pairs import plan_steps
+from lltts.pairs import Layout, _positions, plan_steps
 from lltts.samplers import Batch, Provenance
 
-from conftest import TINY, plain_padding, random_batch, random_sample
+from conftest import TINY, layout_of, plain_padding, plan_of, random_batch, random_sample
 
 # the topology of configs/paper_scale.ini
 PAPER_SCALE = ModelTopology(vocab_size=40, embed_dim=16, encoder_hidden=32, trunk_dim=32,
@@ -378,10 +378,6 @@ FORWARD_CASES = {
 }
 
 
-def distinct_pairs(batch):
-    return len({(int(k), s.language_id) for s in batch.samples for k in s.tokens})
-
-
 @pytest.mark.parametrize("head", [Head.LBS, Head.RRS])
 @pytest.mark.parametrize("case", FORWARD_CASES)
 @settings(max_examples=10, deadline=None)
@@ -401,16 +397,18 @@ def test_forward_bits_match_per_position_reference(case, head, seed):
 
 
 def test_forward_cases_cover_edge_shapes():
-    # a one-pair table (numpy's matrix-vector path), tables of fewer pairs
-    # than positions and of more possible pairs than positions, several languages
+    # a one-position batch, whose table has one block of which it reaches one
+    # row, tables of fewer rows than positions and of more rows than
+    # positions, several languages
     shape = {}
     for case, (topology, n, lengths, multi_language) in FORWARD_CASES.items():
         batch = forward_batch(topology, n, lengths, multi_language)
-        pair_tokens, pair_langs, idx, *_ = model._gather_pairs(topology, batch, [n])
-        shape[case] = len(pair_tokens), len(idx), len(set(pair_langs.tolist()))
-    assert shape["one_pair"][0] == 1
+        layout = Layout.of_batch(topology, batch.store, batch.rows, Head.LBS, None)
+        keys, *_ = _positions(layout, batch.store, batch.rows, [n])
+        shape[case] = layout.n_rows, len(keys), layout.n_rows // topology.vocab_size, len(set(keys.tolist()))
+    assert shape["one_pair"] == (PAPER_SCALE.vocab_size, 1, 1, 1)
     assert shape["paper_scale_84"][0] < shape["paper_scale_84"][1]
-    assert WIDE_VOCAB.vocab_size * WIDE_VOCAB.num_languages > shape["wide_vocab"][1]
+    assert shape["wide_vocab"][0] == WIDE_VOCAB.vocab_size * WIDE_VOCAB.num_languages > shape["wide_vocab"][1]
     assert shape["multi_language"][2] == shape["wide_vocab"][2] == 4
 
 
@@ -429,8 +427,20 @@ def test_plan_names_a_bad_sample_by_its_row_in_its_step(field, value, message):
         samples[13].language_id = value
     batch = Batch(samples, Provenance.LBS)
     parts = [(batch.store, batch.rows[a : a + n]) for a, n in zip([0, 3, 5, 8, 10, 13], [3, 2] * 3)]
+    layout = Layout(TINY, [Head.LBS, Head.RRS], [0.5, 1.0], [range(TINY.num_languages)] * 2)
     with pytest.raises(InputDomainError, match=message):
-        plan_steps(TINY, parts, [Head.LBS, Head.RRS], [0.5, 1.0])
+        plan_steps(layout, parts)
+
+
+def test_plan_rejects_a_language_outside_the_layout(rng):
+    # each position finds its group's block of its language: a group laid out
+    # to draw language 0 that holds a sample of language 1 raises
+    samples = [random_sample(rng) for _ in range(3)]
+    samples[1].language_id = 1 - samples[0].language_id
+    batch = Batch(samples, Provenance.LBS)
+    layout = Layout(TINY, [Head.LBS], [1.0], [[samples[0].language_id]])
+    with pytest.raises(UsageError, match="no block"):
+        plan_steps(layout, [(batch.store, batch.rows)])
 
 
 def test_pairs_annotations_resolve(monkeypatch):
@@ -441,49 +451,42 @@ def test_pairs_annotations_resolve(monkeypatch):
     typed = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, typed)
     spec.loader.exec_module(typed)
-    for f in (typed._check_rows, typed._gather_pairs, typed.plan_steps):
+    for f in (typed._check_rows, typed.Layout.__init__, typed.Layout.of_batch):
         assert typing.get_type_hints(f)["topology"] is ModelTopology
 
 
-def test_forward_runs_once_per_distinct_pair(monkeypatch):
-    # a one-language paper-scale batch has about 760 positions but at most 40
-    # distinct pairs: the first product must see exactly the pairs
-    first_rows = []
+def test_forward_runs_over_the_table(monkeypatch):
+    # a one-language paper-scale batch has about 760 positions: the encoder
+    # runs over the vocabulary and the trunk over the 40 rows of the table
+    rows = []
     affine = model._affine
 
     def spy(x, *args, **kwargs):
-        first_rows.append(x.shape[0])
+        rows.append(x.shape[0])
         return affine(x, *args, **kwargs)
 
     batch = forward_batch(PAPER_SCALE, 84, (6, 13), multi_language=False)
     monkeypatch.setattr(model, "_affine", spy)
     loss_and_grad(init_params(PAPER_SCALE, 1), batch, Head.LBS)
-    assert first_rows[0] == distinct_pairs(batch) <= 40
+    assert rows[:2] == [PAPER_SCALE.vocab_size] * 2 and batch.store.lengths.sum() > 700
 
 
-def test_embedding_gradient_matches_add_at_scatter(tiny_params, monkeypatch):
-    # the bincount scatter of the pair rows must add in np.add.at's order:
-    # compare the bits on a batch whose pairs repeat tokens across languages
+def test_embedding_gradient_rows_of_absent_tokens_are_zero(tiny_params):
+    # the embedding gradient is written whole, as one product over the
+    # vocabulary: a token that no position holds gets a row of exact zeros,
+    # also where the batch's pairs repeat tokens across languages
     rng = np.random.default_rng(5)
     samples = [random_sample(rng, t=t) for t in (7, 2, 5, 7, 1)]
     for i, s in enumerate(samples):
         s.language_id = i % TINY.num_languages
+        s.tokens[s.tokens == 2] = 3
     samples[1].tokens[:] = samples[0].tokens[0]
-    calls = []
-    scatter_rows = model._scatter_rows
-
-    def spy(rows, values, n_rows):
-        calls.append((rows, values))
-        return scatter_rows(rows, values, n_rows)
-
-    monkeypatch.setattr(model, "_scatter_rows", spy)
-    _, grad = loss_and_grad(tiny_params, Batch(samples, Provenance.LBS), Head.LBS)
-    pair_tokens, de = calls[-1]
-    assert len(pair_tokens) == distinct_pairs(Batch(samples, Provenance.LBS)) > len(set(pair_tokens.tolist()))
-    expected = np.zeros((TINY.vocab_size, TINY.embed_dim))
-    np.add.at(expected, pair_tokens, de)
+    batch = Batch(samples, Provenance.LBS)
+    _, grad = loss_and_grad(tiny_params, batch, Head.LBS)
     g_emb = _Weights(TINY, grad).emb
-    assert np.array_equal(g_emb.view(np.uint64), expected.view(np.uint64))
+    assert not g_emb[2].any() and g_emb[3].any()
+    _, want = reference_loss_and_grad(tiny_params, batch, Head.LBS)
+    assert np.max(np.abs(grad - want)) <= REL_TOL * np.max(np.abs(want))
 
 
 _THREADS_CHILD = """
@@ -575,7 +578,7 @@ def group_pass(params, batch, heads, sizes):
     """The losses and gradients of the groups of `sizes` consecutive batch
     rows, group g on heads[g] with a gradient of its own, from the one model
     pass of a planned step."""
-    plan = plan_steps(params.topology, group_parts(batch, sizes), heads, [None] * len(heads))
+    plan = plan_of(params.topology, group_parts(batch, sizes), heads, [None] * len(heads))
     return model.run_step(params, plan, 0)
 
 
@@ -586,16 +589,16 @@ def test_group_rows_equal_separate_passes(topology, heads, seed):
     # each group's loss and gradient row from one pass are those of a
     # loss_and_grad on its own rows and head, to REL_TOL of the largest entry. A
     # product rounds a row alike at any number of rows only within one BLAS
-    # kernel. scipy-openblas 0.3.31 takes GEMV for one row and, at the paper
-    # shapes, another GEMM kernel from 38 rows (the trunk) and from 151 rows
-    # (the heads); at the tiny and desk shapes it showed no other switch. So
-    # there, with no group of a one-row table, the rows agree bit for bit.
+    # kernel. scipy-openblas 0.3.31 takes, at the paper shapes, another GEMM
+    # kernel from 38 rows (the trunk) and from 151 rows (the heads); at the
+    # tiny and desk shapes it showed no switch. So there the rows agree bit
+    # for bit.
     batch, sizes, alone = group_batch(topology, len(heads), seed)
     params = init_params(topology, 3)
     params.values[:] += 0.1 * np.random.default_rng(seed).standard_normal(len(params.values))
     losses, grads = group_pass(params, batch, heads, sizes)
     assert grads.shape == (len(heads), topology.num_params()) and len(losses) == len(heads)
-    exact = topology is not PAPER_SCALE and all(distinct_pairs(group) > 1 for group in alone)
+    exact = topology is not PAPER_SCALE
     for loss, grad, group, head in zip(losses, grads, alone, heads, strict=True):
         want_loss, want = loss_and_grad(params, group, head)
         if exact:
@@ -607,18 +610,21 @@ def test_group_rows_equal_separate_passes(topology, heads, seed):
 
 
 def test_group_table_is_each_groups_table_in_turn():
-    # each group's block of the table is the table of its own rows, also
-    # where two groups are of one language
+    # each group is an output of its own, whose block holds its language's
+    # one-hot and whose positions reach its rows by token, also where two
+    # groups are of one language
     batch, sizes, alone = group_batch(PAPER_SCALE, 3, seed=10)  # languages 3, 0, 3
-    got = model._gather_pairs(PAPER_SCALE, batch, sizes)
-    start = 0
-    for group in alone:
-        pair_tokens, pair_langs, *_ = model._gather_pairs(PAPER_SCALE, group, [len(group.rows)])
-        stop = start + len(pair_tokens)
-        assert np.array_equal(got[0][start:stop], pair_tokens)
-        assert np.array_equal(got[1][start:stop], pair_langs)
-        start = stop
-    assert start == len(got[0])
+    parts = group_parts(batch, sizes)
+    layout = layout_of(PAPER_SCALE, parts, [Head.LBS] * 3, [None] * 3)
+    keys, pos, _ = _positions(layout, batch.store, batch.rows, sizes)
+    vocab, n_h = PAPER_SCALE.vocab_size, PAPER_SCALE.encoder_hidden
+    assert layout.n_rows == 3 * vocab
+    ends = np.cumsum([len(group.store.tokens) for group in alone])
+    for g, (group_keys, group) in enumerate(zip(np.split(keys, ends[:-1]), alone)):
+        lang = int(group.store.langs[0])
+        assert layout.base[g, lang] == g * vocab
+        assert np.array_equal(group_keys - g * vocab, group.store.tokens)
+        assert np.array_equal(layout.z[g * vocab : (g + 1) * vocab, n_h:], np.eye(4)[[lang] * vocab])
 
 
 def group_parts(batch, sizes):
@@ -628,17 +634,19 @@ def group_parts(batch, sizes):
 
 
 def test_plan_steps_overwrite_one_gradient_buffer():
-    # a plan's steps return its one buffer, each step overwriting it whole:
-    # the second step's gradients are those of the step planned alone, with
-    # each group's other head's segment zero
+    # the steps of a layout's plans return its one buffer, each step
+    # overwriting it whole: the second step's gradients are those of the step
+    # planned alone, with each group's other head's segment zero
     batch, sizes, _ = group_batch(DESK, 4, seed=5)
     parts, heads = group_parts(batch, sizes), [Head.RRS, Head.LBS]
-    params, plan = init_params(DESK, 3), plan_steps(DESK, parts, heads, [None, None])
+    layout = layout_of(DESK, parts, heads, [None, None])
+    params, plan = init_params(DESK, 3), plan_steps(layout, parts)
     _, first = model.run_step(params, plan, 0)
     _, second = model.run_step(params, plan, 1)
-    _, want = model.run_step(params, plan_steps(DESK, parts[2:], heads, [None, None]), 0)
-    assert second is first and second.tobytes() == want.tobytes()
-    g = _Weights(DESK, second)
+    got = second.copy()
+    _, want = model.run_step(params, plan_steps(layout, parts[2:]), 0)
+    assert second is first is want and got.tobytes() == want.tobytes()
+    g = _Weights(DESK, got)
     assert not g.w_lbs[0].any() and not g.b_lbs[0].any()
     assert not g.w_rrs[1].any() and not g.b_rrs[1].any()
 
@@ -663,7 +671,7 @@ def test_plan_t_sq_is_per_position_sum(seed):
     # sum over its positions, w = 1 / (n_g * T_i * frame_dim)
     n_groups = int(np.random.default_rng(seed).integers(1, 4))
     batch, sizes, alone = group_batch(PAPER_SCALE, 2 * n_groups, seed)
-    plan = plan_steps(PAPER_SCALE, group_parts(batch, sizes), [Head.LBS] * n_groups, [None] * n_groups)
+    plan = plan_of(PAPER_SCALE, group_parts(batch, sizes), [Head.LBS] * n_groups, [None] * n_groups)
     f = PAPER_SCALE.frame_dim
     want = [sum(np.sum(s.target_frames**2) / (len(s.tokens) * len(group.rows) * f)
                 for s in group.samples) for group in alone]
@@ -680,10 +688,11 @@ def test_first_plan_squares_the_store_in_blocks():
     cfg = parse_config((CONFIGS / "paper_scale.ini").read_text())
     store = generate_tasks(cfg.task_specs)[0].store
     parts = [(store, np.arange(84))]
+    layout = Layout.of_batch(cfg.topology, store, parts[0][1], Head.LBS, 1.0)
     assert store._frame_sq is None and store.frames.nbytes > 6_000_000
     tracemalloc.start()
     try:
-        plan_steps(cfg.topology, parts, [Head.LBS], [1.0])
+        plan_steps(layout, parts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -694,8 +703,8 @@ _GROUP_THREADS_CHILD = """
 import hashlib
 import numpy as np
 from lltts.data import Sample
-from lltts.model import Head, ModelTopology, _gather_pairs, init_params, run_step
-from lltts.pairs import plan_steps
+from lltts.model import Head, ModelTopology, init_params, run_step
+from lltts.pairs import Layout, plan_steps
 from lltts.samplers import Batch, Provenance
 
 # a paper-scale GEM step at stage 3: a step batch of 84 samples and three
@@ -709,7 +718,7 @@ for lang, n in zip((3, 2, 0, 1), sizes):
         tokens = np.arange(10 * i, 10 * i + 10) if i < 4 else rng.integers(0, 40, size=int(rng.integers(6, 13)))
         samples.append(Sample(lang, tokens, rng.standard_normal((len(tokens), 8))))
 batch = Batch(samples, Provenance.LBS)
-assert len(_gather_pairs(topo, batch, sizes)[0]) == 160
+gem_langs = [[3], [2], [0], [1]]
 # a paper-scale dual step at stage 3: LBS and RRS batches of 84 samples, 21
 # of each language, each batch holding every token of every language
 dual = []
@@ -719,15 +728,16 @@ for group in range(2):
             tokens = np.arange(10 * i, 10 * i + 10) if i < 4 else rng.integers(0, 40, size=int(rng.integers(6, 13)))
             dual.append(Sample(lang, tokens, rng.standard_normal((len(tokens), 8))))
 dual = Batch(dual, Provenance.LBS)
-assert len(_gather_pairs(topo, dual, [84, 84])[0]) == 320
 digest = hashlib.sha256()
 gem = [1.0, None, None, None]
-cases = [(batch, [Head.LBS] * 4, gem, sizes), (batch, [Head.RRS] * 4, gem, sizes),
-         (dual, [Head.LBS, Head.RRS], [0.3, 0.7], [84, 84])]
-for rows, heads, weights, groups in cases:
+cases = [(batch, [Head.LBS] * 4, gem, sizes, gem_langs), (batch, [Head.RRS] * 4, gem, sizes, gem_langs),
+         (dual, [Head.LBS, Head.RRS], [0.3, 0.7], [84, 84], [range(4)] * 2)]
+for rows, heads, weights, groups, langs in cases:
     ends = np.cumsum(groups).tolist()
     parts = [(rows.store, rows.rows[end - n : end]) for end, n in zip(ends, groups)]
-    losses, grads = run_step(init_params(topo, 1), plan_steps(topo, parts, heads, weights), 0)
+    layout = Layout(topo, heads, weights, langs)
+    assert layout.n_rows == 40 * sum(map(len, langs))  # 160 and 320
+    losses, grads = run_step(init_params(topo, 1), plan_steps(layout, parts), 0)
     digest.update(np.array([loss.total for loss in losses]).tobytes() + grads.tobytes())
 print(digest.hexdigest())
 """
@@ -745,11 +755,46 @@ def test_group_pass_independent_of_blas_threads():
 
 def test_trunk_input_is_h_then_language_one_hot(tiny_params):
     # the trunk input is copied, not computed: the bytes of the concatenation
-    pair_tokens, pair_langs = np.array([0, 1, 1, 4]), np.array([1, 0, 1, 0])
-    w = _Weights(TINY, tiny_params.values)
-    _, h, z, *_ = model._forward_pairs(w, TINY, pair_tokens, pair_langs, [(Head.LBS, slice(None))])
-    want = np.concatenate([h, np.eye(TINY.num_languages)[pair_langs]], axis=1)
+    # of each block's h rows and its language's one-hot
+    layout = Layout(TINY, [Head.LBS], [None], [[1, 0]])
+    h, z, *_ = model._forward(_Weights(TINY, tiny_params.values), layout)
+    want = np.concatenate([np.tile(h, (2, 1)), np.eye(TINY.num_languages)[[0, 1]].repeat(TINY.vocab_size, axis=0)], axis=1)
     assert z.tobytes() == want.tobytes()
+
+
+def test_steps_leave_the_one_hot_columns(tiny_params, rng):
+    # the layout holds the trunk input's language one-hot columns for all
+    # its steps: the backward reads z but writes none of it, so a step run
+    # again gives the same bits
+    batch = random_batch(rng)
+    parts = [(batch.store, batch.rows)]
+    layout = Layout.of_batch(TINY, batch.store, batch.rows, Head.LBS, 1.0)
+    one_hot = layout.z[:, TINY.encoder_hidden :].copy()
+    plan = plan_steps(layout, parts)
+    first = model.run_step(tiny_params, plan, 0)[1].copy()
+    assert layout.z[:, TINY.encoder_hidden :].tobytes() == one_hot.tobytes()
+    assert model.run_step(tiny_params, plan, 0)[1].tobytes() == first.tobytes()
+
+
+def test_outputs_of_different_languages_pad_to_one_width():
+    # a step's outputs cover two languages and one: the one-language output
+    # is padded with a block that no position reaches, and each output's
+    # gradient is that of its group planned alone, bit for bit
+    rng = np.random.default_rng(2)
+    samples = [random_sample(rng, DESK, t=9) for _ in range(12)]
+    for i, s in enumerate(samples):
+        s.language_id = i % 2 if i < 8 else 2
+    batch = Batch(samples, Provenance.LBS)
+    parts = group_parts(batch, [8, 4])
+    layout = layout_of(DESK, parts, [Head.LBS, Head.RRS], [None, None])
+    vocab = DESK.vocab_size
+    assert layout.width == 2 * vocab and layout.base.tolist() == [[0, vocab, -1], [-1, -1, 2 * vocab]]
+    params = init_params(DESK, 3)
+    _, grads = model.run_step(params, plan_steps(layout, parts), 0)
+    grads = grads.copy()
+    for grad, part, head in zip(grads, parts, [Head.LBS, Head.RRS], strict=True):
+        want = model.run_step(params, plan_of(DESK, [part], [head], [None]), 0)[1][0]
+        assert grad.tobytes() == want.tobytes()
 
 
 def test_forward_reads_no_target_frames(tiny_params, rng):

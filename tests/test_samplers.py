@@ -151,13 +151,17 @@ def list_draw_balanced(ds, batch_size, rng):
 
 
 class TestByLanguage:
-    def test_draw_balanced_matches_list_reference(self):
-        ds = ReplayDataset(make_dataset({2: 13, 0: 40, 1: 7}).samples[::-1])
+    @pytest.mark.parametrize("counts", [{2: 13, 0: 40, 1: 7}, {3: 5, 1: 60, 0: 2, 2: 31}])
+    def test_draw_balanced_matches_list_reference(self, counts):
+        # one rng.integers call for every pick takes the stream of one call
+        # per language; the batch sizes leave every remainder of 3 and of 4
+        ds = ReplayDataset(make_dataset(counts).samples[::-1])
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-        for batch_size in (3, 10, 32, 7, 84):
+        for batch_size in (4, 10, 32, 7, 84, 5, 6, 33):
             got = draw_balanced(ds, batch_size, rng).samples
             want = list_draw_balanced(ds, batch_size, ref_rng)
             assert [id(s) for s in got] == [id(s) for s in want]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_groups_match_brute_force(self):
         ds = make_dataset({1: 5, 0: 3, 4: 1})

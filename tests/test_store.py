@@ -11,7 +11,8 @@ from lltts.buffer import MemoryBuffer
 from lltts.config import ExperimentConfig
 from lltts.data import TaskSpec, generate_task, generate_tasks, merge_replay
 from lltts.errors import InputDomainError
-from lltts.model import _gather_pairs
+from lltts.model import Head
+from lltts.pairs import Layout, _positions
 from lltts.samplers import Batch, Provenance
 from lltts.store import ReplayDataset, SampleStore, join_pools
 from lltts.strategies import StrategyConfig, StrategyKind, run_sequence
@@ -20,25 +21,27 @@ from conftest import TINY, plain_padding, random_sample
 
 
 def gather_one_group(topology, batch):
-    return _gather_pairs(topology, batch, [len(batch.rows)])
+    """The layout of a one-group batch, with each position's row of its
+    table and index into the store, and each sample's length."""
+    layout = Layout.of_batch(topology, batch.store, batch.rows, Head.LBS, None)
+    return (layout, *_positions(layout, batch.store, batch.rows, [len(batch.rows)]))
 
 
 def assert_gathers_padding(topology, batch, want):
     """The gather holds the valid positions of the padding `want`, in batch
-    order, as rows of a table of its distinct (token, language) pairs."""
-    pair_tokens, pair_langs, idx, pos, lengths, pairs = gather_one_group(topology, batch)
+    order, as rows of a table of a block of each language, in token order."""
+    layout, keys, pos, lengths = gather_one_group(topology, batch)
     tokens, want_targets, mask, langs = want
     valid = mask.astype(bool)
     assert np.array_equal(lengths, valid.sum(axis=1))
-    assert np.array_equal(pair_tokens[idx], tokens[valid])
-    assert np.array_equal(pair_langs[idx], np.broadcast_to(langs[:, None], tokens.shape)[valid])
+    position_langs = np.broadcast_to(langs[:, None], tokens.shape)[valid]
+    assert np.array_equal(keys, layout.base[0, position_langs] + tokens[valid])
     targets = batch.store.frames[pos]
     assert np.array_equal(targets.view(np.uint64), want_targets[valid].view(np.uint64))
-    # one row per distinct pair, in key order, each used
-    keys = pair_tokens * topology.num_languages + pair_langs
-    assert np.array_equal(pairs, keys)
-    assert np.all(np.diff(keys) > 0)
-    assert np.array_equal(np.unique(idx), np.arange(len(keys)))
+    # one block per language, in ascending order
+    blocks = sorted(set(langs.tolist()))
+    assert layout.n_rows == len(blocks) * topology.vocab_size
+    assert layout.base[0, blocks].tolist() == [k * topology.vocab_size for k in range(len(blocks))]
 
 
 def tiny_specs(n_tasks=3, **kw):
@@ -176,11 +179,11 @@ class TestOneStore:
         monkeypatch.setattr(SampleStore, "pack", staticmethod(no_copy))
         monkeypatch.setattr(SampleStore, "samples", no_sample)
         stores, stages = [], []
-        gather_pairs = pairs._gather_pairs
+        positions = pairs._positions
 
-        def spy_gather(topology, batch, *groups):
-            stores.append(batch.store)
-            return gather_pairs(topology, batch, *groups)
+        def spy_positions(layout, store, *args):
+            stores.append(store)
+            return positions(layout, store, *args)
 
         step_groups = strategies._step_groups
 
@@ -196,8 +199,8 @@ class TestOneStore:
             return train_stage(strategy, params, ds_k, buffer, fstate, cfg, rng, seen_tasks)
 
         # training and EWC's Fisher batches gather in `pairs`, evaluation in `model`
-        monkeypatch.setattr(pairs, "_gather_pairs", spy_gather)
-        monkeypatch.setattr(model, "_gather_pairs", spy_gather)
+        monkeypatch.setattr(pairs, "_positions", spy_positions)
+        monkeypatch.setattr(model, "_positions", spy_positions)
         monkeypatch.setattr(strategies, "_step_groups", spy_groups)
         monkeypatch.setattr(strategies, "train_stage", spy_stage)
         run_sequence(config)

@@ -10,9 +10,10 @@ import pytest
 from lltts.buffer import MemoryBuffer
 from lltts.config import parse_config
 from lltts.data import TaskSpec, generate_task, generate_tasks, merge_replay
-from lltts.errors import NumericError, UsageError
+from lltts.errors import InputDomainError, NumericError, UsageError
 from lltts import model, strategies
 from lltts.model import AdamState, Head, LossBreakdown, adam_step, init_params, loss_and_grad
+from lltts.pairs import Layout
 from lltts.samplers import Batch, Provenance, draw_balanced, draw_random
 from lltts.store import SampleStore, join_pools
 from lltts.strategies import (
@@ -29,7 +30,7 @@ from lltts.strategies import (
     train_stage,
 )
 
-from conftest import CONFIGS, TINY, store_nbytes
+from conftest import CONFIGS, TINY, plan_of, store_nbytes
 from test_model import REL_TOL
 
 
@@ -105,25 +106,26 @@ class TestEwc:
         np.testing.assert_allclose(fstate.fisher_diag, expected, atol=1e-12)
 
     def test_desk_samples_are_the_one_row_steps_of_one_plan(self, monkeypatch):
-        # a desk task's 100 Fisher samples are planned at once, a one-row step
-        # each, and the diagonal is, bit for bit, the mean of their squared
-        # one-sample loss_and_grad gradients
+        # a desk task's 100 Fisher samples are planned 25 at a time, a one-row
+        # output each of one pass, and the diagonal is, bit for bit, the mean
+        # of their squared one-sample loss_and_grad gradients
         cfg = parse_config((CONFIGS / "desk.ini").read_text())
         task = generate_tasks(cfg.task_specs)[0]
         params = init_params(cfg.topology, 0)
         plans = []
         plan_steps = strategies.plan_steps
 
-        def spy_plan(topology, parts, heads, weights):
-            plans.append(([rows.tolist() for _, rows in parts], heads, weights))
-            return plan_steps(topology, parts, heads, weights)
+        def spy_plan(layout, parts):
+            plans.append(([rows.tolist() for _, rows in parts], layout.heads, layout.weights))
+            return plan_steps(layout, parts)
 
         monkeypatch.setattr(strategies, "plan_steps", spy_plan)
         fstate = ewc_consolidate(params, task, 100, np.random.default_rng(4))
         monkeypatch.undo()
         train = task.rows("train")
         rows = train[np.random.default_rng(4).choice(len(train), size=100, replace=False)]
-        assert plans == [([[row] for row in rows.tolist()], [Head.LBS], [1.0])]
+        assert plans == [([[row] for row in rows[k : k + 25].tolist()], [Head.LBS] * 25, [None] * 25)
+                         for k in range(0, 100, 25)]
         expected = np.zeros_like(params.values)
         for row in rows:
             _, g = loss_and_grad(params, Batch.of_rows(task.store, np.array([row]), Provenance.LBS), Head.LBS)
@@ -189,8 +191,8 @@ def reference_state(params, buffer, batch_size, rng):
     step's reference batches, run as the groups of one planned step."""
     strategy = StrategyConfig(StrategyKind.GEM, gem_memory_batch=batch_size)
     _, groups, hook = strategies._step_groups(strategy, small_task(), buffer, None, None, batch_size, rng)
-    parts = [(batch.store, batch.rows) for batch in (draw() for weight, draw, _ in groups if weight is None)]
-    plan = strategies.plan_steps(params.topology, parts, [Head.LBS] * len(parts), [None] * len(parts))
+    parts = [(batch.store, batch.rows) for batch in (draw() for weight, draw, *_ in groups if weight is None)]
+    plan = plan_of(params.topology, parts, [Head.LBS] * len(parts), [None] * len(parts))
     _, grads = strategies.run_step(params, plan, 0)
     states = []
     with pytest.MonkeyPatch.context() as mp:
@@ -250,9 +252,9 @@ class TestGemReferenceGrads:
         heads = []
         plan_steps = strategies.plan_steps
 
-        def spy_plan(topology, parts, step_heads, weights):
-            heads.append((step_heads, weights))
-            return plan_steps(topology, parts, step_heads, weights)
+        def spy_plan(layout, parts):
+            heads.append((layout.heads, layout.weights))
+            return plan_steps(layout, parts)
 
         monkeypatch.setattr(strategies, "plan_steps", spy_plan)
         train_stage(StrategyConfig(StrategyKind.GEM), init_params(TINY, 0), small_task(),
@@ -270,14 +272,14 @@ def spy_passes(monkeypatch):
     passes, sizes = [], {}
     plan_steps, run_step = strategies.plan_steps, strategies.run_step
 
-    def spy_plan(topology, parts, heads, weights):
-        plan = plan_steps(topology, parts, heads, weights)
+    def spy_plan(layout, parts):
+        plan = plan_steps(layout, parts)
         sizes[id(plan)] = [len(rows) for _, rows in parts]
         return plan
 
     def spy_pass(params, plan, step):
-        n = len(plan.heads)
-        passes.append((plan.heads, sizes[id(plan)][step * n : (step + 1) * n]))
+        n = len(plan.layout.heads)
+        passes.append((plan.layout.heads, sizes[id(plan)][step * n : (step + 1) * n]))
         return run_step(params, plan, step)
 
     monkeypatch.setattr(strategies, "plan_steps", spy_plan)
@@ -453,11 +455,12 @@ class TestFoldedWeights:
         # W, S and the sum of w |t|^2 of a group of weight 2^k are those of
         # the group of weight None, times 2^k, bit for bit; the other group
         # keeps its own
+        # each group's blocks are the stage pool's three languages
         params, parts = dual_step_parts()
-        alone = strategies.plan_steps(params.topology, parts, self.DUAL, [None, None])
-        plan = strategies.plan_steps(params.topology, parts, self.DUAL, [weight, 1.0])
-        a = plan.bounds[1]
-        assert plan.bounds == alone.bounds
+        alone, plan = (strategies.plan_steps(Layout(params.topology, self.DUAL, weights, [[0, 1, 2]] * 2), parts)
+                       for weights in ([None, None], [weight, 1.0]))
+        a = plan.layout.group_rows[1]
+        assert plan.layout.group_rows == alone.layout.group_rows
         for name in ("w_sum", "s_sum"):
             got, want = getattr(plan, name), getattr(alone, name)
             assert got[:a].tobytes() == (weight * want[:a]).tobytes()
@@ -469,7 +472,7 @@ class TestFoldedWeights:
         # gamma * g_lbs + beta * g_rrs to REL_TOL of the largest entry, and
         # each group's weighted loss
         params, parts = dual_step_parts()
-        plan = strategies.plan_steps(params.topology, parts, self.DUAL, [0.3, 0.7])
+        plan = plan_of(params.topology, parts, self.DUAL, [0.3, 0.7])
         losses, grads = strategies.run_step(params, plan, 0)
         assert grads.shape == (1, len(params.values)) and len(losses) == 2
         want = np.zeros_like(params.values)
@@ -487,14 +490,14 @@ class TestFoldedWeights:
         _, groups, _ = strategies._step_groups(
             strategy, ds_k, buffer, None, [ds_k], cfg.batch_size, np.random.default_rng(3)
         )
-        parts = [(batch.store, batch.rows) for batch in (draw() for _, draw, _ in groups)]
+        parts = [(batch.store, batch.rows) for batch in (draw() for _, draw, *_ in groups)]
         weights = [weight for weight, *_ in groups]
         assert weights == [1.0, None, None]
-        plan = strategies.plan_steps(params.topology, parts, [Head.LBS] * 3, weights)
-        _, grads = strategies.run_step(params, plan, 0)
+        layout = Layout(params.topology, [Head.LBS] * 3, weights, [langs for *_, langs in groups])
+        _, grads = strategies.run_step(params, strategies.plan_steps(layout, parts), 0)
         assert grads.shape == (3, len(params.values))
         for grad, part in zip(grads, parts, strict=True):
-            alone = strategies.plan_steps(params.topology, [part], [Head.LBS], [None])
+            alone = plan_of(params.topology, [part], [Head.LBS], [None])
             assert grad.tobytes() == strategies.run_step(params, alone, 0)[1][0].tobytes()
 
     @pytest.mark.parametrize("heads, weights", [
@@ -507,7 +510,7 @@ class TestFoldedWeights:
         params, parts = dual_step_parts()
         parts = (parts * 2)[: len(heads)]
         with pytest.raises(UsageError, match="weighted groups must come first"):
-            strategies.plan_steps(params.topology, parts, heads, weights)
+            plan_of(params.topology, parts, heads, weights)
 
 
 # a chunk budget of 4 steps of 16 rows of at most 5 tokens (small_task's lengths)
@@ -535,9 +538,9 @@ class TestChunkedPlans:
         chunks = []
         plan_steps = strategies.plan_steps
 
-        def spy_plan(topology, parts, heads, weights):
-            plan = plan_steps(topology, parts, heads, weights)
-            chunks.append((parts, len(parts) // len(heads), weights, plan))
+        def spy_plan(layout, parts):
+            plan = plan_steps(layout, parts)
+            chunks.append((parts, len(parts) // len(layout.heads), plan))
             return plan
 
         monkeypatch.setattr(strategies, "_CHUNK_POSITIONS", budget)
@@ -545,20 +548,20 @@ class TestChunkedPlans:
         strategy = StrategyConfig(kind, gem_memory_batch=4)
         train_stage(strategy, params, ds_k, buffer, None, cfg, np.random.default_rng(3))
         monkeypatch.undo()
-        assert [steps for _, steps, *_ in chunks] == self.CHUNKS[kind, budget]
+        assert [steps for _, steps, _ in chunks] == self.CHUNKS[kind, budget]
+        (layout,) = {plan.layout for *_, plan in chunks}  # the stage's one layout
 
         params.values[:] += 0.1 * np.random.default_rng(1).standard_normal(len(params.values))
-        for parts, steps, weights, plan in chunks:
-            n_groups = len(plan.heads)
+        n_groups, n_rows = len(layout.heads), layout.n_rows
+        for parts, steps, plan in chunks:
             for k in range(steps):
-                step_parts = parts[k * n_groups : (k + 1) * n_groups]
-                alone = plan_steps(params.topology, step_parts, plan.heads, weights)
-                a, b = plan.bounds[k * n_groups], plan.bounds[(k + 1) * n_groups]
-                assert [x - a for x in plan.bounds[k * n_groups : (k + 1) * n_groups + 1]] == alone.bounds
-                for name in ("tokens", "langs", "w_sum", "s_sum", "emb_rows"):
-                    assert getattr(plan, name)[a:b].tobytes() == getattr(alone, name).tobytes()
+                alone = plan_steps(layout, parts[k * n_groups : (k + 1) * n_groups])
+                for name in ("w_sum", "s_sum"):
+                    got = getattr(plan, name)[k * n_rows : (k + 1) * n_rows]
+                    assert got.tobytes() == getattr(alone, name).tobytes()
                 assert plan.t_sq[k * n_groups : (k + 1) * n_groups].tobytes() == alone.t_sq.tobytes()
                 losses, grads = strategies.run_step(params, plan, k)
+                grads = grads.copy()  # the layout's buffer, which the next step overwrites
                 want_losses, want_grads = strategies.run_step(params, alone, 0)
                 assert losses == want_losses and grads.tobytes() == want_grads.tobytes()
 
@@ -572,9 +575,9 @@ class TestChunkedPlans:
         drawn = []
         plan_steps = strategies.plan_steps
 
-        def spy_plan(topology, parts, heads, weights):
+        def spy_plan(layout, parts):
             drawn.extend(rows for _, rows in parts)
-            return plan_steps(topology, parts, heads, weights)
+            return plan_steps(layout, parts)
 
         monkeypatch.setattr(strategies, "_CHUNK_POSITIONS", budget)
         monkeypatch.setattr(strategies, "plan_steps", spy_plan)
@@ -586,15 +589,15 @@ class TestChunkedPlans:
         want_rng, want = np.random.default_rng(3), []
         pool, groups, _ = strategies._step_groups(strategy, ds_k, buffer, None, [ds_k], cfg.batch_size, want_rng)
         for _ in range(cfg.epochs * (len(pool) // cfg.batch_size)):
-            want += [draw().rows for _, draw, _ in groups]
+            want += [draw().rows for _, draw, *_ in groups]
         assert len(drawn) == len(want) and all(map(np.array_equal, drawn, want))
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize("kind", [StrategyKind.REPLAY_DUAL, StrategyKind.GEM, StrategyKind.EWC])
-    def test_views_once_a_stage_and_a_gradient_buffer_per_plan(self, monkeypatch, kind):
+    def test_views_and_a_gradient_buffer_once_a_stage(self, monkeypatch, kind):
         # a stage's steps update one parameter vector in place, whose named
-        # views are made once; each plan makes one (groups, n_params)
-        # gradient buffer and its views, which its steps overwrite
+        # views are made once, and overwrite the one (outputs, n_params)
+        # gradient buffer of the stage's layout, whose views are made once
         params, ds_k, buffer, cfg = three_language_stage()
         fstate = ewc_consolidate(params, ds_k, 4, np.random.default_rng(0))
         made, plans, buffers = [], [], []
@@ -611,7 +614,7 @@ class TestChunkedPlans:
 
         def spy_pass(params, plan, step):
             losses, grads = run_step(params, plan, step)
-            buffers.append((id(plan), id(grads)))
+            buffers.append(grads)
             return losses, grads
 
         monkeypatch.setattr(model, "_Weights", Counted)
@@ -619,9 +622,17 @@ class TestChunkedPlans:
         monkeypatch.setattr(strategies, "run_step", spy_pass)
         strategy = StrategyConfig(kind, gem_memory_batch=4)
         result = train_stage(strategy, params, ds_k, buffer, fstate, cfg, np.random.default_rng(3))
-        assert len(plans) > 1 and made.count(2) == len(plans) and made.count(1) == 1
-        assert len(set(buffers)) == len({plan for plan, _ in buffers}) == len(plans)
+        assert len(plans) > 1 and made.count(2) == 1 and made.count(1) == 1
+        assert all(grads is buffers[0] for grads in buffers)
         assert np.shares_memory(result.final_params.weights.emb, result.final_params.values)
+
+
+def test_a_language_outside_the_topology_is_an_input_error():
+    # a stage's layout has a block for each language its pool holds: one past
+    # num_languages is named before any step, as the planner names it
+    text = (CONFIGS / "desk.ini").read_text().replace("postnet_hidden = 8", "postnet_hidden = 8\nnum_languages = 2")
+    with pytest.raises(InputDomainError, match=r"language id 2 out of range \[0, 2\)"):
+        strategies.run_sequence(parse_config(text.replace("epochs_per_stage = 20", "epochs_per_stage = 1")))
 
 
 def last_stage(profile, kind):
@@ -662,12 +673,13 @@ def test_dual_step_peak_memory(profile, bound):
     pool = merge_replay(tasks[-1], buffer)
     rng = np.random.default_rng(0)
     weights = [cfg.strategy.gamma, cfg.strategy.beta]
+    layout = Layout(cfg.topology, [Head.LBS, Head.RRS], weights, [list(pool.language_counts)] * 2)
 
     def step(opt, params):
         batches = [draw_balanced(pool, cfg.batch_size, rng),
                    draw_random(pool, cfg.batch_size, rng, Provenance.RRS)]
         parts = [(batch.store, batch.rows) for batch in batches]
-        plan = strategies.plan_steps(cfg.topology, parts, [Head.LBS, Head.RRS], weights)
+        plan = strategies.plan_steps(layout, parts)
         _, grads = strategies.run_step(params, plan, 0)
         return adam_step(opt, params, grads[0])
 
@@ -684,10 +696,11 @@ def test_gem_step_peak_memory(profile, bound):
     rng = np.random.default_rng(0)
     _, groups, hook = strategies._step_groups(cfg.strategy, tasks[-1], buffer, None, tasks, cfg.batch_size, rng)
     weights = [weight for weight, *_ in groups]
+    layout = Layout(cfg.topology, [Head.LBS] * len(groups), weights, [langs for *_, langs in groups])
 
     def step(opt, params):
-        parts = [(batch.store, batch.rows) for batch in (draw() for _, draw, _ in groups)]
-        plan = strategies.plan_steps(cfg.topology, parts, [Head.LBS] * len(parts), weights)
+        parts = [(batch.store, batch.rows) for batch in (draw() for _, draw, *_ in groups)]
+        plan = strategies.plan_steps(layout, parts)
         _, grads = strategies.run_step(params, plan, 0)
         return adam_step(opt, params, hook(params, grads, 0.0, grads[0])[1])
 
@@ -704,6 +717,7 @@ def test_chunk_steps_leave_no_blocks_behind():
     pool = merge_replay(tasks[-1], buffer)
     rng = np.random.default_rng(0)
     params = init_params(cfg.topology, 0)
+    layout = Layout(cfg.topology, [Head.LBS, Head.RRS], [0.5, 1.0], [list(pool.language_counts)] * 2)
 
     def chunk(steps=4):
         parts = []
@@ -711,7 +725,7 @@ def test_chunk_steps_leave_no_blocks_behind():
             batches = [draw_balanced(pool, cfg.batch_size, rng),
                        draw_random(pool, cfg.batch_size, rng, Provenance.RRS)]
             parts += [(batch.store, batch.rows) for batch in batches]
-        plan = strategies.plan_steps(cfg.topology, parts, [Head.LBS, Head.RRS], [0.5, 1.0])
+        plan = strategies.plan_steps(layout, parts)
         for k in range(steps):
             strategies.run_step(params, plan, k)
 
@@ -731,19 +745,20 @@ def test_gem_chunk_plan_peak_memory():
     cfg, tasks, buffer = last_stage("paper_scale", "gem")
     rng = np.random.default_rng(0)
     pool, groups, _ = strategies._step_groups(cfg.strategy, tasks[-1], buffer, None, tasks, cfg.batch_size, rng)
-    heads, weights = [Head.LBS] * len(groups), [weight for weight, *_ in groups]
+    weights = [weight for weight, *_ in groups]
+    layout = Layout(cfg.topology, [Head.LBS] * len(groups), weights, [langs for *_, langs in groups])
     memory_batch = cfg.strategy.gem_memory_batch
     sizes = [cfg.batch_size] + [min(memory_batch, len(rows)) for rows in buffer.rows.values()]
     steps = strategies._CHUNK_POSITIONS // (int(pool.store.lengths.max()) * sum(sizes))
     assert steps == 2 and len(groups) == len(sizes)
     parts = []
     for _ in range(steps):
-        parts += [(batch.store, batch.rows) for batch in (draw() for _, draw, _ in groups)]
+        parts += [(batch.store, batch.rows) for batch in (draw() for _, draw, *_ in groups)]
     assert [len(rows) for _, rows in parts] == sizes * steps
-    strategies.plan_steps(cfg.topology, parts, heads, weights)  # checks the store's ids
+    strategies.plan_steps(layout, parts)  # checks the store's ids
     tracemalloc.start()
     try:
-        strategies.plan_steps(cfg.topology, parts, heads, weights)
+        strategies.plan_steps(layout, parts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
